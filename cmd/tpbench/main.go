@@ -14,13 +14,6 @@
 //	                        # B/op per figure panel and strategy, measured
 //	                        # with testing.Benchmark (tracks the perf
 //	                        # trajectory; see BENCH_*.json at the repo root)
-//	tpbench -fig prepared -json BENCH.json
-//	                        # the repeated-shape panel: the same join once
-//	                        # through the plain SELECT path (parse + plan
-//	                        # every statement) and once as a PREPARE'd
-//	                        # EXECUTE served by the plan cache, plus the
-//	                        # two plan-only series isolating the planning
-//	                        # overhead the cache eliminates
 //	tpbench -calibrate internal/plan/calibration.json
 //	                        # measure the cost model's per-primitive
 //	                        # constants on this host and write them as a
@@ -133,10 +126,10 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		figs := []string{"5", "6", "7", "prepared", "probagg"}
+		figs := []string{"5", "6", "7", "probagg"}
 		switch *fig {
 		case "all":
-		case "5", "6", "7", "prepared", "probagg":
+		case "5", "6", "7", "probagg":
 			figs = []string{*fig}
 		default:
 			fmt.Fprintf(os.Stderr, "tpbench: unknown figure %q\n", *fig)

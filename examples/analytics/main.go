@@ -1,20 +1,18 @@
 // Analytics tours the extensions built around the paper's core: TP set
 // operations (union/intersect/difference, the authors' companion work),
-// lineage-aware duplicate elimination, time-varying expected-count
-// aggregation with exact count distributions, and BDD-compiled lineages
-// for sensitivity analysis.
+// lineage-aware duplicate elimination, and BDD-compiled lineages for
+// sensitivity analysis.
 //
 // Scenario: two redundant monitoring systems each predict service
 // outages. We fuse them (union), ask where both agree (intersection),
-// where only the primary fires (difference), how many outages to expect
-// over time, and how the fused probability reacts to recalibrating one
-// sensor (BDD re-evaluation without recompilation).
+// where only the primary fires (difference), when any service is
+// predicted out, and how the fused probability reacts to recalibrating
+// one sensor (BDD re-evaluation without recompilation).
 package main
 
 import (
 	"fmt"
 
-	"tpjoin/internal/agg"
 	"tpjoin/internal/core"
 	"tpjoin/internal/interval"
 	"tpjoin/internal/lineage"
@@ -50,17 +48,6 @@ func main() {
 	check(err)
 	fmt.Println("\nprimary-only (m1 −Tp m2):")
 	printRel(only)
-
-	// Expected number of concurrently predicted outages over time, with
-	// the exact count distribution (base events are independent).
-	fmt.Println("\nexpected outage count over time (fused view):")
-	for _, pt := range agg.CountDistribution(fused) {
-		line := fmt.Sprintf("  %-8s E[count] = %.3f", pt.T, pt.Expected)
-		if pt.Dist != nil && pt.N >= 2 {
-			line += fmt.Sprintf("   Pr(≥2 outages) = %.3f", pt.AtLeast(2))
-		}
-		fmt.Println(line)
-	}
 
 	// Lineage-aware projection: on which intervals is *any* service
 	// predicted out, regardless of which one?

@@ -17,33 +17,33 @@
 //     negated part, and a union that eliminates the unmatched fragments
 //     computed by both sub-queries.
 //
-// The structural redundancies relative to the paper's NJ approach are kept
-// deliberately, because they are precisely what the evaluation measures:
-// tuple replication in step 1, the per-fragment cover computation of
-// step 2, re-computation of both joins' *output* by the second sub-query
-// in step 3, and the duplicate-eliminating union. Config's NestedLoop flag
-// mirrors the plan PostgreSQL's optimizer chose for TA in the paper's
-// experiments (a nested loop for r ⟕_{θo∧θ} s); hash partitioning can be
-// enabled for ablations.
+// The structural redundancies relative to the paper's NJ approach are what
+// the evaluation measures: tuple replication in step 1, the per-fragment
+// cover computation of step 2, and the duplicate-eliminating union of
+// step 3. Config's NestedLoop flag mirrors the plan PostgreSQL's optimizer
+// chose for TA in the paper's experiments (a nested loop for
+// r ⟕_{θo∧θ} s); the default hash-partitions equi conditions.
 //
-// Since the batched-substrate refactor the hash path runs on the same
-// allocation-lean machinery as internal/core's NJ pipeline: the inner
-// relation is hash-partitioned once per join by its interned equi key
-// (tp.KeyGroups over tp.EquiTheta.SKeyHash), and each key group is
-// compiled into an endpoint event list — the group's sorted unique
-// interval endpoints plus, per elementary segment between consecutive
-// endpoints, the covering tuples in one flat arena. Both conventional
-// joins of an alignment pass then stream off that index (split points by
-// binary search, covers as borrowed arena slices), and the index is built
-// once per join direction and reused across both alignment passes of an
-// outer join and both sub-queries of a negation join. What stays per pass
-// is exactly what the paper measures — every pass re-enumerates its
-// fragments, re-emits the unmatched rows, and the union re-deduplicates
-// them; what is gone is the incidental churn (per-tuple sort, per-fragment
-// cover allocations, per-probe rescans). The pre-refactor implementation
-// is retained as ScalarAlign (scalar.go) and the two are property-tested
-// byte-identical; the nested-loop plan and non-equi θ still execute the
-// scalar path, whose full rescans are the measured cost.
+// The hash plan runs on the same allocation-lean machinery as
+// internal/core's NJ pipeline: the inner relation is hash-partitioned once
+// per join by its interned equi key (tp.KeyGroups over
+// tp.EquiTheta.SKeyHash), and each key group is compiled into an endpoint
+// event list — the group's sorted unique interval endpoints plus, per
+// elementary segment between consecutive endpoints, the covering tuples
+// in one flat arena. Both conventional joins of an alignment pass stream
+// off that index (split points by binary search, covers as borrowed arena
+// slices). The nested-loop plan, non-equi θ and inner relations that trip
+// the arena guard run the scalar aligner instead (scalar.go), whose full
+// rescans are the measured cost of Fig. 7a; the two aligners are
+// property-tested byte-identical.
+//
+// Whatever the aligner, every join runs one tail (stream.go): a fused
+// drain per alignment direction emits both sub-queries' rows off one
+// fragment enumeration, the duplicate-eliminating union sorts interned
+// facts, and probabilities are evaluated in batches. The textbook tail —
+// materialize sub-query A, re-drain for sub-query B, sort, deduplicate —
+// lives in the test binary (reference_test.go) as the byte-identity
+// oracle.
 //
 // ParallelJoin (parallel.go) is the partitioned-parallel TA executor
 // (engine strategy "pta"): the PNJ parallelism model applied to the
@@ -62,9 +62,7 @@ import (
 	"unsafe"
 
 	"tpjoin/internal/interval"
-	"tpjoin/internal/lineage"
 	"tpjoin/internal/mem"
-	"tpjoin/internal/prob"
 	"tpjoin/internal/tp"
 )
 
@@ -87,21 +85,20 @@ type Stats struct {
 	// Fragments is the total fragment count across alignment passes.
 	Fragments int64
 	// AlignPasses is how many times the two conventional joins ran. The
-	// streaming path (stream.go) merges both sub-queries of a negation
-	// join into one fused drain, so an indexed left outer join reports 1
-	// where the reference reports 2.
+	// fused drain (stream.go) merges both sub-queries of a negation join
+	// into one enumeration, so a left outer join reports 1 where the
+	// reference tail would run 2.
 	AlignPasses int64
 	// Rows is the output row count before the duplicate-eliminating
 	// union (the rows actually materialized).
 	Rows int64
 	// DupAvoided counts unmatched fragments whose duplicate second
 	// materialization the streaming union killed at the merge frontier —
-	// rows the reference path materializes, sorts and then eliminates.
+	// rows the reference tail materializes, sorts and then eliminates.
 	DupAvoided int64
 	// ProbBatches is how many probability batches the batched evaluation
 	// tail served; MemoHits how many sub-lineages it answered from the
-	// shared memo instead of re-evaluating. Both are zero on the scalar
-	// reference path.
+	// shared memo instead of re-evaluating.
 	ProbBatches int64
 	MemoHits    int64
 	// Workers is the effective worker count of a ParallelJoin (0 for the
@@ -144,22 +141,44 @@ type emitFunc func(ri int, t interval.Interval, cover []int32) error
 // from emit (or from the query context) aborts the drain. release returns
 // pooled buffers; the aligner must not be used afterwards. cheapCount
 // reports whether an extra counting drain is nearly free (the indexed
-// pipeline) or re-runs the full conventional joins (the nested-loop
-// reference, where an extra pass would inflate the measured plan by half).
+// pipeline) or re-runs the full conventional joins (the scalar aligner,
+// where an extra pass would inflate the measured plan by half).
 type aligner interface {
 	drain(ctx context.Context, r *tp.Relation, emit emitFunc) error
 	cheapCount() bool
 	release()
 }
 
-// newAligner builds the probe-side index for one join direction: the
-// indexed event-list pipeline for hash-partitionable conditions, the
-// scalar reference for the nested-loop plan and non-equi θ.
-func newAligner(s *tp.Relation, theta tp.Theta, cfg Config) aligner {
-	if eq, ok := theta.(tp.EquiTheta); ok && !cfg.NestedLoop {
-		return newIndexedAligner(s, eq)
+// newAligner builds the probe-side access path for one join direction:
+// the indexed event-list pipeline for hash-partitionable conditions, the
+// scalar aligner for the nested-loop plan, non-equi θ, and inner
+// relations whose index would trip the arena guard (maxCoverArena). The
+// index build observes ctx and charges the query's memory budget.
+func newAligner(ctx context.Context, s *tp.Relation, theta tp.Theta, cfg Config) (aligner, error) {
+	eq, ok := theta.(tp.EquiTheta)
+	if !ok || cfg.NestedLoop {
+		return newScalarAligner(s, theta, cfg), nil
 	}
-	return newScalarAligner(s, theta, cfg)
+	ix := newIndexedAligner(s, eq)
+	fits, err := ix.build(ctx)
+	if err == nil && fits {
+		return ix, nil
+	}
+	ix.release()
+	if err != nil {
+		return nil, err
+	}
+	return newScalarAligner(s, eq, Config{}), nil
+}
+
+// mustAligner is newAligner outside a query: context.Background carries
+// neither a deadline nor a memory budget, the only ways the build fails.
+func mustAligner(s *tp.Relation, theta tp.Theta, cfg Config) aligner {
+	al, err := newAligner(context.Background(), s, theta, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return al
 }
 
 // groupMeta locates one key group's compiled event list inside the
@@ -193,20 +212,14 @@ type indexedAligner struct {
 	scratch []interval.Time
 	diff    []int32
 	cur     []int32
-	built   bool
-
-	// fallback replaces the index when building it would be pathological
-	// (see maxCoverArena): the scalar reference computes the same
-	// fragments in O(n) extra memory.
-	fallback *scalarAligner
 }
 
 // maxCoverArena bounds the cover arena (entries): the per-segment covers
 // total Σ active ≈ the overlapping same-key pairs, which a skewed one-key
 // relation makes quadratic — unbounded, the arena would exhaust memory
-// (and overflow its int32 offsets) where the scalar reference needs only
-// O(n) extra space. Past the bound the aligner falls back to the scalar
-// path for the whole join; it is a var so tests can exercise the
+// (and overflow its int32 offsets) where the scalar aligner needs only
+// O(n) extra space. Past the bound newAligner hands out the scalar
+// aligner for the whole direction; it is a var so tests can exercise the
 // fallback cheaply.
 var maxCoverArena = int64(1) << 26
 
@@ -255,23 +268,17 @@ func (ix *indexedAligner) cheapCount() bool { return true }
 
 func (ix *indexedAligner) release() {
 	ix.s = nil
-	ix.built = false
-	ix.fallback = nil
 	if cap(ix.cover) > poolArenaCap {
 		return // drop oversized arenas instead of pinning them in the pool
 	}
 	alignerPool.Put(ix)
 }
 
-// build compiles every key group's endpoint event list. It is separated
-// from construction so the (potentially large) arena build observes the
-// query context: the cover arena scales with the overlapping same-key
-// pairs, which a pathological one-key relation makes quadratic — past
-// maxCoverArena the aligner switches to the scalar fallback instead.
-func (ix *indexedAligner) build(ctx context.Context) error {
-	if ix.built {
-		return nil
-	}
+// build compiles every key group's endpoint event list, observing the
+// query context and charging its memory budget. fits is false when the
+// cover arena would exceed maxCoverArena; the aligner must then be
+// released unused.
+func (ix *indexedAligner) build(ctx context.Context) (fits bool, err error) {
 	groups := ix.groups.Groups()
 	ix.gmeta = slices.Grow(ix.gmeta, len(groups))
 	gauge := mem.FromContext(ctx)
@@ -297,9 +304,8 @@ func (ix *indexedAligner) build(ctx context.Context) error {
 		// 64-bit span total guards the arena: the per-segment covers sum
 		// to the overlapping same-key pairs, which a skewed one-key
 		// relation makes quadratic — past maxCoverArena (or anywhere near
-		// the arenas' int32 offsets) the whole join falls back to the
-		// scalar path, which computes the same fragments in O(n) extra
-		// memory.
+		// the arenas' int32 offsets) the build gives up and the scalar
+		// aligner computes the same fragments in O(n) extra memory.
 		ix.diff = slices.Grow(ix.diff[:0], segs+1)[:segs+1]
 		clear(ix.diff)
 		b := ix.bounds[m.bLo : m.bLo+m.bN]
@@ -313,13 +319,7 @@ func (ix *indexedAligner) build(ctx context.Context) error {
 			spanTotal += int64(e - a)
 		}
 		if spanTotal > maxCoverArena {
-			ix.fallback = newScalarAligner(ix.s, ix.eq, Config{})
-			ix.bounds = ix.bounds[:0]
-			ix.segOff = ix.segOff[:0]
-			ix.cover = ix.cover[:0]
-			ix.gmeta = ix.gmeta[:0]
-			ix.built = true
-			return nil
+			return false, nil
 		}
 		// Prefix-sum into cover offsets (absolute into the arena).
 		off := int32(len(ix.cover))
@@ -340,7 +340,7 @@ func (ix *indexedAligner) build(ctx context.Context) error {
 		// dominant allocation (quadratic on skewed keys), so it is where
 		// the per-query memory budget bites first.
 		if err := gauge.Charge(int64(int(off)-len(ix.cover)) * int64(unsafe.Sizeof(ix.cover[0]))); err != nil {
-			return err
+			return false, err
 		}
 		ix.cover = slices.Grow(ix.cover, int(off)-len(ix.cover))[:off]
 		for _, si := range vals {
@@ -354,23 +354,16 @@ func (ix *indexedAligner) build(ctx context.Context) error {
 			if work += e - a + 1; work >= drainCancelWork {
 				work = 0
 				if err := ctx.Err(); err != nil {
-					return err
+					return false, err
 				}
 			}
 		}
 		ix.gmeta = append(ix.gmeta, m)
 	}
-	ix.built = true
-	return nil
+	return true, nil
 }
 
 func (ix *indexedAligner) drain(ctx context.Context, r *tp.Relation, emit emitFunc) error {
-	if err := ix.build(ctx); err != nil {
-		return err
-	}
-	if ix.fallback != nil {
-		return ix.fallback.drain(ctx, r, emit)
-	}
 	work := 0
 	for ri := range r.Tuples {
 		if ri%alignCancelCheck == 0 {
@@ -473,301 +466,38 @@ func materializeFragments(al aligner, r *tp.Relation) []Fragment {
 // partition its validity interval. Align materializes the fragments for
 // inspection; the join paths stream them instead.
 func Align(r, s *tp.Relation, theta tp.Theta, cfg Config) []Fragment {
-	al := newAligner(s, theta, cfg)
+	al := mustAligner(s, theta, cfg)
 	defer al.release()
 	return materializeFragments(al, r)
-}
-
-// row is one not-yet-deduplicated output tuple.
-type row struct {
-	fact tp.Fact
-	lam  *lineage.Expr
-	t    interval.Interval
-	pair bool // true for pairing rows (both sides present)
-}
-
-// outerRowsStream is sub-query A of the TA reduction: the aligned outer
-// join. It appends the pairing fragments and the unmatched fragments to
-// rows.
-func outerRowsStream(ctx context.Context, al aligner, r, s *tp.Relation, cfg Config, mirror bool, stats *Stats, rows []row) ([]row, error) {
-	frags := int64(0)
-	err := al.drain(ctx, r, func(ri int, t interval.Interval, cover []int32) error {
-		frags++
-		rt := &r.Tuples[ri]
-		if len(cover) == 0 {
-			fact := rt.Fact.Concat(tp.Nulls(s.Arity()))
-			if mirror {
-				fact = tp.Nulls(s.Arity()).Concat(rt.Fact)
-			}
-			rows = append(rows, row{fact: fact, lam: rt.Lineage, t: t})
-			return nil
-		}
-		for _, si := range cover {
-			st := &s.Tuples[si]
-			fact := rt.Fact.Concat(st.Fact)
-			if mirror {
-				fact = st.Fact.Concat(rt.Fact)
-			}
-			rows = append(rows, row{fact: fact, lam: lineage.And(rt.Lineage, st.Lineage), t: t, pair: true})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if stats != nil {
-		stats.AlignPasses++
-		stats.Fragments += frags
-	}
-	return rows, nil
-}
-
-// negRowsStream is sub-query B of the TA reduction: the negated part. It
-// re-drains the alignment (re-enumerating every fragment) and appends the
-// negated fragments — and, unavoidably, the unmatched fragments a second
-// time; the final union removes those duplicates.
-func negRowsStream(ctx context.Context, al aligner, r, s *tp.Relation, cfg Config, mirror, antiSchema bool, stats *Stats, rows []row) ([]row, error) {
-	frags := int64(0)
-	var parts []*lineage.Expr
-	err := al.drain(ctx, r, func(ri int, t interval.Interval, cover []int32) error {
-		frags++
-		rt := &r.Tuples[ri]
-		fact := rt.Fact.Concat(tp.Nulls(s.Arity()))
-		switch {
-		case antiSchema:
-			fact = rt.Fact
-		case mirror:
-			fact = tp.Nulls(s.Arity()).Concat(rt.Fact)
-		}
-		if len(cover) == 0 {
-			rows = append(rows, row{fact: fact, lam: rt.Lineage, t: t})
-			return nil
-		}
-		parts = parts[:0]
-		for _, si := range cover {
-			parts = append(parts, s.Tuples[si].Lineage)
-		}
-		rows = append(rows, row{fact: fact, lam: lineage.AndNot(rt.Lineage, lineage.Or(parts...)), t: t})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if stats != nil {
-		stats.AlignPasses++
-		stats.Fragments += frags
-	}
-	return rows, nil
-}
-
-// unionDistinct implements the duplicate-eliminating union the paper
-// describes: the rows are sorted and equal (fact, interval, lineage) rows
-// are collapsed. This sort-based pass is part of TA's measured cost — but
-// it runs on the batched substrate's terms: a stable sort over an index
-// permutation (generic, no reflection, no fat-struct swaps) with the same
-// (fact, interval, lineage-hash) order and input-order tie-breaking the
-// reference sort.SliceStable produced, so the output is byte-identical.
-func unionDistinct(rows []row) []row {
-	if len(rows) < 2 {
-		return rows
-	}
-	idx := make([]int32, len(rows))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(i, j int32) int {
-		a, b := &rows[i], &rows[j]
-		if c := a.fact.Compare(b.fact); c != 0 {
-			return c
-		}
-		if c := a.t.Compare(b.t); c != 0 {
-			return c
-		}
-		ha, hb := a.lam.Hash(), b.lam.Hash()
-		switch {
-		case ha < hb:
-			return -1
-		case ha > hb:
-			return 1
-		default:
-			// The input index as the final tiebreaker makes the unstable
-			// sort reproduce the reference's stable order exactly.
-			return int(i) - int(j)
-		}
-	})
-	out := make([]row, 0, len(rows))
-	for n, i := range idx {
-		rw := &rows[i]
-		if n > 0 {
-			prev := &out[len(out)-1]
-			if prev.fact.Equal(rw.fact) && prev.t.Equal(rw.t) && prev.lam.Equal(rw.lam) {
-				continue
-			}
-		}
-		out = append(out, *rw)
-	}
-	return out
-}
-
-func finish(name string, attrs []string, probs prob.Probs, rows []row) *tp.Relation {
-	rel := &tp.Relation{Name: name, Attrs: attrs, Probs: probs}
-	ev := prob.NewEvaluator(probs)
-	rel.Tuples = make([]tp.Tuple, 0, len(rows))
-	for _, rw := range rows {
-		rel.Tuples = append(rel.Tuples, tp.Tuple{
-			Fact: rw.fact, Lineage: rw.lam, T: rw.t, Prob: ev.Prob(rw.lam),
-		})
-	}
-	return rel
-}
-
-func joinAttrs(r, s *tp.Relation) []string {
-	attrs := make([]string, 0, len(r.Attrs)+len(s.Attrs))
-	attrs = append(attrs, r.Attrs...)
-	attrs = append(attrs, s.Attrs...)
-	return attrs
 }
 
 // InnerJoin computes r ⋈Tp s with the alignment strategy: only the
 // pairing rows of the aligned outer join.
 func InnerJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	out, _ := innerJoinCtx(context.Background(), r, s, theta, cfg, nil)
-	return out
-}
-
-func innerJoinCtx(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
-	al := newAligner(s, theta, cfg)
-	defer al.release()
-	if al.cheapCount() {
-		return streamInner(ctx, al, r, s, stats)
-	}
-	outer, err := outerRowsStream(ctx, al, r, s, cfg, false, stats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows := outer[:0]
-	for _, rw := range outer {
-		if rw.pair {
-			rows = append(rows, rw)
-		}
-	}
-	rows = dedup(rows, stats)
-	return finish(fmt.Sprintf("%s_join_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows), nil
+	return Join(tp.OpInner, r, s, theta, cfg)
 }
 
 // AntiJoin computes r ▷Tp s with the alignment strategy: only sub-query B,
 // over r's schema.
 func AntiJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	out, _ := antiJoinCtx(context.Background(), r, s, theta, cfg, nil)
-	return out
-}
-
-func antiJoinCtx(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
-	al := newAligner(s, theta, cfg)
-	defer al.release()
-	if al.cheapCount() {
-		return streamAnti(ctx, al, r, s, stats)
-	}
-	neg, err := negRowsStream(ctx, al, r, s, cfg, false, true, stats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows := dedup(neg, stats)
-	return finish(fmt.Sprintf("%s_anti_%s", r.Name, s.Name),
-		append([]string(nil), r.Attrs...), tp.MergeProbs(r, s), rows), nil
+	return Join(tp.OpAnti, r, s, theta, cfg)
 }
 
 // LeftOuterJoin computes r ⟕Tp s with the alignment strategy: sub-queries
-// A and B, both re-enumerating the aligned fragments, combined by the
-// duplicate-eliminating union.
+// A and B over one alignment, combined by the duplicate-eliminating union.
 func LeftOuterJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	out, _ := leftOuterJoinCtx(context.Background(), r, s, theta, cfg, nil)
-	return out
-}
-
-func leftOuterJoinCtx(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
-	al := newAligner(s, theta, cfg)
-	defer al.release()
-	if al.cheapCount() {
-		return streamOuter(ctx, al, r, s, false,
-			fmt.Sprintf("%s_louter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), stats)
-	}
-	rows, err := outerRowsStream(ctx, al, r, s, cfg, false, stats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows, err = negRowsStream(ctx, al, r, s, cfg, false, false, stats, rows)
-	if err != nil {
-		return nil, err
-	}
-	rows = dedup(rows, stats)
-	return finish(fmt.Sprintf("%s_louter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows), nil
+	return Join(tp.OpLeft, r, s, theta, cfg)
 }
 
 // RightOuterJoin computes r ⟖Tp s: the mirrored left outer join.
 func RightOuterJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	out, _ := rightOuterJoinCtx(context.Background(), r, s, theta, cfg, nil)
-	return out
-}
-
-func rightOuterJoinCtx(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
-	swapped := tp.Swap(theta)
-	al := newAligner(r, swapped, cfg)
-	defer al.release()
-	if al.cheapCount() {
-		return streamOuter(ctx, al, s, r, true,
-			fmt.Sprintf("%s_router_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), stats)
-	}
-	rows, err := outerRowsStream(ctx, al, s, r, cfg, true, stats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows, err = negRowsStream(ctx, al, s, r, cfg, true, false, stats, rows)
-	if err != nil {
-		return nil, err
-	}
-	rows = dedup(rows, stats)
-	return finish(fmt.Sprintf("%s_router_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows), nil
+	return Join(tp.OpRight, r, s, theta, cfg)
 }
 
 // FullOuterJoin computes r ⟗Tp s: pairings from the forward direction,
 // negated/unmatched fragments from both, unioned with dedup.
 func FullOuterJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	out, _ := fullOuterJoinCtx(context.Background(), r, s, theta, cfg, nil)
-	return out
-}
-
-func fullOuterJoinCtx(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
-	fwd := newAligner(s, theta, cfg)
-	defer fwd.release()
-	mir := newAligner(r, tp.Swap(theta), cfg)
-	defer mir.release()
-	if fwd.cheapCount() && mir.cheapCount() {
-		return streamFull(ctx, fwd, mir, r, s, stats)
-	}
-	rows, err := outerRowsStream(ctx, fwd, r, s, cfg, false, stats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows, err = negRowsStream(ctx, fwd, r, s, cfg, false, false, stats, rows)
-	if err != nil {
-		return nil, err
-	}
-	rows, err = negRowsStream(ctx, mir, s, r, cfg, true, false, stats, rows)
-	if err != nil {
-		return nil, err
-	}
-	rows = dedup(rows, stats)
-	return finish(fmt.Sprintf("%s_fouter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows), nil
-}
-
-// dedup records the pre-union row count and applies the
-// duplicate-eliminating union.
-func dedup(rows []row, stats *Stats) []row {
-	if stats != nil {
-		stats.Rows += int64(len(rows))
-	}
-	return unionDistinct(rows)
+	return Join(tp.OpFull, r, s, theta, cfg)
 }
 
 // CountWUO runs sub-query A (the aligned outer join) and returns the
@@ -776,7 +506,7 @@ func dedup(rows []row, stats *Stats) []row {
 // benchmark: TA pays both conventional joins of the alignment step where
 // NJ pays one.
 func CountWUO(r, s *tp.Relation, theta tp.Theta, cfg Config) int {
-	al := newAligner(s, theta, cfg)
+	al := mustAligner(s, theta, cfg)
 	defer al.release()
 	n := 0
 	_ = al.drain(context.Background(), r, func(ri int, t interval.Interval, cover []int32) error {
@@ -795,7 +525,7 @@ func CountWUO(r, s *tp.Relation, theta tp.Theta, cfg Config) int {
 // of the LAWAN sweep, used by the Fig. 6 benchmark: TA re-enumerates the
 // aligned fragments to derive the negated part.
 func CountNegating(r, s *tp.Relation, theta tp.Theta, cfg Config) int {
-	al := newAligner(s, theta, cfg)
+	al := mustAligner(s, theta, cfg)
 	defer al.release()
 	n := 0
 	_ = al.drain(context.Background(), r, func(ri int, t interval.Interval, cover []int32) error {
@@ -811,28 +541,39 @@ func Join(op tp.Op, r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation 
 	return out
 }
 
-// JoinContext is Join under a query context: the alignment passes (the
-// blocking part of the baseline) observe ctx every alignCancelCheck outer
-// tuples and every drainCancelWork units of work inside one tuple's
-// fragment drain, so a per-query timeout or client disconnect aborts the
-// materializing Open mid-alignment instead of running both conventional
-// joins to completion — even when all the work sits in one key group. On
-// cancellation the result is nil and the error is ctx.Err(). A non-nil
-// stats additionally accounts fragments, alignment passes and pre-union
-// rows for EXPLAIN ANALYZE.
+// JoinContext is Join under a query context: the index builds and the
+// alignment passes (the blocking part of the baseline) observe ctx every
+// alignCancelCheck outer tuples and every drainCancelWork units of work
+// inside one tuple's fragment drain, the probability tail per batch, so a
+// per-query timeout or client disconnect aborts the materializing Open
+// mid-alignment instead of running both conventional joins to completion
+// — even when all the work sits in one key group. On cancellation the
+// result is nil and the error is ctx.Err(). A non-nil stats additionally
+// accounts fragments, alignment passes and pre-union rows for EXPLAIN
+// ANALYZE.
+//
+// Every operator and every plan — indexed, nested-loop, non-equi θ, arena
+// guard fallback — runs the one streaming tail (stream.go); the plans
+// differ only in the aligner newAligner hands out per pass.
 func JoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
-	switch op {
-	case tp.OpInner:
-		return innerJoinCtx(ctx, r, s, theta, cfg, stats)
-	case tp.OpAnti:
-		return antiJoinCtx(ctx, r, s, theta, cfg, stats)
-	case tp.OpLeft:
-		return leftOuterJoinCtx(ctx, r, s, theta, cfg, stats)
-	case tp.OpRight:
-		return rightOuterJoinCtx(ctx, r, s, theta, cfg, stats)
-	case tp.OpFull:
-		return fullOuterJoinCtx(ctx, r, s, theta, cfg, stats)
-	default:
+	red, ok := reductions[op]
+	if !ok {
 		panic(fmt.Sprintf("align: unknown operator %v", op))
 	}
+	// One alignment pass, or two for the full outer join; each pooled
+	// aligner stays in a local with its own deferred release.
+	fwd, err := red.passes[0].aligner(ctx, r, s, theta, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer fwd.release()
+	if len(red.passes) == 1 {
+		return red.stream(ctx, r, s, stats, fwd)
+	}
+	mir, err := red.passes[1].aligner(ctx, r, s, theta, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer mir.release()
+	return red.stream(ctx, r, s, stats, fwd, mir)
 }

@@ -22,14 +22,14 @@ func TestAlignPassAllocsPinned(t *testing.T) {
 	for _, n := range []int{4000, 16000} {
 		r, s := dataset.Meteo(n, 11)
 		theta := dataset.MeteoTheta()
-		al := newAligner(s, theta, Config{})
+		al := mustAligner(s, theta, Config{})
 		defer al.release()
 		count := 0
 		emit := func(ri int, iv interval.Interval, cover []int32) error {
 			count += len(cover) + 1
 			return nil
 		}
-		// Warm-up builds the index (and proves the drain works).
+		// Warm-up proves the drain works.
 		if err := al.drain(context.Background(), r, emit); err != nil || count == 0 {
 			t.Fatalf("n=%d: warm-up drain: count=%d err=%v", n, count, err)
 		}

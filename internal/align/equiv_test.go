@@ -95,13 +95,26 @@ func TestIndexedMatchesScalarOnWorkloads(t *testing.T) {
 	}
 }
 
+// countingAligner counts the drains run against the aligner it wraps.
+type countingAligner struct {
+	aligner
+	drains int
+}
+
+func (c *countingAligner) drain(ctx context.Context, r *tp.Relation, emit emitFunc) error {
+	c.drains++
+	return c.aligner.drain(ctx, r, emit)
+}
+
 // TestCoverArenaGuardFallsBack pins the pathological-workload guard: when
 // the cover arena would exceed maxCoverArena (quadratic in a skewed key
-// group), the indexed aligner must fall back to the scalar path and still
-// produce byte-identical fragments.
+// group), newAligner must hand out the scalar aligner, the join must
+// still produce byte-identical fragments and rows — and must not pay a
+// counting pass on exactly the input the guard exists for: one drain per
+// alignment pass, none for counting.
 func TestCoverArenaGuardFallsBack(t *testing.T) {
 	old := maxCoverArena
-	maxCoverArena = 64
+	maxCoverArena = 8 // every tuple spans at least one segment, and both inputs have ≥ 10
 	defer func() { maxCoverArena = old }()
 	rng := rand.New(rand.NewSource(71))
 	theta := tp.Equi(0, 0)
@@ -112,54 +125,27 @@ func TestCoverArenaGuardFallsBack(t *testing.T) {
 		got := Align(r, s, theta, Config{})
 		fragmentsEqual(t, fmt.Sprintf("guard trial %d", trial), want, got)
 		// The join paths route through the same guard.
-		wantRows := renderRows(scalarJoin(tp.OpLeft, r, s, theta, Config{}))
-		gotRows := renderRows(Join(tp.OpLeft, r, s, theta, Config{}))
-		if fmt.Sprint(wantRows) != fmt.Sprint(gotRows) {
+		wantLeft := renderRows(referenceJoin(tp.OpLeft, r, s, theta, Config{}))
+		if fmt.Sprint(wantLeft) != fmt.Sprint(renderRows(Join(tp.OpLeft, r, s, theta, Config{}))) {
 			t.Fatalf("guard trial %d: join rows diverge under fallback", trial)
 		}
-	}
-}
-
-// scalarJoin computes a TA join forcing the scalar aligner for every
-// pass, independent of Config — the pre-refactor implementation of the
-// whole operator.
-func scalarJoin(op tp.Op, r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	ctx := context.Background()
-	build := func(inner *tp.Relation, th tp.Theta) aligner { return newScalarAligner(inner, th, cfg) }
-	switch op {
-	case tp.OpInner:
-		al := build(s, theta)
-		outer, _ := outerRowsStream(ctx, al, r, s, cfg, false, nil, nil)
-		var rows []row
-		for _, rw := range outer {
-			if rw.pair {
-				rows = append(rows, rw)
-			}
+		fwd := &countingAligner{aligner: mustAligner(s, theta, Config{})}
+		mir := &countingAligner{aligner: mustAligner(r, tp.Swap(theta), Config{})}
+		if fwd.cheapCount() || mir.cheapCount() {
+			t.Fatalf("guard trial %d: guard did not trip", trial)
 		}
-		return finish(fmt.Sprintf("%s_join_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), unionDistinct(rows))
-	case tp.OpAnti:
-		al := build(s, theta)
-		rows, _ := negRowsStream(ctx, al, r, s, cfg, false, true, nil, nil)
-		return finish(fmt.Sprintf("%s_anti_%s", r.Name, s.Name), append([]string(nil), r.Attrs...), tp.MergeProbs(r, s), unionDistinct(rows))
-	case tp.OpLeft:
-		al := build(s, theta)
-		rows, _ := outerRowsStream(ctx, al, r, s, cfg, false, nil, nil)
-		rows, _ = negRowsStream(ctx, al, r, s, cfg, false, false, nil, rows)
-		return finish(fmt.Sprintf("%s_louter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), unionDistinct(rows))
-	case tp.OpRight:
-		al := build(r, tp.Swap(theta))
-		rows, _ := outerRowsStream(ctx, al, s, r, cfg, true, nil, nil)
-		rows, _ = negRowsStream(ctx, al, s, r, cfg, true, false, nil, rows)
-		return finish(fmt.Sprintf("%s_router_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), unionDistinct(rows))
-	case tp.OpFull:
-		fwd := build(s, theta)
-		rows, _ := outerRowsStream(ctx, fwd, r, s, cfg, false, nil, nil)
-		rows, _ = negRowsStream(ctx, fwd, r, s, cfg, false, false, nil, rows)
-		mir := build(r, tp.Swap(theta))
-		rows, _ = negRowsStream(ctx, mir, s, r, cfg, true, false, nil, rows)
-		return finish(fmt.Sprintf("%s_fouter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), unionDistinct(rows))
-	default:
-		panic("unknown op")
+		out, err := reductions[tp.OpFull].stream(context.Background(), r, s, nil, fwd, mir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRows := renderRows(referenceJoin(tp.OpFull, r, s, theta, Config{}))
+		if fmt.Sprint(wantRows) != fmt.Sprint(renderRows(out)) {
+			t.Fatalf("guard trial %d: full join rows diverge under fallback", trial)
+		}
+		if fwd.drains != 1 || mir.drains != 1 {
+			t.Fatalf("guard trial %d: %d forward and %d mirror drains, want one alignment pass each and no counting pass",
+				trial, fwd.drains, mir.drains)
+		}
 	}
 }
 
@@ -183,7 +169,7 @@ func TestJoinByteIdenticalToScalar(t *testing.T) {
 		r := denseRandRelation(rng, "r", rng.Intn(25))
 		s := denseRandRelation(rng, "s", rng.Intn(25))
 		op := ops[trial%len(ops)]
-		want := renderRows(scalarJoin(op, r, s, theta, Config{}))
+		want := renderRows(referenceJoin(op, r, s, theta, Config{}))
 		got := renderRows(Join(op, r, s, theta, Config{}))
 		if len(want) != len(got) {
 			t.Fatalf("trial %d %v: %d vs %d rows", trial, op, len(want), len(got))

@@ -2,7 +2,7 @@ package align
 
 import (
 	"context"
-	"runtime"
+	"sync"
 
 	"tpjoin/internal/par"
 	"tpjoin/internal/tp"
@@ -13,22 +13,21 @@ import (
 // conventional joins, both sub-queries of a negation join, and the
 // duplicate-eliminating union) on every partition concurrently — the PNJ
 // parallelism model (core.ParallelJoin) applied to the alignment
-// baseline, on the same shared scaffolding (internal/par). Facts with
-// different keys never match, split or cover one another, and the
-// union's duplicates (the unmatched fragments
-// computed by both sub-queries) always stem from one outer tuple, so
-// per-partition dedup equals global dedup and partition results simply
-// concatenate. Output tuple order is deterministic (partition-major,
-// union order within a partition) but differs from the sequential
-// baseline's global union order.
+// baseline, on the same executor (par.Join). Facts with different keys
+// never match, split or cover one another, and the union's duplicates
+// (the unmatched fragments computed by both sub-queries) always stem from
+// one outer tuple, so per-partition dedup equals global dedup and
+// partition results simply concatenate. Output tuple order is
+// deterministic (partition-major, union order within a partition) but
+// differs from the sequential baseline's global union order.
 func ParallelJoin(op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, cfg Config, workers int) *tp.Relation {
 	out, _ := ParallelJoinContext(context.Background(), op, r, s, eq, cfg, workers, nil)
 	return out
 }
 
 // ParallelJoinContext is ParallelJoin under a query context: the
-// partition workers observe ctx between partitions (par.Run)
-// and inside the alignment drains (every alignCancelCheck outer tuples
+// partition workers observe ctx between partitions (par.Run) and inside
+// the alignment drains (every alignCancelCheck outer tuples
 // and every drainCancelWork units within one tuple's fragment drain), so
 // a timeout or client disconnect aborts the materializing Open
 // mid-alignment. On cancellation all workers are joined before
@@ -39,64 +38,26 @@ func ParallelJoin(op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, cfg Config, work
 // per-partition alignment counters (passes, fragments, pre-union rows)
 // for EXPLAIN ANALYZE.
 func ParallelJoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, cfg Config, workers int, st *Stats) (*tp.Relation, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > par.MaxWorkers {
-		workers = par.MaxWorkers
-	}
-	parts := workers * 4 // over-partition to smooth skew, like core.ParallelJoin
-	if parts < 1 {
-		parts = 1
-	}
+	var mu sync.Mutex // guards st's counters: every partition adds its own
+	out, w, parts, err := par.Join(ctx, r, s, eq, workers,
+		func(ctx context.Context, rp, sp *tp.Relation) (*tp.Relation, error) {
+			if st == nil {
+				return JoinContext(ctx, op, rp, sp, eq, cfg, nil)
+			}
+			var ps Stats
+			res, err := JoinContext(ctx, op, rp, sp, eq, cfg, &ps)
+			mu.Lock()
+			defer mu.Unlock()
+			st.AlignPasses += ps.AlignPasses
+			st.Fragments += ps.Fragments
+			st.Rows += ps.Rows
+			st.DupAvoided += ps.DupAvoided
+			st.ProbBatches += ps.ProbBatches
+			st.MemoHits += ps.MemoHits
+			return res, err
+		})
 	if st != nil {
-		st.Workers = int64(workers)
-		st.Partitions = int64(parts)
+		st.Workers, st.Partitions = int64(w), int64(parts)
 	}
-
-	rParts := par.PartitionByKey(r, eq.RCols, parts)
-	sParts := par.PartitionByKey(s, eq.SCols, parts)
-
-	results := make([]*tp.Relation, parts)
-	partStats := make([]Stats, parts)
-	err := par.Run(ctx, parts, workers, func(p int) error {
-		var ps *Stats
-		if st != nil {
-			ps = &partStats[p]
-		}
-		res, err := JoinContext(ctx, op, rParts[p], sParts[p], eq, cfg, ps)
-		if err != nil {
-			return err
-		}
-		results[p] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := &tp.Relation{
-		Name:  results[0].Name,
-		Attrs: results[0].Attrs,
-		Probs: tp.MergeProbs(r, s),
-	}
-	n := 0
-	for _, res := range results {
-		n += res.Len()
-	}
-	out.Tuples = make([]tp.Tuple, 0, n)
-	for _, res := range results {
-		out.Tuples = append(out.Tuples, res.Tuples...)
-	}
-	if st != nil {
-		for p := range partStats {
-			st.AlignPasses += partStats[p].AlignPasses
-			st.Fragments += partStats[p].Fragments
-			st.Rows += partStats[p].Rows
-			st.DupAvoided += partStats[p].DupAvoided
-			st.ProbBatches += partStats[p].ProbBatches
-			st.MemoHits += partStats[p].MemoHits
-		}
-	}
-	return out, nil
+	return out, err
 }

@@ -1,20 +1,17 @@
 package align
 
-// The scalar reference implementation of the alignment step: the
-// pre-batched-substrate algorithm kept verbatim in behaviour — per outer
-// tuple, collect the split points of the matching overlapping inner
-// tuples (conventional join 1), sort them, and re-probe the inner
-// relation once per fragment for its covering tuples (conventional
-// join 2). The indexed pipeline in align.go is property-tested
-// byte-identical against this code (TestIndexedMatchesScalarAlign), the
-// same way core's batched window transport is pinned against its scalar
-// path.
-//
-// Besides serving as the reference, this path still executes two real
-// configurations: Config.NestedLoop — the plan PostgreSQL's optimizer
-// chose for TA in the paper's evaluation, whose full per-tuple re-scan
-// of the inner relation is exactly the measured cost — and non-equi θ
-// conditions, which cannot be hash-partitioned.
+// The scalar aligner: per outer tuple, collect the split points of the
+// matching overlapping inner tuples (conventional join 1), sort them, and
+// re-probe the inner relation once per fragment for its covering tuples
+// (conventional join 2). It executes three real configurations:
+// Config.NestedLoop — the plan PostgreSQL's optimizer chose for TA in the
+// paper's evaluation, whose full per-tuple re-scan of the inner relation
+// is exactly the measured cost — non-equi θ conditions, which cannot be
+// hash-partitioned, and inner relations whose event-list index would trip
+// the arena guard. It is also the reference the indexed pipeline in
+// align.go is property-tested byte-identical against
+// (TestIndexedMatchesScalarAlign), the same way core's batched window
+// transport is pinned against its scalar path.
 
 import (
 	"context"

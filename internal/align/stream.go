@@ -1,17 +1,16 @@
 package align
 
-// This file is the streaming side of the TA reduction: the fused
-// alignment drain that replaced the materialize-then-unionDistinct tail
-// for the indexed (hash) plan.
+// This file is the tail of the TA reduction every join runs: the fused
+// alignment drain, the duplicate-eliminating union over interned facts,
+// and the batched probability finish.
 //
-// The reference implementation (align.go, still run for the nested-loop
-// plan and non-equi θ, and kept as the byte-identity oracle) evaluates a
-// join with negation as two sub-queries over the same alignment — the
-// aligned outer join (A: pairings + unmatched fragments) and the negated
-// part (B: negated + unmatched fragments again) — materializes both row
-// sets with fully formed facts, sorts them, and duplicate-eliminates.
-// Both sub-queries enumerate the *same* fragment stream in the *same*
-// order off the per-direction endpoint index, so the fused drain merges
+// The reference tail (reference_test.go, the byte-identity oracle)
+// evaluates a join with negation as two sub-queries over the same
+// alignment — the aligned outer join (A: pairings + unmatched fragments)
+// and the negated part (B: negated + unmatched fragments again) —
+// materializes both row sets with fully formed facts, sorts them, and
+// duplicate-eliminates. Both sub-queries enumerate the *same* fragment
+// stream in the *same* order off one aligner, so the fused drain merges
 // them at the frontier instead: one enumeration emits A's rows and B's
 // rows together, and the duplicated unmatched fragments — identical
 // (fact, interval, lineage) rows by construction — are emitted once and
@@ -27,14 +26,14 @@ package align
 // ordinal while the B ordinal is still consumed. This makes the union's
 // (fact, interval, lineage-hash, ord) sort a permutation-identical
 // replay of the reference's concatenate-then-sort order, which is what
-// keeps the streamed join byte-identical to the scalar oracle (row
-// order, lineage rendering, probabilities) — property-tested in
-// equiv_test.go and stream_test.go.
+// keeps the streamed join byte-identical to the oracle (row order,
+// lineage rendering, probabilities) — property-tested in equiv_test.go
+// and stream_test.go.
 //
-// The tail is batched as well: surviving rows are evaluated through
-// prob.BatchEvaluator in probBatchSize chunks (shared memo across the
-// join, counters surfaced as prob-batches / memo-hits in EXPLAIN
-// ANALYZE), with a cancellation + memory-budget checkpoint per chunk.
+// Surviving rows are evaluated through prob.BatchEvaluator in
+// probBatchSize chunks (shared memo across the join, counters surfaced as
+// prob-batches / memo-hits in EXPLAIN ANALYZE), with a cancellation +
+// memory-budget checkpoint per chunk.
 
 import (
 	"cmp"
@@ -74,16 +73,12 @@ type srow struct {
 	fid int32
 }
 
-// ord layout: the sub-query tag in the high bits, the per-sub-query
-// emission index below. 2^40 rows per sub-query is far beyond the int32
-// fact table the union indexes.
+// ord layout: the sub-query tag in the high bits — per pass, sub-query A
+// (pairings + unmatched) before sub-query B (negated + unmatched), and
+// the full outer join's mirror pass after the forward one — and the
+// per-sub-query emission index below. 2^40 rows per sub-query is far
+// beyond the int32 fact table the union indexes.
 const ordSegShift = 40
-
-const (
-	segOuter  uint64 = iota // sub-query A: pairings + unmatched
-	segNeg                  // sub-query B: negated + unmatched
-	segMirror               // full outer join's mirrored sub-query B
-)
 
 // streamUnion accumulates the streamed rows and the interned fact table
 // of one join.
@@ -148,11 +143,13 @@ type orEnt struct {
 	or    *lineage.Expr
 }
 
-func newFusedDrain(su *streamUnion, outer, inner *tp.Relation, mode drainMode, mirror, anti bool, segPair, segNeg uint64) *fusedDrain {
+// newFusedDrain prepares pass number seq of a join: its rows order after
+// those of every earlier pass.
+func newFusedDrain(su *streamUnion, outer, inner *tp.Relation, mode drainMode, mirror, anti bool, seq uint64) *fusedDrain {
 	d := &fusedDrain{
 		su: su, outer: outer, inner: inner,
 		mode: mode, mirror: mirror, anti: anti,
-		segPair: segPair, segNeg: segNeg,
+		segPair: 2 * seq, segNeg: 2*seq + 1,
 	}
 	if mode != drainPairsOnly {
 		d.outerFid = make([]int32, len(outer.Tuples))
@@ -329,9 +326,9 @@ type drainCounts struct {
 
 // countDrain runs the counting pass for one drain direction. Counting
 // gates on cheapCount: the indexed pipeline re-drains its event index
-// for near-free, while the nested-loop reference would pay a full extra
-// scan — those plans must never pay the counting pass (ok=false; the
-// caller falls back to append growth).
+// for near-free, while the scalar aligner would pay a full extra scan —
+// those plans must never pay the counting pass (ok=false; the caller
+// falls back to append growth).
 func countDrain(ctx context.Context, al aligner, outer *tp.Relation) (c drainCounts, ok bool, err error) {
 	if !al.cheapCount() {
 		return drainCounts{}, false, nil
@@ -550,106 +547,90 @@ func (su *streamUnion) finish(ctx context.Context, name string, attrs []string, 
 	return rel, nil
 }
 
-// --- streamed join paths (indexed aligners; dispatched by cheapCount) ---
-
-func streamInner(ctx context.Context, al aligner, r, s *tp.Relation, stats *Stats) (*tp.Relation, error) {
-	c, counted, err := countDrain(ctx, al, r)
-	if err != nil {
-		return nil, err
-	}
-	su := &streamUnion{}
-	if counted {
-		if su.rows, err = presizeStream(ctx, c.rowsFor(drainPairsOnly)); err != nil {
-			return nil, err
-		}
-	}
-	d := newFusedDrain(su, r, s, drainPairsOnly, false, false, segOuter, segNeg)
-	if err := d.run(ctx, al, stats); err != nil {
-		return nil, err
-	}
-	rows, err := su.union(ctx, stats)
-	if err != nil {
-		return nil, err
-	}
-	return su.finish(ctx, fmt.Sprintf("%s_join_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows, stats)
+// pass is one alignment drain of an operator's TA reduction.
+type pass struct {
+	mode drainMode
+	// mirror drains s against the aligner over r (built under the swapped
+	// θ): r's facts stay left in the output, nulls lead unmatched facts.
+	mirror bool
 }
 
-func streamAnti(ctx context.Context, al aligner, r, s *tp.Relation, stats *Stats) (*tp.Relation, error) {
-	c, counted, err := countDrain(ctx, al, r)
-	if err != nil {
-		return nil, err
+// sides returns the relation the pass drains and the one its aligner
+// indexes.
+func (p pass) sides(r, s *tp.Relation) (outer, inner *tp.Relation) {
+	if p.mirror {
+		return s, r
 	}
-	su := &streamUnion{}
-	if counted {
-		if su.rows, err = presizeStream(ctx, c.rowsFor(drainNegOnly)); err != nil {
-			return nil, err
-		}
-	}
-	d := newFusedDrain(su, r, s, drainNegOnly, false, true, segOuter, segNeg)
-	if err := d.run(ctx, al, stats); err != nil {
-		return nil, err
-	}
-	rows, err := su.union(ctx, stats)
-	if err != nil {
-		return nil, err
-	}
-	return su.finish(ctx, fmt.Sprintf("%s_anti_%s", r.Name, s.Name),
-		append([]string(nil), r.Attrs...), tp.MergeProbs(r, s), rows, stats)
+	return r, s
 }
 
-// streamOuter serves the left outer join (mirror=false: drains r against
-// the index over s) and its mirror, the right outer join (mirror=true:
-// drains s against the index over r; outer/inner arrive pre-swapped).
-func streamOuter(ctx context.Context, al aligner, outer, inner *tp.Relation, mirror bool, name string, attrs []string, probs prob.Probs, stats *Stats) (*tp.Relation, error) {
-	c, counted, err := countDrain(ctx, al, outer)
-	if err != nil {
-		return nil, err
+// aligner builds the pass's probe-side access path: over s under θ, or —
+// mirrored — over r under the swapped θ.
+func (p pass) aligner(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config) (aligner, error) {
+	if p.mirror {
+		return newAligner(ctx, r, tp.Swap(theta), cfg)
 	}
-	su := &streamUnion{}
-	if counted {
-		if su.rows, err = presizeStream(ctx, c.rowsFor(drainFused)); err != nil {
-			return nil, err
-		}
-	}
-	d := newFusedDrain(su, outer, inner, drainFused, mirror, false, segOuter, segNeg)
-	if err := d.run(ctx, al, stats); err != nil {
-		return nil, err
-	}
-	rows, err := su.union(ctx, stats)
-	if err != nil {
-		return nil, err
-	}
-	return su.finish(ctx, name, attrs, probs, rows, stats)
+	return newAligner(ctx, s, theta, cfg)
 }
 
-func streamFull(ctx context.Context, fwd, mir aligner, r, s *tp.Relation, stats *Stats) (*tp.Relation, error) {
-	cf, countedF, err := countDrain(ctx, fwd, r)
-	if err != nil {
-		return nil, err
-	}
-	cm, countedM, err := countDrain(ctx, mir, s)
-	if err != nil {
-		return nil, err
-	}
-	su := &streamUnion{}
-	if countedF && countedM {
-		// Both directions counted: the presize covers the mirror pass's
-		// rows too, which the reference sizing never did.
-		if su.rows, err = presizeStream(ctx, cf.rowsFor(drainFused)+cm.rowsFor(drainNegOnly)); err != nil {
+// reduction is the TA reduction of one join operator: the result-name
+// tag, whether the result keeps r's schema alone, and the alignment
+// passes in the order the reference concatenates their rows.
+type reduction struct {
+	tag    string
+	anti   bool
+	passes []pass
+}
+
+var reductions = map[tp.Op]reduction{
+	tp.OpInner: {tag: "join", passes: []pass{{mode: drainPairsOnly}}},
+	tp.OpAnti:  {tag: "anti", anti: true, passes: []pass{{mode: drainNegOnly}}},
+	tp.OpLeft:  {tag: "louter", passes: []pass{{mode: drainFused}}},
+	tp.OpRight: {tag: "router", passes: []pass{{mode: drainFused, mirror: true}}},
+	// Pairings come from the forward pass alone; the mirror pass adds s's
+	// negated and unmatched fragments.
+	tp.OpFull: {tag: "fouter", passes: []pass{{mode: drainFused}, {mode: drainNegOnly, mirror: true}}},
+}
+
+// stream runs the streaming tail over als, one aligner per pass: count
+// the rows (only where every aligner counts cheaply) and presize the row
+// buffer exactly, run the fused drains, union, and evaluate the survivors
+// in probability batches.
+func (red reduction) stream(ctx context.Context, r, s *tp.Relation, stats *Stats, als ...aligner) (*tp.Relation, error) {
+	presize := 0
+	for i, p := range red.passes {
+		outer, _ := p.sides(r, s)
+		c, counted, err := countDrain(ctx, als[i], outer)
+		if err != nil {
 			return nil, err
 		}
+		if !counted {
+			presize = 0 // append growth takes over
+			break
+		}
+		presize += c.rowsFor(p.mode)
 	}
-	d := newFusedDrain(su, r, s, drainFused, false, false, segOuter, segNeg)
-	if err := d.run(ctx, fwd, stats); err != nil {
+	buf, err := presizeStream(ctx, presize)
+	if err != nil {
 		return nil, err
 	}
-	dm := newFusedDrain(su, s, r, drainNegOnly, true, false, segMirror, segMirror)
-	if err := dm.run(ctx, mir, stats); err != nil {
-		return nil, err
+	su := &streamUnion{rows: buf}
+	for i, p := range red.passes {
+		outer, inner := p.sides(r, s)
+		d := newFusedDrain(su, outer, inner, p.mode, p.mirror, red.anti, uint64(i))
+		if err := d.run(ctx, als[i], stats); err != nil {
+			return nil, err
+		}
 	}
 	rows, err := su.union(ctx, stats)
 	if err != nil {
 		return nil, err
 	}
-	return su.finish(ctx, fmt.Sprintf("%s_fouter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows, stats)
+	var attrs []string
+	if red.anti {
+		attrs = slices.Clone(r.Attrs)
+	} else {
+		attrs = slices.Concat(r.Attrs, s.Attrs)
+	}
+	return su.finish(ctx, fmt.Sprintf("%s_%s_%s", r.Name, red.tag, s.Name), attrs, tp.MergeProbs(r, s), rows, stats)
 }

@@ -3,15 +3,17 @@ package align
 // Tests pinning the streaming union's contracts beyond byte-identity
 // (equiv_test.go): the counting pass is gated on cheapCount so nested-loop
 // plans never pay it, the counted presize covers the materialized rows
-// exactly, the streamed join paths match the pre-refactor
-// materialize-then-unionDistinct implementation on the seeded benchmark
-// workloads, and the new EXPLAIN counters are populated.
+// exactly, every plan's streamed output matches the reference
+// materialize-then-unionDistinct tail (reference_test.go) on the seeded
+// benchmark workloads, and the EXPLAIN counters are populated.
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"tpjoin/internal/dataset"
+	"tpjoin/internal/mem"
 	"tpjoin/internal/tp"
 )
 
@@ -63,7 +65,7 @@ func streamPresize(t *testing.T, op tp.Op, r, s *tp.Relation, theta tp.Theta) in
 	t.Helper()
 	ctx := context.Background()
 	count := func(inner, outer *tp.Relation, th tp.Theta) drainCounts {
-		al := newAligner(inner, th, Config{})
+		al := mustAligner(inner, th, Config{})
 		defer al.release()
 		c, ok, err := countDrain(ctx, al, outer)
 		if err != nil || !ok {
@@ -122,13 +124,25 @@ func TestStreamPresizeCoversRows(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesUnionDistinctOnWorkloads pins the streamed paths to the
-// pre-refactor implementation (materialize both sub-queries, then
-// unionDistinct) byte-for-byte on the seeded benchmark workloads — the
-// workload-scale counterpart of TestJoinByteIdenticalToScalar's random
-// relations, where per-key chains and group structure are realistic.
+// TestStreamMatchesUnionDistinctOnWorkloads pins the streaming tail to
+// the reference (materialize both sub-queries, then unionDistinct)
+// byte-for-byte on the seeded benchmark workloads — the workload-scale
+// counterpart of TestJoinByteIdenticalToScalar's random relations, where
+// per-key chains and group structure are realistic. It runs every plan
+// JoinContext routes: the indexed aligner, and the scalar aligner under
+// the nested-loop config and under a θ the planner cannot hash.
 func TestStreamMatchesUnionDistinctOnWorkloads(t *testing.T) {
 	ops := []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull}
+	eq := dataset.WebkitTheta()
+	plans := []struct {
+		name  string
+		theta tp.Theta
+		cfg   Config
+	}{
+		{"indexed", eq, Config{}},
+		{"nested-loop", eq, Config{NestedLoop: true}},
+		{"non-equi", tp.FuncTheta(eq.Match), Config{}},
+	}
 	for _, gen := range []struct {
 		name string
 		mk   func() (*tp.Relation, *tp.Relation)
@@ -137,17 +151,18 @@ func TestStreamMatchesUnionDistinctOnWorkloads(t *testing.T) {
 		{"meteo", func() (*tp.Relation, *tp.Relation) { return dataset.Meteo(200, 13) }},
 	} {
 		r, s := gen.mk()
-		theta := dataset.WebkitTheta()
-		for _, op := range ops {
-			want := renderRows(scalarJoin(op, r, s, theta, Config{}))
-			got := renderRows(Join(op, r, s, theta, Config{}))
-			if len(want) != len(got) {
-				t.Fatalf("%s %v: %d vs %d rows", gen.name, op, len(want), len(got))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("%s %v: row %d differs:\n  want %s\n  got  %s",
-						gen.name, op, i, want[i], got[i])
+		for _, pl := range plans {
+			for _, op := range ops {
+				want := renderRows(referenceJoin(op, r, s, pl.theta, pl.cfg))
+				got := renderRows(Join(op, r, s, pl.theta, pl.cfg))
+				if len(want) != len(got) {
+					t.Fatalf("%s %s %v: %d vs %d rows", gen.name, pl.name, op, len(want), len(got))
+				}
+				for i := range want {
+					if want[i] != got[i] {
+						t.Fatalf("%s %s %v: row %d differs:\n  want %s\n  got  %s",
+							gen.name, pl.name, op, i, want[i], got[i])
+					}
 				}
 			}
 		}
@@ -158,24 +173,26 @@ func TestStreamMatchesUnionDistinctOnWorkloads(t *testing.T) {
 // union added to Stats: a fused left outer join runs one alignment pass
 // (the reference runs two), kills at least one duplicate unmatched
 // fragment at the merge frontier on a workload with partial coverage, and
-// evaluates probabilities in batches; the nested-loop reference path
-// reports zero for the streaming-only counters.
+// evaluates probabilities in batches — under the nested-loop plan exactly
+// like under the indexed one, since both run the same tail.
 func TestStreamStatsCounters(t *testing.T) {
 	r, s := dataset.Meteo(300, 5)
 	theta := dataset.MeteoTheta()
 
-	var st Stats
-	if _, err := JoinContext(context.Background(), tp.OpLeft, r, s, theta, Config{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.AlignPasses != 1 {
-		t.Errorf("fused left outer: AlignPasses = %d, want 1", st.AlignPasses)
-	}
-	if st.DupAvoided == 0 {
-		t.Error("fused left outer on meteo: DupAvoided = 0, want > 0")
-	}
-	if st.ProbBatches == 0 {
-		t.Error("streamed left outer: ProbBatches = 0, want > 0")
+	for _, cfg := range []Config{{}, {NestedLoop: true}} {
+		var st Stats
+		if _, err := JoinContext(context.Background(), tp.OpLeft, r, s, theta, cfg, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.AlignPasses != 1 {
+			t.Errorf("%+v fused left outer: AlignPasses = %d, want 1", cfg, st.AlignPasses)
+		}
+		if st.DupAvoided == 0 {
+			t.Errorf("%+v fused left outer on meteo: DupAvoided = 0, want > 0", cfg)
+		}
+		if st.ProbBatches == 0 {
+			t.Errorf("%+v streamed left outer: ProbBatches = 0, want > 0", cfg)
+		}
 	}
 
 	var full Stats
@@ -185,15 +202,39 @@ func TestStreamStatsCounters(t *testing.T) {
 	if full.AlignPasses != 2 {
 		t.Errorf("fused full outer: AlignPasses = %d, want 2", full.AlignPasses)
 	}
+}
 
-	var nl Stats
-	if _, err := JoinContext(context.Background(), tp.OpLeft, r, s, theta, Config{NestedLoop: true}, &nl); err != nil {
+// TestNestedLoopPlanObservesBudgetAndContext pins what the nested-loop
+// plan gained by running the shared tail: its union and result buffers are
+// charged to the query's memory budget, and a cancellation that lands
+// after the last alignment work still aborts the probability tail.
+func TestNestedLoopPlanObservesBudgetAndContext(t *testing.T) {
+	r, s := dataset.Webkit(250, 3)
+	eq := dataset.WebkitTheta()
+	cfg := Config{NestedLoop: true}
+
+	ctx := mem.WithGauge(context.Background(), mem.NewGauge(1<<10))
+	if out, err := JoinContext(ctx, tp.OpLeft, r, s, eq, cfg, nil); out != nil || !mem.IsBudget(err) {
+		t.Fatalf("1 KiB budget: out=%v err=%v, want nil + budget error", out, err)
+	}
+
+	// Count the θ evaluations of one run, then cancel on the last one: the
+	// drains have no work left to notice it, the tail must.
+	calls := 0
+	counting := tp.FuncTheta(func(a, b tp.Fact) bool { calls++; return eq.Match(a, b) })
+	if _, err := JoinContext(context.Background(), tp.OpLeft, r, s, counting, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	if nl.DupAvoided != 0 || nl.ProbBatches != 0 || nl.MemoHits != 0 {
-		t.Errorf("nested-loop reference path reported streaming counters: %+v", nl)
-	}
-	if nl.AlignPasses != 2 {
-		t.Errorf("reference left outer: AlignPasses = %d, want 2", nl.AlignPasses)
+	last, calls := calls, 0
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelling := tp.FuncTheta(func(a, b tp.Fact) bool {
+		if calls++; calls == last {
+			cancel()
+		}
+		return eq.Match(a, b)
+	})
+	if out, err := JoinContext(cctx, tp.OpLeft, r, s, cancelling, cfg, nil); out != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled before the tail: out=%v err=%v, want nil + context.Canceled", out, err)
 	}
 }

@@ -114,8 +114,8 @@ func autoStrategy(r, s *tp.Relation, theta tp.EquiTheta, taNestedLoop bool) engi
 }
 
 // CollectJSON measures the requested figure panels (figs ⊆ {"5","6","7",
-// "prepared","probagg"}, datasets ⊆ {"webkit","meteo"}) and returns them
-// as a labelled run. Options.Repeats is honored the same way the text
+// "probagg"}, datasets ⊆ {"webkit","meteo"}) and returns them as a
+// labelled run. Options.Repeats is honored the same way the text
 // harness honors it: each point is measured Repeats times and the
 // fastest run is recorded.
 // Fig. 7 additionally measures the PNJ series (the engine-wired
@@ -143,16 +143,12 @@ func CollectJSON(figs, datasets []string, opt Options, label string) Run {
 }
 
 func collectPanel(fig, ds string, opt Options) []Record {
-	if fig == "prepared" {
-		return collectPreparedPanel(ds, opt)
-	}
 	var out []Record
 	id := figID(fig, ds)
 	rep := opt.repeats()
 	switch fig {
 	case "probagg":
-		// "8": the extension panel after the paper's Fig. 7 ("P" is the
-		// prepared-statement panel).
+		// "8": the extension panel after the paper's Fig. 7.
 		id = figID("8", ds)
 		def := defaultWebkit
 		if ds == "meteo" {

@@ -73,21 +73,3 @@ func BenchmarkJoinStreamPipelined(b *testing.B) {
 		}
 	}
 }
-
-// Ablation: interval-tree access path vs. the default start-sorted bucket
-// scan on the probe side of the overlap join.
-func BenchmarkAblation_OverlapJoinSortedBucket(b *testing.B) {
-	r, s, theta := benchInput(b, 40000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Count(OverlapJoin(r, s, theta))
-	}
-}
-
-func BenchmarkAblation_OverlapJoinIntervalTree(b *testing.B) {
-	r, s, theta := benchInput(b, 40000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Count(OverlapJoinIndexed(r, s, theta))
-	}
-}

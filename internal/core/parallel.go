@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"tpjoin/internal/par"
@@ -37,11 +35,6 @@ func ParallelJoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp
 	return parallelJoinCtx(ctx, op, r, s, eq, workers, true, st)
 }
 
-// MaxWorkers bounds the goroutine and partition count regardless of the
-// caller's request; plan.MaxJoinWorkers applies the same cap at SET time
-// so rejected values never reach the executor.
-const MaxWorkers = par.MaxWorkers
-
 // cancelCheck is how many tuples a partition worker drains between
 // context checks: frequent enough that cancellation bites within
 // microseconds, rare enough that the (atomic-load) check never shows in
@@ -74,56 +67,19 @@ func parallelJoin(op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int, bat
 }
 
 func parallelJoinCtx(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int, batch bool, st *ParallelStats) (*tp.Relation, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > MaxWorkers {
-		workers = MaxWorkers
-	}
-	parts := workers * 4 // over-partition to smooth skew
-	if parts < 1 {
-		parts = 1
-	}
-	if st != nil {
-		st.Workers = int64(workers)
-		st.Partitions = int64(parts)
-	}
-
-	rParts := par.PartitionByKey(r, eq.RCols, parts)
-	sParts := par.PartitionByKey(s, eq.SCols, parts)
-
 	// Merge the base-event probabilities once; the map is only read by
 	// the workers' evaluators, so sharing it across goroutines is safe.
 	merged := tp.MergeProbs(r, s)
-
-	results := make([]*tp.Relation, parts)
-	err := par.Run(ctx, parts, workers, func(p int) error {
-		res, err := drainJoinCtx(ctx, op, rParts[p], sParts[p], eq, merged, batch, st)
-		if err != nil {
-			return err
-		}
-		results[p] = res
-		if st != nil {
-			st.PartitionsDone.Add(1)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	out, w, parts, err := par.Join(ctx, r, s, eq, workers,
+		func(ctx context.Context, rp, sp *tp.Relation) (*tp.Relation, error) {
+			res, err := drainJoinCtx(ctx, op, rp, sp, eq, merged, batch, st)
+			if err == nil && st != nil {
+				st.PartitionsDone.Add(1)
+			}
+			return res, err
+		})
+	if st != nil {
+		st.Workers, st.Partitions = int64(w), int64(parts)
 	}
-
-	out := &tp.Relation{
-		Name:  fmt.Sprintf("%s_%s_%s", r.Name, opTag(op), s.Name),
-		Attrs: results[0].Attrs,
-		Probs: merged,
-	}
-	n := 0
-	for _, res := range results {
-		n += res.Len()
-	}
-	out.Tuples = make([]tp.Tuple, 0, n)
-	for _, res := range results {
-		out.Tuples = append(out.Tuples, res.Tuples...)
-	}
-	return out, nil
+	return out, err
 }

@@ -127,25 +127,3 @@ func TestCrossProductTheta(t *testing.T) {
 		}
 	}
 }
-
-func TestOverlapJoinIndexedMatchesDefault(t *testing.T) {
-	rng := rand.New(rand.NewSource(606))
-	eq := tp.Equi(0, 0)
-	for trial := 0; trial < 80; trial++ {
-		r := randRelation(rng, "r")
-		s := randRelation(rng, "s")
-		def := Drain(OverlapJoin(r, s, eq))
-		idx := Drain(OverlapJoinIndexed(r, s, eq))
-		if !window.SetEqual(def, idx) {
-			t.Fatalf("trial %d: indexed overlap join differs\n def %v\n idx %v\nr=%v\ns=%v",
-				trial, def, idx, r, s)
-		}
-		// Full pipeline over the indexed source must equal the spec too.
-		got := Drain(LAWAN(LAWAU(OverlapJoinIndexed(r, s, eq))))
-		want := append(window.SpecOverlapping(r, s, eq), window.SpecUnmatched(r, s, eq)...)
-		want = append(want, window.SpecNegating(r, s, eq)...)
-		if !window.SetEqual(got, want) {
-			t.Fatalf("trial %d: indexed pipeline mismatch", trial)
-		}
-	}
-}

@@ -16,12 +16,6 @@ func (l *Limit) Child() Operator { return l.in }
 // Child returns the input operator.
 func (s *Sort) Child() Operator { return s.in }
 
-// Child returns the input operator.
-func (d *Distinct) Child() Operator { return d.in }
-
-// Children returns the union's inputs.
-func (u *UnionAll) Children() []Operator { return u.ins }
-
 // Op returns the join operator kind.
 func (j *TPJoin) Op() tp.Op { return j.op }
 

@@ -122,10 +122,9 @@ func TestDifferentialStrategies(t *testing.T) {
 				got := canonicalize(runStrategy(t, strat, op, in.r, in.s, in.theta))
 				diffLines(t, fmt.Sprintf("%s %v %v-vs-NJ", in.name, op, strat), ref, got)
 			}
-			// TA under the nested-loop plan takes the pre-streaming path
-			// (materialize both sub-queries, then unionDistinct), pinning
-			// the streamed union against the reference implementation at
-			// the executor level too.
+			// TA under the nested-loop plan runs the same tail over the
+			// scalar aligner: the plan Fig. 7a measures is held to the NJ
+			// reference at the executor level too.
 			nl := canonicalize(runStrategyCfg(t, StrategyTA, op, in.r, in.s, in.theta,
 				align.Config{NestedLoop: true}))
 			diffLines(t, fmt.Sprintf("%s %v TA/nl-vs-NJ", in.name, op), ref, nl)

@@ -265,74 +265,3 @@ func (l *Limit) Close() error { return l.in.Close() }
 
 // Probs implements Operator.
 func (l *Limit) Probs() prob.Probs { return l.in.Probs() }
-
-// --- UnionAll ---
-
-// UnionAll concatenates the streams of its children (schemas must match in
-// arity; names are taken from the first child).
-type UnionAll struct {
-	base
-	ins []Operator
-	cur int
-}
-
-// NewUnionAll concatenates ins.
-func NewUnionAll(ins ...Operator) (*UnionAll, error) {
-	if len(ins) == 0 {
-		return nil, fmt.Errorf("engine: union of nothing")
-	}
-	arity := len(ins[0].Attrs())
-	for _, in := range ins[1:] {
-		if len(in.Attrs()) != arity {
-			return nil, fmt.Errorf("engine: union arity mismatch: %d vs %d", arity, len(in.Attrs()))
-		}
-	}
-	return &UnionAll{base: base{attrs: ins[0].Attrs()}, ins: ins}, nil
-}
-
-func (u *UnionAll) Open() error {
-	u.cur = 0
-	u.stats = Stats{}
-	for _, in := range u.ins {
-		if err := in.Open(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (u *UnionAll) Next() (tp.Tuple, bool, error) {
-	for u.cur < len(u.ins) {
-		t, ok, err := u.ins[u.cur].Next()
-		if err != nil {
-			return tp.Tuple{}, false, err
-		}
-		if ok {
-			u.stats.Rows++
-			return t, true, nil
-		}
-		u.cur++
-	}
-	return tp.Tuple{}, false, nil
-}
-
-func (u *UnionAll) Close() error {
-	var first error
-	for _, in := range u.ins {
-		if err := in.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Probs implements Operator, merging the children's base events.
-func (u *UnionAll) Probs() prob.Probs {
-	out := make(prob.Probs)
-	for _, in := range u.ins {
-		for v, p := range in.Probs() {
-			out[v] = p
-		}
-	}
-	return out
-}

@@ -99,7 +99,8 @@ func TestLimit(t *testing.T) {
 }
 
 func TestSortOperator(t *testing.T) {
-	s := NewSort(NewScan(paperB()), ByStart)
+	byStart := func(a, b tp.Tuple) bool { return a.T.Less(b.T) }
+	s := NewSort(NewScan(paperB()), byStart)
 	out, err := Run(s, "q")
 	if err != nil {
 		t.Fatal(err)
@@ -107,39 +108,11 @@ func TestSortOperator(t *testing.T) {
 	if !out.Tuples[0].T.Equal(interval.New(1, 4)) {
 		t.Errorf("sort wrong: %v", out.Tuples[0])
 	}
-	s2 := NewSort(NewScan(paperB()), ByFactStart)
+	byFact := func(a, b tp.Tuple) bool { return a.Fact.Compare(b.Fact) < 0 }
+	s2 := NewSort(NewScan(paperB()), byFact)
 	out2, _ := Run(s2, "q")
 	if out2.Tuples[0].Fact[0].AsString() != "hotel1" {
 		t.Errorf("fact sort wrong: %v", out2.Tuples[0])
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	a := paperA()
-	u, err := NewUnionAll(NewScan(a), NewScan(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDistinct(u)
-	out, err := Run(d, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 2 {
-		t.Errorf("distinct kept %d, want 2", out.Len())
-	}
-}
-
-func TestUnionAllValidation(t *testing.T) {
-	if _, err := NewUnionAll(); err == nil {
-		t.Errorf("empty union must error")
-	}
-	one, err := NewProject(NewScan(paperA()), []int{0}, []string{"Name"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewUnionAll(NewScan(paperA()), one); err == nil {
-		t.Errorf("arity mismatch must error")
 	}
 }
 

@@ -61,9 +61,15 @@ func TestErrorPropagation(t *testing.T) {
 			return p
 		},
 		"Limit": func(in Operator) Operator { return NewLimit(in, 10) },
-		"Sort":  func(in Operator) Operator { return NewSort(in, ByStart) },
-		"Distinct": func(in Operator) Operator {
-			return NewDistinct(in)
+		"Sort": func(in Operator) Operator {
+			return NewSort(in, func(a, b tp.Tuple) bool { return a.T.Less(b.T) })
+		},
+		"LineageDistinct": func(in Operator) Operator {
+			d, err := NewLineageDistinct(in, []int{0}, []string{"Name"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
 		},
 	}
 	for name, wrap := range composites {
@@ -78,18 +84,17 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestErrorPropagationUnion: the TP union drains both inputs at Open; a
+// failure of either one, in its Open or mid-drain, must surface.
 func TestErrorPropagationUnion(t *testing.T) {
-	u, err := NewUnionAll(NewScan(paperA()), newFaulty(NewScan(paperA()), false, 1))
-	if err != nil {
-		t.Fatal(err)
+	derived := func(failOpen bool, failAt int) Operator {
+		return newFaulty(NewFilter(NewScan(paperA()), func(tp.Tuple) bool { return true }), failOpen, failAt)
 	}
+	u := NewTPSetOp(SetUnion, NewScan(paperA()), derived(false, 1))
 	if _, err := Run(u, "q"); !errors.Is(err, errInjected) {
 		t.Errorf("union must propagate child failure: %v", err)
 	}
-	u2, err := NewUnionAll(newFaulty(NewScan(paperA()), true, 0), NewScan(paperA()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	u2 := NewTPSetOp(SetUnion, derived(true, 0), NewScan(paperA()))
 	if _, err := Run(u2, "q"); !errors.Is(err, errInjected) {
 		t.Errorf("union must propagate child Open failure: %v", err)
 	}

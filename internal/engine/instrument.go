@@ -54,14 +54,8 @@ func Instrument(op Operator) *Instrumented {
 		o.in = Instrument(o.in)
 	case *Sort:
 		o.in = Instrument(o.in)
-	case *Distinct:
-		o.in = Instrument(o.in)
 	case *LineageDistinct:
 		o.in = Instrument(o.in)
-	case *UnionAll:
-		for i := range o.ins {
-			o.ins[i] = Instrument(o.ins[i])
-		}
 	case *TPSetOp:
 		o.left = Instrument(o.left)
 		o.right = Instrument(o.right)
@@ -133,16 +127,18 @@ func BindContext(ctx context.Context, op Operator) {
 	if b, ok := op.(ContextBinder); ok {
 		b.BindContext(ctx)
 	}
-	for _, k := range childrenOf(op) {
+	for _, k := range Children(op) {
 		if k != nil {
 			BindContext(ctx, k)
 		}
 	}
 }
 
-// childrenOf enumerates an operator's inputs through the Child/Children
-// accessors every composite node exposes.
-func childrenOf(op Operator) []Operator {
+// Children enumerates an operator's inputs through the Child/Children
+// accessors every composite node exposes (nil for a leaf). Context
+// binding and EXPLAIN both walk the tree with it, so neither needs to know
+// every node kind.
+func Children(op Operator) []Operator {
 	switch o := op.(type) {
 	case interface{ Children() []Operator }:
 		return o.Children()

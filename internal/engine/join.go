@@ -200,28 +200,22 @@ func (j *TPJoin) Open() error {
 			j.abort = err
 			return err
 		}
-	case StrategyPNJ:
+	case StrategyPNJ, StrategyPTA:
 		eq, ok := j.theta.(tp.EquiTheta)
 		if !ok {
-			return fmt.Errorf("engine: PNJ strategy requires an equi-join condition (got %T)", j.theta)
+			return fmt.Errorf("engine: %v strategy requires an equi-join condition (got %T)", j.strategy, j.theta)
 		}
-		if j.instr {
-			j.pnjStats = &core.ParallelStats{}
+		if j.strategy == StrategyPNJ {
+			if j.instr {
+				j.pnjStats = &core.ParallelStats{}
+			}
+			j.mat, err = core.ParallelJoinContext(ctx, j.op, r, s, eq, j.workers, j.pnjStats)
+		} else {
+			if j.instr {
+				j.taStats = &align.Stats{}
+			}
+			j.mat, err = align.ParallelJoinContext(ctx, j.op, r, s, eq, j.taCfg, j.workers, j.taStats)
 		}
-		j.mat, err = core.ParallelJoinContext(ctx, j.op, r, s, eq, j.workers, j.pnjStats)
-		if err != nil {
-			j.abort = err
-			return err
-		}
-	case StrategyPTA:
-		eq, ok := j.theta.(tp.EquiTheta)
-		if !ok {
-			return fmt.Errorf("engine: PTA strategy requires an equi-join condition (got %T)", j.theta)
-		}
-		if j.instr {
-			j.taStats = &align.Stats{}
-		}
-		j.mat, err = align.ParallelJoinContext(ctx, j.op, r, s, eq, j.taCfg, j.workers, j.taStats)
 		if err != nil {
 			j.abort = err
 			return err

@@ -8,19 +8,8 @@ import (
 	"tpjoin/internal/tp"
 )
 
-// TupleLess orders tuples; used by Sort and Distinct.
+// TupleLess orders tuples for Sort.
 type TupleLess func(a, b tp.Tuple) bool
-
-// ByFactStart is the canonical (fact, interval) order.
-func ByFactStart(a, b tp.Tuple) bool {
-	if c := a.Fact.Compare(b.Fact); c != 0 {
-		return c < 0
-	}
-	return a.T.Less(b.T)
-}
-
-// ByStart orders by interval only.
-func ByStart(a, b tp.Tuple) bool { return a.T.Less(b.T) }
 
 // Sort is a blocking operator that materializes and orders its input.
 type Sort struct {
@@ -85,101 +74,3 @@ func (s *Sort) Close() error { return s.in.Close() }
 
 // Probs implements Operator.
 func (s *Sort) Probs() prob.Probs { return s.in.Probs() }
-
-// Distinct is a blocking operator eliminating duplicate
-// (fact, interval, lineage) tuples — the duplicate-removing union step of
-// the TA baseline expressed as an executor node.
-type Distinct struct {
-	base
-	in  Operator
-	ctx context.Context // bound by RunContext; nil = Background
-	buf []tp.Tuple
-	i   int
-}
-
-// NewDistinct deduplicates in.
-func NewDistinct(in Operator) *Distinct {
-	return &Distinct{base: base{attrs: in.Attrs()}, in: in}
-}
-
-// BindContext implements ContextBinder.
-func (d *Distinct) BindContext(ctx context.Context) { d.ctx = ctx }
-
-func (d *Distinct) Open() error {
-	d.stats = Stats{}
-	d.buf = d.buf[:0]
-	d.i = 0
-	ctx := d.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := d.in.Open(); err != nil {
-		return err
-	}
-	for n := 0; ; n++ {
-		if n%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		t, ok, err := d.in.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		d.buf = append(d.buf, t)
-	}
-	sort.SliceStable(d.buf, func(i, j int) bool {
-		a, b := d.buf[i], d.buf[j]
-		if c := a.Fact.Compare(b.Fact); c != 0 {
-			return c < 0
-		}
-		if c := a.T.Compare(b.T); c != 0 {
-			return c < 0
-		}
-		la, lb := uint64(0), uint64(0)
-		if a.Lineage != nil {
-			la = a.Lineage.Hash()
-		}
-		if b.Lineage != nil {
-			lb = b.Lineage.Hash()
-		}
-		return la < lb
-	})
-	out := d.buf[:0]
-	for i, t := range d.buf {
-		if i > 0 {
-			p := out[len(out)-1]
-			if p.Fact.Equal(t.Fact) && p.T.Equal(t.T) && lineageEq(p, t) {
-				continue
-			}
-		}
-		out = append(out, t)
-	}
-	d.buf = out
-	return nil
-}
-
-func lineageEq(a, b tp.Tuple) bool {
-	if a.Lineage == nil || b.Lineage == nil {
-		return a.Lineage == b.Lineage
-	}
-	return a.Lineage.Equal(b.Lineage)
-}
-
-func (d *Distinct) Next() (tp.Tuple, bool, error) {
-	if d.i >= len(d.buf) {
-		return tp.Tuple{}, false, nil
-	}
-	t := d.buf[d.i]
-	d.i++
-	d.stats.Rows++
-	return t, true, nil
-}
-
-func (d *Distinct) Close() error { return d.in.Close() }
-
-// Probs implements Operator.
-func (d *Distinct) Probs() prob.Probs { return d.in.Probs() }

@@ -32,9 +32,6 @@ func NewQueryLog(h slog.Handler, slow time.Duration) *QueryLog {
 	return &QueryLog{logger: slog.New(h), slow: slow}
 }
 
-// SlowThreshold returns the configured slow-query threshold.
-func (l *QueryLog) SlowThreshold() time.Duration { return l.slow }
-
 // QueryRecord is one statement's audit entry.
 type QueryRecord struct {
 	// ID is the server-assigned per-process query ID, echoed to the

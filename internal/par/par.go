@@ -1,13 +1,16 @@
-// Package par is the shared scaffolding of the partitioned-parallel
-// executors (core.ParallelJoin / PNJ and align.ParallelJoin / PTA): key
-// hash partitioning of relations and a bounded worker pool with the
-// cancellation, error and panic semantics blocking query operators need.
-// It sits below both executor packages so the subtle concurrency code
-// exists exactly once.
+// Package par is the partitioned-parallel executor behind
+// core.ParallelJoin (PNJ) and align.ParallelJoin (PTA): Join resolves the
+// worker count, hash-partitions both inputs on the join key, runs the
+// caller's per-partition join on a bounded worker pool with the
+// cancellation, error and panic semantics blocking query operators need,
+// and concatenates the partition results. It sits below both executor
+// packages so the scaffold and its subtle concurrency code exist exactly
+// once.
 package par
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -20,6 +23,67 @@ import (
 // applies the same cap at SET time so rejected values never reach an
 // executor.
 const MaxWorkers = 1024
+
+// overPartition is how many partitions each worker gets: more partitions
+// than workers smooths key skew, since a worker that drew a light
+// partition picks up the next one.
+const overPartition = 4
+
+// Workers resolves a requested worker count (the join_workers setting)
+// to the effective one: <= 0 means one per CPU, and MaxWorkers caps it.
+// The cost model prices the parallel strategies with the same resolution
+// the executors run under.
+func Workers(requested int) int {
+	if requested <= 0 {
+		requested = runtime.GOMAXPROCS(0)
+	}
+	return min(requested, MaxWorkers)
+}
+
+// Join evaluates an equi-θ join partition-parallel: both inputs are
+// hash-partitioned on the join key into Workers(workers) × overPartition
+// partitions, one(ctx, rp, sp) joins one partition's pair on the worker
+// pool (see Run for cancellation, error and panic semantics), and the
+// partition results concatenate. Facts with different keys never match,
+// so every output tuple stems from exactly one partition; output order is
+// deterministic — partition-major, one's order within a partition —
+// regardless of scheduling. Name, schema and base-event probabilities are
+// taken from the first partition's result (every partition carries its
+// inputs' full Probs, so they all agree). The effective worker and
+// partition counts are returned for EXPLAIN ANALYZE, also when the join
+// fails.
+func Join(ctx context.Context, r, s *tp.Relation, eq tp.EquiTheta, workers int,
+	one func(ctx context.Context, rp, sp *tp.Relation) (*tp.Relation, error)) (out *tp.Relation, effWorkers, parts int, err error) {
+	effWorkers = Workers(workers)
+	parts = effWorkers * overPartition
+	rParts := PartitionByKey(r, eq.RCols, parts)
+	sParts := PartitionByKey(s, eq.SCols, parts)
+
+	results := make([]*tp.Relation, parts)
+	err = Run(ctx, parts, effWorkers, func(p int) error {
+		res, err := one(ctx, rParts[p], sParts[p])
+		results[p] = res
+		return err
+	})
+	if err != nil {
+		return nil, effWorkers, parts, err
+	}
+
+	n := 0
+	for _, res := range results {
+		n += res.Len()
+	}
+	out = &tp.Relation{
+		Name:   results[0].Name,
+		Attrs:  results[0].Attrs,
+		Probs:  results[0].Probs,
+		Tuples: make([]tp.Tuple, 0, n),
+	}
+	for _, res := range results {
+		out.Tuples = append(out.Tuples, res.Tuples...)
+	}
+	return out, effWorkers, parts, nil
+}
 
 // Run executes run(p) for every partition index in [0, parts) on a
 // worker pool of the given size:

@@ -35,9 +35,9 @@ package plan
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"tpjoin/internal/engine"
+	"tpjoin/internal/par"
 	"tpjoin/internal/stats"
 	"tpjoin/internal/tp"
 )
@@ -106,23 +106,11 @@ func EstimateJoin(lname string, ls *stats.Stats, rname string, rs *stats.Stats, 
 	if equi {
 		// A key's group is indivisible across partitions, so parallelism
 		// is bounded by the matched-key cardinality.
-		w := workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		if w > MaxJoinWorkers {
-			w = MaxJoinWorkers
-		}
-		if m := min(lk.Distinct, rk.Distinct); w > m {
-			w = m
-		}
-		if w < 1 {
-			w = 1
-		}
+		w := max(1, min(par.Workers(workers), lk.Distinct, rk.Distinct))
 		speedup := math.Min(cal.ParMaxSpeedup, 1+float64(w-1)*cal.ParEfficiency)
-		par := cal.ParTuple*(nl+nr) + cal.ParSetup*float64(w)
-		e.Costs[engine.StrategyPNJ] = cal.NJTuple*(nl+nr) + cal.NJWindow*pairs*active/speedup + par
-		e.Costs[engine.StrategyPTA] = cal.TATuple*(nl+nr) + taPairTerm/speedup + par
+		overhead := cal.ParTuple*(nl+nr) + cal.ParSetup*float64(w)
+		e.Costs[engine.StrategyPNJ] = cal.NJTuple*(nl+nr) + cal.NJWindow*pairs*active/speedup + overhead
+		e.Costs[engine.StrategyPTA] = cal.TATuple*(nl+nr) + taPairTerm/speedup + overhead
 	} else {
 		e.Costs[engine.StrategyPNJ] = math.Inf(1)
 		e.Costs[engine.StrategyPTA] = math.Inf(1)

@@ -20,8 +20,8 @@ import (
 
 	"tpjoin/internal/align"
 	"tpjoin/internal/catalog"
-	"tpjoin/internal/core"
 	"tpjoin/internal/engine"
+	"tpjoin/internal/par"
 	"tpjoin/internal/sql"
 	"tpjoin/internal/tp"
 )
@@ -31,9 +31,8 @@ import (
 // value would let a single (possibly remote, on tpserverd) session
 // allocate partitions and goroutines without limit; beyond a few times
 // the CPU count extra workers only add overhead anyway. The executor
-// clamps to the same bound (core.MaxWorkers), so the two layers cannot
-// drift apart.
-const MaxJoinWorkers = core.MaxWorkers
+// clamps to the same bound, so the two layers cannot drift apart.
+const MaxJoinWorkers = par.MaxWorkers
 
 // Strategy is the session's join-strategy setting: one of the engine's
 // physical strategies, forced for every join, or StrategyAuto (the zero
@@ -842,19 +841,17 @@ func buildNode(op engine.Operator, analyze bool) *Node {
 		inner = inst.Inner()
 	}
 	n := &Node{}
-	var kids []engine.Operator
 	switch o := inner.(type) {
 	case *engine.Scan:
 		n.Desc = fmt.Sprintf("Scan %s (%d tuples)", o.Relation().Name, o.Relation().Len())
 	case *engine.Filter:
 		n.Desc = "Filter"
-		kids = []engine.Operator{childOf(o)}
 	case *engine.Project:
 		n.Desc = fmt.Sprintf("Project (%s)", strings.Join(inner.Attrs(), ", "))
-		kids = []engine.Operator{childOf(o)}
 	case *engine.Limit:
 		n.Desc = "Limit"
-		kids = []engine.Operator{childOf(o)}
+	case *engine.Sort:
+		n.Desc = "Sort"
 	case *engine.TPJoin:
 		n.Desc = fmt.Sprintf("TPJoin [%s] strategy=%s", joinName(o), o.Strategy())
 		if o.Strategy() == engine.StrategyPNJ || o.Strategy() == engine.StrategyPTA {
@@ -884,14 +881,13 @@ func buildNode(op engine.Operator, analyze bool) *Node {
 				n.Abort = err.Error()
 			}
 		}
-		kids = o.Children()
 	case *engine.TPSetOp:
 		n.Desc = fmt.Sprintf("TPSetOp [%s]", o.Kind())
-		kids = o.Children()
 	case *engine.LineageDistinct:
 		n.Desc = fmt.Sprintf("LineageDistinct (%s)", strings.Join(inner.Attrs(), ", "))
-		kids = []engine.Operator{o.Child()}
 	default:
+		// A node kind without a description still renders its subtree:
+		// the children below come from the accessors, not from this switch.
 		n.Desc = fmt.Sprintf("%T", inner)
 	}
 	if analyze {
@@ -904,7 +900,7 @@ func buildNode(op engine.Operator, analyze bool) *Node {
 			n.Rows = inner.Stats().Rows
 		}
 	}
-	for _, k := range kids {
+	for _, k := range engine.Children(inner) {
 		if k != nil {
 			n.Children = append(n.Children, buildNode(k, analyze))
 		}
@@ -972,11 +968,3 @@ func renderNode(b *strings.Builder, n *Node, depth int, analyze bool) {
 }
 
 func joinName(j *engine.TPJoin) string { return j.Op().String() }
-
-func childOf(op engine.Operator) engine.Operator {
-	type hasChild interface{ Child() engine.Operator }
-	if h, ok := op.(hasChild); ok {
-		return h.Child()
-	}
-	return nil
-}

@@ -582,3 +582,49 @@ func TestExplainAnalyzeCancelledReportsAbort(t *testing.T) {
 		t.Errorf("rendering lacks the abort trailer:\n%s", out)
 	}
 }
+
+// TestExplainKeepsPlanUnderOrderBy pins the shape of the benchmark's Meteo
+// statements: ORDER BY puts a Sort between Limit and the rest, and the
+// tree below it — the join with its strategy, cost lines and, under
+// ANALYZE, its stage lines — must survive in the text and in the
+// structured tree.
+func TestExplainKeepsPlanUnderOrderBy(t *testing.T) {
+	cat := demoCatalog(t)
+	const q = "SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc WHERE p >= 0.2 ORDER BY P DESC LIMIT 2"
+	st, err := sql.Parse("EXPLAIN " + q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, analyze := range []bool{false, true} {
+		tree, err := ExplainTree(context.Background(), st.(*sql.Explain).Query, cat, &Session{}, analyze)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := tree.Root
+		for _, want := range []string{"Limit", "Sort", "Filter", "TPJoin"} {
+			if n == nil || !strings.HasPrefix(n.Desc, want) {
+				t.Fatalf("analyze=%v: want %s on the Limit → Sort → Filter → TPJoin spine, got %+v:\n%s",
+					analyze, want, n, tree.Render())
+			}
+			if want != "TPJoin" {
+				if len(n.Children) != 1 {
+					t.Fatalf("analyze=%v: %s has %d children, want 1:\n%s", analyze, want, len(n.Children), tree.Render())
+				}
+				n = n.Children[0]
+			}
+		}
+		if n.Pick == nil || len(n.Children) != 2 {
+			t.Errorf("analyze=%v: join lost its cost record or scans: %+v", analyze, n)
+		}
+		out := tree.Render()
+		wants := []string{"cost:", "stats a:", "Scan b"}
+		if analyze {
+			wants = append(wants, "stage overlap:", "stage lawan:")
+		}
+		for _, want := range wants {
+			if !strings.Contains(out, want) {
+				t.Errorf("analyze=%v: rendering lacks %q:\n%s", analyze, want, out)
+			}
+		}
+	}
+}

@@ -31,7 +31,6 @@ import (
 // adminServer tracks one admin HTTP listener for shutdown.
 type adminServer struct {
 	srv *http.Server
-	ln  net.Listener
 }
 
 func (a *adminServer) close() {
@@ -92,7 +91,6 @@ func (s *Server) ServeAdmin(ln net.Listener) error {
 			ReadHeaderTimeout: 5 * time.Second,
 			IdleTimeout:       time.Minute,
 		},
-		ln: ln,
 	}
 	s.mu.Lock()
 	if s.shutdown {
@@ -108,24 +106,4 @@ func (s *Server) ServeAdmin(ln net.Listener) error {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServeAdmin listens on the TCP address addr and serves the
-// admin endpoint until Close.
-func (s *Server) ListenAndServeAdmin(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.ServeAdmin(ln)
-}
-
-// AdminAddr returns the admin listener address (nil before ServeAdmin).
-func (s *Server) AdminAddr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.admin == nil {
-		return nil
-	}
-	return s.admin.ln.Addr()
 }

@@ -153,7 +153,7 @@ func New(cat *catalog.Catalog, cfg Config) *Server {
 func (s *Server) PlanCache() *plan.Cache { return s.planCache }
 
 // Metrics returns a snapshot of the server counters.
-func (s *Server) Metrics() MetricsSnapshot { return s.metrics.Snapshot() }
+func (s *Server) Metrics() obs.MetricsSnapshot { return s.metrics.Snapshot() }
 
 // Catalog returns the shared catalog.
 func (s *Server) Catalog() *catalog.Catalog { return s.cat }
