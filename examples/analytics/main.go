@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"tpjoin/internal/core"
@@ -31,27 +32,30 @@ func main() {
 	m2.Append(tp.Strings("api"), interval.New(4, 10), 0.25)
 	m2.Append(tp.Strings("cache"), interval.New(1, 5), 0.40)
 
+	ctx := context.Background()
+
 	// Fused view: outage predicted by either system.
-	fused, err := setops.Union(m1, m2)
+	fused, err := setops.Union(ctx, m1, m2)
 	check(err)
 	fmt.Println("fused outage view (m1 ∪Tp m2):")
 	printRel(fused)
 
 	// Consensus: both systems predict the outage.
-	both, err := setops.Intersect(m1, m2)
+	both, err := setops.Intersect(ctx, m1, m2)
 	check(err)
 	fmt.Println("\nconsensus (m1 ∩Tp m2):")
 	printRel(both)
 
 	// Only the primary: predicted by m1 and not by m2.
-	only, err := setops.Difference(m1, m2)
+	only, err := setops.Difference(ctx, m1, m2)
 	check(err)
 	fmt.Println("\nprimary-only (m1 −Tp m2):")
 	printRel(only)
 
 	// Lineage-aware projection: on which intervals is *any* service
 	// predicted out, regardless of which one?
-	anyOut := core.ProjectLineage(fused, nil, nil)
+	anyOut, err := core.ProjectLineage(ctx, fused, nil, nil)
+	check(err)
 	fmt.Println("\nany-outage timeline (DISTINCT over the empty projection):")
 	for _, t := range anyOut.Tuples {
 		fmt.Printf("  %-8s p = %.3f   λ = %v\n", t.T, t.Prob, t.Lineage)

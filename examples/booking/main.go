@@ -34,12 +34,7 @@ func main() {
 	// Fig. 2: the windows of a with respect to b, as the pipeline computes
 	// them — the overlap join feeds LAWAU feeds LAWAN.
 	fmt.Println("generalized lineage-aware temporal windows of a w.r.t. b:")
-	it := core.LAWAN(core.LAWAU(core.OverlapJoin(a, b, theta)))
-	for {
-		w, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, w := range core.Drain(core.LAWAN(core.LAWAU(core.OverlapJoin(a, b, theta)))) {
 		fmt.Printf("  %-11s %s\n", w.Class().String()+":", w)
 	}
 

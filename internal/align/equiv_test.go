@@ -4,9 +4,8 @@ package align
 // pipeline and the scalar reference it replaced: same fragments in the
 // same order with identically ordered covers, and — through the join
 // paths — identical output relations down to the lineage rendering and
-// row order. This is the align counterpart of core's batch/scalar
-// equivalence tests: any hot-path change that reorders or drops a
-// fragment fails here before it can skew the evaluation.
+// row order: any hot-path change that reorders or drops a fragment fails
+// here before it can skew the evaluation.
 
 import (
 	"context"

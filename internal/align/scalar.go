@@ -10,8 +10,7 @@ package align
 // hash-partitioned, and inner relations whose event-list index would trip
 // the arena guard. It is also the reference the indexed pipeline in
 // align.go is property-tested byte-identical against
-// (TestIndexedMatchesScalarAlign), the same way core's batched window
-// transport is pinned against its scalar path.
+// (TestIndexedMatchesScalarAlign).
 
 import (
 	"context"

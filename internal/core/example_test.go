@@ -61,12 +61,7 @@ func ExampleLAWAN() {
 	b.Append(tp.Strings("x"), interval.New(2, 5), 0.4)
 	b.Append(tp.Strings("x"), interval.New(4, 8), 0.6)
 
-	it := core.LAWAN(core.LAWAU(core.OverlapJoin(a, b, tp.Equi(0, 0))))
-	for {
-		w, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, w := range core.Drain(core.LAWAN(core.LAWAU(core.OverlapJoin(a, b, tp.Equi(0, 0))))) {
 		fmt.Printf("%-11s %s %s\n", w.Class(), w.T, w.Ls)
 	}
 	// Output:

@@ -12,18 +12,16 @@ import (
 // the hot path of an uninstrumented join is untouched.
 
 // StageStats accounts one window-pipeline stage under EXPLAIN ANALYZE:
-// how many windows left the stage and in how many batch hops (a scalar
-// Next call counts as a batch of one). The ratio Windows/Batches shows
-// how full the batched transport runs; a stage stuck near 1 is pulling
-// scalar.
+// how many windows left the stage and in how many batch hops. The ratio
+// Windows/Batches shows how full the transport runs.
 type StageStats struct {
 	// Name identifies the stage, e.g. "overlap", "lawau", "lawan"; the
 	// mirrored phase of a full outer join appends "/mirror".
 	Name string
 	// Windows is the number of windows the stage emitted.
 	Windows int64
-	// Batches is the number of Next/NextBatch calls that returned at
-	// least one window.
+	// Batches is the number of NextBatch calls that returned at least
+	// one window.
 	Batches int64
 }
 
@@ -33,41 +31,34 @@ type StageStats struct {
 // forward phase's.
 type JoinInstr struct {
 	Stages []*StageStats
-	// ProbBatches is how many probability batches the batched tail
-	// evaluated, and MemoHits how many sub-lineages it answered from the
-	// shared memo instead of re-evaluating. Both stay zero on the scalar
-	// reference path, which evaluates per tuple.
+	// ProbBatches is how many probability batches the tail evaluated, and
+	// MemoHits how many sub-lineages it answered from the shared memo
+	// instead of re-evaluating.
 	ProbBatches int64
 	MemoHits    int64
 }
 
-// stage wraps it with a counting iterator feeding a new named StageStats.
-func (ji *JoinInstr) stage(name string, it Iterator) Iterator {
-	st := &StageStats{Name: name}
+// stage wraps it with a counting iterator feeding a new StageStats named
+// name+suffix; a nil JoinInstr leaves the stages directly connected.
+func (ji *JoinInstr) stage(name, suffix string, it Iterator) Iterator {
+	if ji == nil {
+		return it
+	}
+	st := &StageStats{Name: name + suffix}
 	ji.Stages = append(ji.Stages, st)
 	return &countingIterator{it: it, st: st}
 }
 
-// countingIterator forwards Next/NextBatch to the wrapped iterator,
-// accounting emitted windows and batch hops. It implements BatchIterator
-// so interposing it keeps the batched transport intact.
+// countingIterator forwards NextBatch to the wrapped iterator, accounting
+// emitted windows and batch hops.
 type countingIterator struct {
 	it Iterator
 	st *StageStats
 }
 
-func (c *countingIterator) Next() (window.Window, bool) {
-	w, ok := c.it.Next()
-	if ok {
-		c.st.Windows++
-		c.st.Batches++
-	}
-	return w, ok
-}
-
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (c *countingIterator) NextBatch(buf []window.Window) int {
-	n := NextBatch(c.it, buf)
+	n := c.it.NextBatch(buf)
 	if n > 0 {
 		c.st.Windows += int64(n)
 		c.st.Batches++

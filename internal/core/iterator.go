@@ -23,29 +23,18 @@ package core
 
 import (
 	"sync"
-	"unsafe"
 
-	"tpjoin/internal/lineage"
-	"tpjoin/internal/tp"
 	"tpjoin/internal/window"
 )
 
-// Iterator is a pull-based stream of windows. Next returns the next window
-// and true, or a zero window and false when the stream is exhausted.
+// Iterator is a pull-based stream of windows and the one contract between
+// pipeline stages: NextBatch fills buf with up to len(buf) windows and
+// returns how many it wrote; 0 means the stream is exhausted. The window
+// sequence does not depend on the buffer sizes the consumer passes — a
+// stage whose burst outgrows buf parks the rest on an overflow queue and
+// hands it out first on the next call — which is the property the
+// buffer-size invariance tests pin.
 type Iterator interface {
-	Next() (window.Window, bool)
-}
-
-// BatchIterator is the batched counterpart of Iterator: NextBatch fills
-// buf with up to len(buf) windows and returns how many it wrote; 0 means
-// the stream is exhausted. Windows arrive in exactly the order Next would
-// produce them, and Next/NextBatch calls may be freely interleaved on one
-// iterator. The batched path exists purely for throughput — one virtual
-// call moves BatchSize windows between pipeline stages instead of one —
-// while the scalar Next path remains the reference implementation
-// (TestBatchScalarEquivalence pins their equality).
-type BatchIterator interface {
-	Iterator
 	NextBatch(buf []window.Window) int
 }
 
@@ -64,28 +53,6 @@ var batchPool = sync.Pool{
 	},
 }
 
-// PipelineBytes reports the fixed per-stream buffer bytes a join stream
-// over op owns: one BatchSize window transfer buffer from the batch pool
-// plus, on the negating operators, one input buffer each for LAWAU and
-// LAWAN (two pipelines for FULL, which runs a mirror phase), plus the
-// batched probability tail's tuple/lineage/probability arenas. The
-// buffers are checked out or allocated lazily, but budget-wise the query
-// owns them for its lifetime, so a per-query memory gauge charges this
-// amount at stream construction.
-func PipelineBytes(op tp.Op) int64 {
-	stages := 1
-	switch op {
-	case tp.OpAnti, tp.OpLeft, tp.OpRight:
-		stages = 3
-	case tp.OpFull:
-		stages = 5
-	}
-	windows := int64(stages) * BatchSize * int64(unsafe.Sizeof(window.Window{}))
-	probTail := int64(BatchSize) * int64(unsafe.Sizeof(tp.Tuple{})+
-		unsafe.Sizeof((*lineage.Expr)(nil))+unsafe.Sizeof(float64(0)))
-	return windows + probTail
-}
-
 func getBatchBuf() *[]window.Window { return batchPool.Get().(*[]window.Window) }
 
 func putBatchBuf(b *[]window.Window) {
@@ -93,45 +60,13 @@ func putBatchBuf(b *[]window.Window) {
 	batchPool.Put(b)
 }
 
-// NextBatch fills buf from it, using the batched fast path when the
-// iterator provides one and falling back to scalar Next calls otherwise.
-func NextBatch(it Iterator, buf []window.Window) int {
-	if b, ok := it.(BatchIterator); ok {
-		return b.NextBatch(buf)
-	}
-	n := 0
-	for n < len(buf) {
-		w, ok := it.Next()
-		if !ok {
-			break
-		}
-		buf[n] = w
-		n++
-	}
-	return n
-}
-
-// Drain materializes the remainder of an iterator into a slice, one scalar
-// Next call per window (the reference path).
+// Drain materializes the remainder of an iterator into a slice.
 func Drain(it Iterator) []window.Window {
-	var out []window.Window
-	for {
-		w, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, w)
-	}
-}
-
-// DrainBatched materializes the remainder of an iterator through the
-// batched transport.
-func DrainBatched(it Iterator) []window.Window {
 	buf := getBatchBuf()
 	defer putBatchBuf(buf)
 	var out []window.Window
 	for {
-		n := NextBatch(it, *buf)
+		n := it.NextBatch(*buf)
 		if n == 0 {
 			return out
 		}
@@ -140,27 +75,17 @@ func DrainBatched(it Iterator) []window.Window {
 }
 
 // Count consumes the iterator and returns the number of windows; used by
-// benchmarks to force full evaluation without retaining memory. It pulls
-// through the batched transport when available.
+// benchmarks to force full evaluation without retaining memory.
 func Count(it Iterator) int {
-	if b, ok := it.(BatchIterator); ok {
-		buf := getBatchBuf()
-		defer putBatchBuf(buf)
-		n := 0
-		for {
-			c := b.NextBatch(*buf)
-			if c == 0 {
-				return n
-			}
-			n += c
-		}
-	}
+	buf := getBatchBuf()
+	defer putBatchBuf(buf)
 	n := 0
 	for {
-		if _, ok := it.Next(); !ok {
+		c := it.NextBatch(*buf)
+		if c == 0 {
 			return n
 		}
-		n++
+		n += c
 	}
 }
 
@@ -175,25 +100,15 @@ func NewSliceIterator(ws []window.Window) *SliceIterator {
 	return &SliceIterator{ws: ws}
 }
 
-// Next implements Iterator.
-func (s *SliceIterator) Next() (window.Window, bool) {
-	if s.i >= len(s.ws) {
-		return window.Window{}, false
-	}
-	w := s.ws[s.i]
-	s.i++
-	return w, true
-}
-
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (s *SliceIterator) NextBatch(buf []window.Window) int {
 	n := copy(buf, s.ws[s.i:])
 	s.i += n
 	return n
 }
 
-// queue is a simple FIFO used by operators that may emit several windows
-// per input window.
+// queue is the overflow FIFO of a stage that may emit several windows per
+// input window: what does not fit the consumer's buffer waits here.
 type queue struct {
 	buf  []window.Window
 	head int
@@ -201,27 +116,14 @@ type queue struct {
 
 func (q *queue) push(w window.Window) { q.buf = append(q.buf, w) }
 
-func (q *queue) pop() (window.Window, bool) {
-	if q.head >= len(q.buf) {
-		return window.Window{}, false
-	}
-	w := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		// Reuse storage once fully drained to keep the queue allocation
-		// bounded by the burst size, not the stream length.
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return w, true
-}
-
 // popInto moves up to len(buf) queued windows into buf and returns how
-// many it moved — the batched counterpart of pop.
+// many it moved.
 func (q *queue) popInto(buf []window.Window) int {
 	n := copy(buf, q.buf[q.head:])
 	q.head += n
 	if q.head == len(q.buf) {
+		// Reuse storage once fully drained to keep the queue allocation
+		// bounded by the burst size, not the stream length.
 		q.buf = q.buf[:0]
 		q.head = 0
 	}

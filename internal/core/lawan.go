@@ -20,12 +20,7 @@ import (
 // described in the paper. State per group is bounded by the maximal number
 // of concurrently valid matching s tuples.
 type lawan struct {
-	in  Iterator
-	out queue
-
-	// Batched-input state; see lawau.
-	inBuf      *[]window.Window
-	inPos, inN int
+	sweepIO
 
 	inGroup  bool
 	rid      int
@@ -33,113 +28,47 @@ type lawan struct {
 	frLr     window.Window
 	active   activeSet
 	curStart interval.Time
-	done     bool
 }
 
 // LAWAN returns the negating-window sweep over in. The input must be
 // grouped by r tuple with overlapping windows sorted by starting point
 // (the order LAWAU preserves from OverlapJoin).
-func LAWAN(in Iterator) Iterator { return &lawan{in: in} }
+func LAWAN(in Iterator) Iterator { return &lawan{sweepIO: sweepIO{in: in}} }
 
-// nextInput returns the next input window, consuming any batched leftovers
-// before falling back to a scalar pull.
-func (l *lawan) nextInput() (window.Window, bool) {
-	if l.inPos < l.inN {
-		w := (*l.inBuf)[l.inPos]
-		l.inPos++
-		return w, true
+// NextBatch implements Iterator; see lawau.NextBatch.
+func (l *lawan) NextBatch(buf []window.Window) int {
+	n := l.out.popInto(buf)
+	for n < len(buf) && !l.done {
+		in := l.pull()
+		for i := range in {
+			n = l.consume(&in[i], buf, n)
+		}
+		if l.done {
+			n = l.flush(buf, n)
+		}
 	}
-	return l.in.Next()
+	return n
 }
 
-func (l *lawan) releaseBuf() {
-	if l.inBuf != nil {
-		putBatchBuf(l.inBuf)
-		l.inBuf = nil
-	}
-	l.inPos, l.inN = 0, 0
-}
-
-// consume folds one input window into the sweep state.
-func (l *lawan) consume(w *window.Window) {
-	l.consumeInto(w, nil, 0)
-}
-
-// consumeInto is consume with direct emission; see lawau.consumeInto.
-func (l *lawan) consumeInto(w *window.Window, buf []window.Window, n int) int {
+// consume folds one input window into the sweep state, emitting the
+// windows it completes.
+func (l *lawan) consume(w *window.Window, buf []window.Window, n int) int {
 	if !l.inGroup || w.RID != l.rid {
-		n = l.flushInto(buf, n)
+		n = l.flush(buf, n)
 		l.startGroup(w)
 	}
 	if w.Class() != window.Overlapping {
 		// Unmatched windows need no negation; copy them through (Case 1).
-		return l.emitInto(w, buf, n)
+		return l.emit(w, buf, n)
 	}
 	// Close the elementary intervals that end before this window starts
 	// (Cases 2 and 3 of Fig. 4), then activate its s tuple.
-	n = l.advanceInto(w.T.Start, buf, n)
-	n = l.emitInto(w, buf, n)
+	n = l.advance(w.T.Start, buf, n)
+	n = l.emit(w, buf, n)
 	if l.active.empty() {
 		l.curStart = w.T.Start
 	}
 	l.active.push(w.T.End, w.Ls)
-	return n
-}
-
-func (l *lawan) emitInto(w *window.Window, buf []window.Window, n int) int {
-	if n < len(buf) && l.out.empty() {
-		buf[n] = *w
-		return n + 1
-	}
-	l.out.push(*w)
-	return n
-}
-
-func (l *lawan) Next() (window.Window, bool) {
-	for {
-		if w, ok := l.out.pop(); ok {
-			return w, true
-		}
-		if l.done {
-			return window.Window{}, false
-		}
-		w, ok := l.nextInput()
-		if !ok {
-			l.flush()
-			l.done = true
-			l.releaseBuf()
-			continue
-		}
-		l.consume(&w)
-	}
-}
-
-// NextBatch implements BatchIterator; see lawau.NextBatch.
-func (l *lawan) NextBatch(buf []window.Window) int {
-	n := l.out.popInto(buf)
-	for n < len(buf) {
-		if l.done {
-			return n
-		}
-		if l.inPos == l.inN {
-			if l.inBuf == nil {
-				l.inBuf = getBatchBuf()
-			}
-			l.inN = NextBatch(l.in, *l.inBuf)
-			l.inPos = 0
-			if l.inN == 0 {
-				l.flush()
-				l.done = true
-				l.releaseBuf()
-				return n + l.out.popInto(buf[n:])
-			}
-		}
-		for l.inPos < l.inN {
-			n = l.consumeInto(&(*l.inBuf)[l.inPos], buf, n)
-			l.inPos++
-		}
-		n += l.out.popInto(buf[n:])
-	}
 	return n
 }
 
@@ -151,9 +80,9 @@ func (l *lawan) startGroup(w *window.Window) {
 	l.active.reset()
 }
 
-// advanceInto emits the negating windows of all elementary intervals that
+// advance emits the negating windows of all elementary intervals that
 // are completed at sweep position `to`.
-func (l *lawan) advanceInto(to interval.Time, buf []window.Window, n int) int {
+func (l *lawan) advance(to interval.Time, buf []window.Window, n int) int {
 	for !l.active.empty() {
 		e := l.active.minEnd()
 		if e > to {
@@ -176,15 +105,11 @@ func (l *lawan) advanceInto(to interval.Time, buf []window.Window, n int) int {
 
 // flush drains the remaining elementary intervals of the group being
 // closed.
-func (l *lawan) flush() {
-	l.flushInto(nil, 0)
-}
-
-func (l *lawan) flushInto(buf []window.Window, n int) int {
+func (l *lawan) flush(buf []window.Window, n int) int {
 	if !l.inGroup {
 		return n
 	}
-	return l.advanceInto(interval.MaxTime, buf, n)
+	return l.advance(interval.MaxTime, buf, n)
 }
 
 func (l *lawan) emitNegating(start, end interval.Time, buf []window.Window, n int) int {
@@ -203,7 +128,7 @@ func (l *lawan) emitNegating(start, end interval.Time, buf []window.Window, n in
 		Ls:  ls,
 		RID: l.rid, RT: l.rt,
 	}
-	return l.emitInto(&w, buf, n)
+	return l.emit(&w, buf, n)
 }
 
 // activeSet is the priority queue of the active s tuples: a min-heap on

@@ -19,15 +19,7 @@ import (
 // tail of the tuple's interval. Windows stream through with O(1) state per
 // group; no tuple is replicated.
 type lawau struct {
-	in  Iterator
-	out queue
-
-	// Batched-input state: when the consumer pulls through NextBatch, the
-	// sweep pulls its own input in pooled batches too, so windows hop the
-	// whole pipeline BatchSize at a time. The scalar Next path only drains
-	// leftovers from the buffer and otherwise pulls one window at a time.
-	inBuf      *[]window.Window
-	inPos, inN int
+	sweepIO
 
 	inGroup bool
 	rid     int
@@ -35,120 +27,88 @@ type lawau struct {
 	frLr    window.Window // carries Fr/Lr of the current group for gap windows
 	maxEnd  interval.Time
 	sawBase bool // group consists of a base unmatched window (no matches at all)
-	done    bool
 }
 
 // LAWAU returns the unmatched-window sweep over in. See the package
 // documentation for the required input order.
-func LAWAU(in Iterator) Iterator { return &lawau{in: in} }
+func LAWAU(in Iterator) Iterator { return &lawau{sweepIO: sweepIO{in: in}} }
 
-// nextInput returns the next input window, consuming any batched leftovers
-// before falling back to a scalar pull.
-func (l *lawau) nextInput() (window.Window, bool) {
-	if l.inPos < l.inN {
-		w := (*l.inBuf)[l.inPos]
-		l.inPos++
-		return w, true
+// sweepIO is the window transport LAWAU and LAWAN share: input arrives in
+// pooled batches, so windows hop the whole pipeline BatchSize at a time,
+// and output is written straight into the consumer's buffer with the
+// overflow queue behind it.
+type sweepIO struct {
+	in    Iterator
+	out   queue
+	inBuf *[]window.Window
+	done  bool
+}
+
+// pull returns the next input batch, or nil — marking the stage done and
+// handing its buffer back to the pool — once the input is exhausted.
+func (s *sweepIO) pull() []window.Window {
+	if s.inBuf == nil {
+		s.inBuf = getBatchBuf()
 	}
-	return l.in.Next()
-}
-
-func (l *lawau) releaseBuf() {
-	if l.inBuf != nil {
-		putBatchBuf(l.inBuf)
-		l.inBuf = nil
+	if n := s.in.NextBatch(*s.inBuf); n > 0 {
+		return (*s.inBuf)[:n]
 	}
-	l.inPos, l.inN = 0, 0
+	putBatchBuf(s.inBuf)
+	s.inBuf = nil
+	s.done = true
+	return nil
 }
 
-// consume folds one input window into the sweep state, pushing output
-// windows onto l.out.
-func (l *lawau) consume(w *window.Window) {
-	l.consumeInto(w, nil, 0)
+// emit writes w to buf[n] while space remains and nothing is queued ahead
+// of it (preserving order), and parks it on the overflow queue otherwise.
+// It returns the new fill count.
+func (s *sweepIO) emit(w *window.Window, buf []window.Window, n int) int {
+	if n < len(buf) && s.out.empty() {
+		buf[n] = *w
+		return n + 1
+	}
+	s.out.push(*w)
+	return n
 }
 
-// consumeInto is consume with direct emission: output windows are written
-// to buf[n:] while space remains (and the queue is empty, preserving
-// order) and overflow onto the queue. The scalar path passes a nil buf,
-// so every window takes the queue. Returns the new fill count.
-func (l *lawau) consumeInto(w *window.Window, buf []window.Window, n int) int {
+// NextBatch implements Iterator: every input batch is swept whole, so a
+// buf smaller than the burst it produces finds the rest queued.
+func (l *lawau) NextBatch(buf []window.Window) int {
+	n := l.out.popInto(buf)
+	for n < len(buf) && !l.done {
+		in := l.pull()
+		for i := range in {
+			n = l.consume(&in[i], buf, n)
+		}
+		if l.done {
+			n = l.flush(buf, n)
+		}
+	}
+	return n
+}
+
+// consume folds one input window into the sweep state, emitting the
+// windows it completes.
+func (l *lawau) consume(w *window.Window, buf []window.Window, n int) int {
 	if !l.inGroup || w.RID != l.rid {
-		n = l.flushInto(buf, n)
+		n = l.flush(buf, n)
 		l.startGroup(w)
 	}
 	if w.Class() == window.Unmatched {
 		// Base unmatched window from the overlap join: the r tuple has no
 		// match at all; its window already spans the whole interval.
 		l.sawBase = true
-		return l.emitInto(w, buf, n)
+		return l.emit(w, buf, n)
 	}
 	// Case analysis of Fig. 3: a gap exists iff the next overlapping
 	// window starts after the covered prefix ends.
 	if w.T.Start > l.maxEnd {
 		g := l.gap(l.maxEnd, w.T.Start)
-		n = l.emitInto(&g, buf, n)
+		n = l.emit(&g, buf, n)
 	}
-	n = l.emitInto(w, buf, n)
+	n = l.emit(w, buf, n)
 	if w.T.End > l.maxEnd {
 		l.maxEnd = w.T.End
-	}
-	return n
-}
-
-func (l *lawau) emitInto(w *window.Window, buf []window.Window, n int) int {
-	if n < len(buf) && l.out.empty() {
-		buf[n] = *w
-		return n + 1
-	}
-	l.out.push(*w)
-	return n
-}
-
-func (l *lawau) Next() (window.Window, bool) {
-	for {
-		if w, ok := l.out.pop(); ok {
-			return w, true
-		}
-		if l.done {
-			return window.Window{}, false
-		}
-		w, ok := l.nextInput()
-		if !ok {
-			l.flush()
-			l.done = true
-			l.releaseBuf()
-			continue
-		}
-		l.consume(&w)
-	}
-}
-
-// NextBatch implements BatchIterator: input windows are pulled in pooled
-// batches and swept a batch at a time.
-func (l *lawau) NextBatch(buf []window.Window) int {
-	n := l.out.popInto(buf)
-	for n < len(buf) {
-		if l.done {
-			return n
-		}
-		if l.inPos == l.inN {
-			if l.inBuf == nil {
-				l.inBuf = getBatchBuf()
-			}
-			l.inN = NextBatch(l.in, *l.inBuf)
-			l.inPos = 0
-			if l.inN == 0 {
-				l.flush()
-				l.done = true
-				l.releaseBuf()
-				return n + l.out.popInto(buf[n:])
-			}
-		}
-		for l.inPos < l.inN {
-			n = l.consumeInto(&(*l.inBuf)[l.inPos], buf, n)
-			l.inPos++
-		}
-		n += l.out.popInto(buf[n:])
 	}
 	return n
 }
@@ -163,17 +123,13 @@ func (l *lawau) startGroup(w *window.Window) {
 }
 
 // flush emits the tail gap of the group being closed, if any.
-func (l *lawau) flush() {
-	l.flushInto(nil, 0)
-}
-
-func (l *lawau) flushInto(buf []window.Window, n int) int {
+func (l *lawau) flush(buf []window.Window, n int) int {
 	if !l.inGroup || l.sawBase {
 		return n
 	}
 	if l.maxEnd < l.rt.End {
 		g := l.gap(l.maxEnd, l.rt.End)
-		n = l.emitInto(&g, buf, n)
+		n = l.emit(&g, buf, n)
 	}
 	return n
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"tpjoin/internal/lineage"
 	"tpjoin/internal/mem"
@@ -31,14 +33,96 @@ type TupleIterator interface {
 	Next() (tp.Tuple, bool)
 }
 
+// classes is a set of window classes.
+type classes uint8
+
+const (
+	wo classes = 1 << window.Overlapping
+	wu classes = 1 << window.Unmatched
+	wn classes = 1 << window.Negating
+)
+
+// phase is one window pipeline of an operator: how far it extends past
+// the overlap join (0 stops there, 1 adds LAWAU, 2 adds LAWAU → LAWAN),
+// which window classes form output tuples, and whether it runs with the
+// inputs swapped — over (s, r, Swap θ), so that the window's Fr is a fact
+// of s and output facts are reassembled in (r, s) attribute order.
+type phase struct {
+	sweeps int
+	keep   classes
+	mirror bool
+}
+
+// operator is one row of the operator table: the result-name tag, whether
+// the result keeps r's schema alone (no NULL extension, overlapping
+// windows contribute Fr), whether overlapping windows concatenate their
+// lineages with ∨ instead of ∧, and the phases in output order.
+type operator struct {
+	tag     string
+	rSchema bool
+	or      bool
+	phases  []phase
+}
+
+// operators is Table II. The mirrored phase of the full outer join keeps
+// no overlapping windows: the forward phase already produced them.
+var operators = map[tp.Op]operator{
+	tp.OpInner: {tag: "join", phases: []phase{{keep: wo}}},
+	tp.OpAnti:  {tag: "anti", rSchema: true, phases: []phase{{sweeps: 2, keep: wu | wn}}},
+	tp.OpLeft:  {tag: "louter", phases: []phase{{sweeps: 2, keep: wo | wu | wn}}},
+	tp.OpRight: {tag: "router", phases: []phase{{sweeps: 2, keep: wo | wu | wn, mirror: true}}},
+	tp.OpFull: {tag: "fouter", phases: []phase{
+		{sweeps: 2, keep: wo | wu | wn}, {sweeps: 2, keep: wu | wn, mirror: true}}},
+}
+
+// The set operations of the companion paper (see internal/setops) are two
+// more rows, over the same windows under full-fact θ: r ∪ s keeps the
+// overlapping windows as λr ∨ λs plus the unmatched windows of either
+// side, r ∩ s the overlapping windows as λr ∧ λs. (r − s is the anti
+// join.) Neither needs a negating window, so neither runs LAWAN.
+var (
+	unionOp = operator{tag: "union", rSchema: true, or: true, phases: []phase{
+		{sweeps: 1, keep: wo | wu}, {sweeps: 1, keep: wu, mirror: true}}}
+	intersectOp = operator{tag: "intersect", rSchema: true, phases: []phase{{keep: wo}}}
+)
+
+func lookup(op tp.Op) operator {
+	o, ok := operators[op]
+	if !ok {
+		panic(fmt.Sprintf("core: unknown operator %v", op))
+	}
+	return o
+}
+
+// pipelineBytes reports the fixed buffer bytes a stream of o owns: one
+// BatchSize window transfer buffer from the batch pool for the tail plus
+// one input buffer per sweep stage, plus the probability tail's
+// tuple/lineage/probability arenas. The buffers are checked out or
+// allocated lazily, but budget-wise the query owns them for its lifetime,
+// so a per-query memory gauge charges this amount at stream construction.
+func (o operator) pipelineBytes() int64 {
+	stages := 1
+	for _, ph := range o.phases {
+		stages += ph.sweeps
+	}
+	windows := int64(stages) * BatchSize * int64(unsafe.Sizeof(window.Window{}))
+	probTail := int64(BatchSize) * int64(unsafe.Sizeof(tp.Tuple{})+
+		unsafe.Sizeof((*lineage.Expr)(nil))+unsafe.Sizeof(float64(0)))
+	return windows + probTail
+}
+
+// PipelineBytes is the amount a caller that builds a JoinStream of op
+// itself owes the query's memory gauge; see operator.pipelineBytes.
+func PipelineBytes(op tp.Op) int64 { return lookup(op).pipelineBytes() }
+
 // JoinStream returns the pipelined result stream of the TP join `op` and
 // the output attribute names. The input relations must satisfy the
 // sequenced-TP constraint (see Relation.ValidateSequenced); output tuple
 // probabilities are exact. Windows move through the pipeline in pooled
-// batches (BatchSize at a time); the produced tuples are identical to the
-// scalar reference path (ScalarJoinStream).
+// batches (BatchSize at a time).
 func JoinStream(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []string) {
-	return joinStreamWithProbs(op, r, s, theta, tp.MergeProbs(r, s), true, nil)
+	o := lookup(op)
+	return o.stream(r, s, theta, tp.MergeProbs(r, s), nil), o.attrs(r, s)
 }
 
 // JoinStreamInstrumented is JoinStream with per-stage accounting: every
@@ -47,121 +131,95 @@ func JoinStream(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []s
 // after draining the stream). The counting wrappers only exist on this
 // path; plain JoinStream stays allocation- and indirection-free.
 func JoinStreamInstrumented(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []string, *JoinInstr) {
-	instr := &JoinInstr{}
-	it, attrs := joinStreamWithProbs(op, r, s, theta, tp.MergeProbs(r, s), true, instr)
-	return it, attrs, instr
+	o, instr := lookup(op), &JoinInstr{}
+	return o.stream(r, s, theta, tp.MergeProbs(r, s), instr), o.attrs(r, s), instr
 }
 
-// ScalarJoinStream is JoinStream with the batched window transport
-// disabled: every window moves through one Next call at a time. It is the
-// reference implementation the batched path is validated against
-// (TestBatchScalarEquivalence) and exists only for that purpose.
-func ScalarJoinStream(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []string) {
-	return joinStreamWithProbs(op, r, s, theta, tp.MergeProbs(r, s), false, nil)
+func (o operator) attrs(r, s *tp.Relation) []string {
+	if o.rSchema {
+		return slices.Clone(r.Attrs)
+	}
+	return slices.Concat(r.Attrs, s.Attrs)
 }
 
-// joinStreamWithProbs is JoinStream with a pre-merged base-event
-// probability map, letting callers that evaluate many partitioned joins
-// over the same database (ParallelJoin) amortize the merge. A non-nil
-// instr interposes counting wrappers between the pipeline stages
-// (EXPLAIN ANALYZE); nil leaves the stages directly connected.
-func joinStreamWithProbs(op tp.Op, r, s *tp.Relation, theta tp.Theta, probs prob.Probs, batch bool, instr *JoinInstr) (TupleIterator, []string) {
-	attrs := joinAttrs(r, s)
-	// pipeline assembles one phase's window stages, wrapping each in a
-	// counting iterator when instrumented. suffix distinguishes the
-	// mirrored phase of a full outer join.
-	pipeline := func(base Iterator, suffix string, negating bool) Iterator {
-		if instr == nil {
-			if !negating {
-				return base
-			}
-			return LAWAN(LAWAU(base))
-		}
-		it := instr.stage("overlap"+suffix, base)
-		if !negating {
-			return it
-		}
-		it = instr.stage("lawau"+suffix, LAWAU(it))
-		return instr.stage("lawan"+suffix, LAWAN(it))
+// stream assembles o's window pipelines over (r, s, θ) under the tuple
+// tail. probs is the merged base-event probability map, passed in so
+// callers that evaluate many partitioned joins over the same database
+// (ParallelJoin) amortize the merge. A non-nil instr interposes counting
+// wrappers between the pipeline stages (EXPLAIN ANALYZE).
+func (o operator) stream(r, s *tp.Relation, theta tp.Theta, probs prob.Probs, instr *JoinInstr) *joinStream {
+	js := &joinStream{
+		op: o, pipes: make([]pipeline, len(o.phases)),
+		bev: prob.NewBatchEvaluator(probs), instr: instr,
 	}
-	var phases []phase
-	switch op {
-	case tp.OpInner:
-		phases = []phase{{
-			it:   pipeline(OverlapJoin(r, s, theta), "", false),
-			opts: emitOpts{keepOverlap: true, sArity: s.Arity()},
-		}}
-	case tp.OpAnti:
-		attrs = append([]string(nil), r.Attrs...)
-		phases = []phase{{
-			it:   pipeline(OverlapJoin(r, s, theta), "", true),
-			opts: emitOpts{keepUnmatched: true, keepNegating: true, antiSchema: true, sArity: s.Arity()},
-		}}
-	case tp.OpLeft:
-		phases = []phase{{
-			it:   pipeline(OverlapJoin(r, s, theta), "", true),
-			opts: emitOpts{keepOverlap: true, keepUnmatched: true, keepNegating: true, sArity: s.Arity()},
-		}}
-	case tp.OpRight:
-		phases = []phase{{
-			it:   pipeline(OverlapJoin(s, r, tp.Swap(theta)), "", true),
-			opts: emitOpts{keepOverlap: true, keepUnmatched: true, keepNegating: true, mirror: true, sArity: r.Arity()},
-		}}
-	case tp.OpFull:
-		phases = []phase{
-			{
-				it:   pipeline(OverlapJoin(r, s, theta), "", true),
-				opts: emitOpts{keepOverlap: true, keepUnmatched: true, keepNegating: true, sArity: s.Arity()},
-			},
-			{
-				it:   pipeline(OverlapJoin(s, r, tp.Swap(theta)), "/mirror", true),
-				opts: emitOpts{keepUnmatched: true, keepNegating: true, mirror: true, sArity: r.Arity()},
-			},
+	for i, ph := range o.phases {
+		// suffix distinguishes the second phase of a full outer join.
+		suffix := ""
+		if i > 0 {
+			suffix = "/mirror"
 		}
-	default:
-		panic(fmt.Sprintf("core: unknown operator %v", op))
+		pr, ps, th := r, s, theta
+		if ph.mirror {
+			pr, ps, th = s, r, tp.Swap(theta)
+		}
+		it := instr.stage("overlap", suffix, OverlapJoin(pr, ps, th))
+		if ph.sweeps > 0 {
+			it = instr.stage("lawau", suffix, LAWAU(it))
+		}
+		if ph.sweeps > 1 {
+			it = instr.stage("lawan", suffix, LAWAN(it))
+		}
+		js.pipes[i] = pipeline{phase: ph, it: it, nullArity: ps.Arity()}
 	}
-	js := &joinStream{phases: phases, batch: batch, instr: instr}
-	if batch {
-		js.bev = prob.NewBatchEvaluator(probs)
-	} else {
-		js.ev = prob.NewEvaluator(probs)
-	}
-	return js, attrs
+	return js
 }
 
 // Join computes the TP join of the given operator, materializing the
 // stream of JoinStream into a new relation.
 func Join(op tp.Op, r, s *tp.Relation, theta tp.Theta) *tp.Relation {
-	return joinWithProbs(op, r, s, theta, tp.MergeProbs(r, s), true)
-}
-
-func joinWithProbs(op tp.Op, r, s *tp.Relation, theta tp.Theta, probs prob.Probs, batch bool) *tp.Relation {
-	out, _ := drainJoinCtx(context.Background(), op, r, s, theta, probs, batch, nil)
+	out, _ := JoinContext(context.Background(), op, r, s, theta)
 	return out
 }
 
-// drainJoinCtx materializes the join stream into a relation, observing
-// ctx every cancelCheck tuples (trivial for the Background context, so
-// the uncancellable callers above pay nothing measurable). It is the
-// single drain loop shared by the sequential joins and the PNJ partition
-// workers; a non-nil st additionally accounts the produced tuples. A
-// memory budget on ctx (mem.WithGauge) is charged for the pooled pipeline
-// buffers up front and for the materialized tuples at every checkpoint —
-// the PNJ partition workers all charge the one per-query gauge, so the
-// whole parallel join shares one budget.
-func drainJoinCtx(ctx context.Context, op tp.Op, r, s *tp.Relation, theta tp.Theta, probs prob.Probs, batch bool, st *ParallelStats) (*tp.Relation, error) {
+// JoinContext is Join under a query context; see operator.drain.
+func JoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, theta tp.Theta) (*tp.Relation, error) {
+	return lookup(op).drain(ctx, r, s, theta, tp.MergeProbs(r, s), nil)
+}
+
+// Union computes r ∪Tp s under the full-fact equality theta of two
+// union-compatible relations: forward phase first, then s's unmatched
+// windows.
+func Union(ctx context.Context, r, s *tp.Relation, theta tp.Theta) (*tp.Relation, error) {
+	return unionOp.drain(ctx, r, s, theta, tp.MergeProbs(r, s), nil)
+}
+
+// Intersect computes r ∩Tp s under the full-fact equality theta of two
+// union-compatible relations.
+func Intersect(ctx context.Context, r, s *tp.Relation, theta tp.Theta) (*tp.Relation, error) {
+	return intersectOp.drain(ctx, r, s, theta, tp.MergeProbs(r, s), nil)
+}
+
+// drain materializes o's stream into a relation, observing ctx every
+// cancelCheck tuples (trivial for the Background context, so the
+// uncancellable callers pay nothing measurable). It is the single drain
+// loop shared by the sequential joins, the set operations and the PNJ
+// partition workers; a non-nil st additionally accounts the produced
+// tuples. A memory budget on ctx (mem.WithGauge) is charged for the
+// pooled pipeline buffers up front and for the materialized tuples at
+// every checkpoint — the PNJ partition workers all charge the one
+// per-query gauge, so the whole parallel join shares one budget.
+func (o operator) drain(ctx context.Context, r, s *tp.Relation, theta tp.Theta, probs prob.Probs, st *ParallelStats) (*tp.Relation, error) {
 	gauge := mem.FromContext(ctx)
-	if err := gauge.Charge(PipelineBytes(op)); err != nil {
+	if err := gauge.Charge(o.pipelineBytes()); err != nil {
 		return nil, err
 	}
-	it, attrs := joinStreamWithProbs(op, r, s, theta, probs, batch, nil)
+	it := o.stream(r, s, theta, probs, nil)
 	out := &tp.Relation{
-		Name:  fmt.Sprintf("%s_%s_%s", r.Name, opTag(op), s.Name),
-		Attrs: attrs,
+		Name:  fmt.Sprintf("%s_%s_%s", r.Name, o.tag, s.Name),
+		Attrs: o.attrs(r, s),
 		Probs: probs,
 	}
-	perCheck := cancelCheck * mem.TupleBytes(len(attrs))
+	perCheck := cancelCheck * mem.TupleBytes(len(out.Attrs))
 	for n := 0; ; n++ {
 		if n%cancelCheck == 0 {
 			if err := ctx.Err(); err != nil {
@@ -214,46 +272,29 @@ func FullOuterJoin(r, s *tp.Relation, theta tp.Theta) *tp.Relation {
 	return Join(tp.OpFull, r, s, theta)
 }
 
-func opTag(op tp.Op) string {
-	switch op {
-	case tp.OpInner:
-		return "join"
-	case tp.OpAnti:
-		return "anti"
-	case tp.OpLeft:
-		return "louter"
-	case tp.OpRight:
-		return "router"
-	default:
-		return "fouter"
-	}
+// pipeline is a phase assembled over its inputs.
+type pipeline struct {
+	phase
+	it        Iterator
+	nullArity int // arity of the NULL-extended side
 }
 
-// phase is one window pipeline with its tuple-formation options.
-type phase struct {
-	it   Iterator
-	opts emitOpts
-}
-
-// joinStream converts window streams into output tuples lazily. With
-// batch set, windows are pulled from each phase through the pooled batched
-// transport and probabilities are evaluated in BatchSize batches through
-// prob.BatchEvaluator (one memo across the join); the scalar path pulls
-// one window per Next call, evaluates per tuple, and is the reference
-// implementation.
+// joinStream converts window streams into output tuples lazily: windows
+// are pulled from each phase's pipeline through the pooled transport and
+// probabilities are evaluated in BatchSize batches through
+// prob.BatchEvaluator (one memo across the join).
 type joinStream struct {
-	phases []phase
-	cur    int
-	ev     *prob.Evaluator // scalar reference path
-	instr  *JoinInstr      // nil unless EXPLAIN ANALYZE instrumented
+	op    operator
+	pipes []pipeline
+	cur   int
+	bev   *prob.BatchEvaluator
+	instr *JoinInstr // nil unless EXPLAIN ANALYZE instrumented
 
-	batch        bool
-	bev          *prob.BatchEvaluator
 	buf          *[]window.Window
 	bufPos, bufN int
-	// The batched probability tail: tuples of the current batch with
-	// their lineages collected, awaiting one EvalBatch call. Allocated on
-	// the first batch (PipelineBytes charges them up front).
+	// The probability tail: tuples of the current batch with their
+	// lineages collected, awaiting one EvalBatch call. Allocated on the
+	// first batch (pipelineBytes charges them up front).
 	tbuf     []tp.Tuple
 	lams     []*lineage.Expr
 	ps       []float64
@@ -261,24 +302,6 @@ type joinStream struct {
 }
 
 func (j *joinStream) Next() (tp.Tuple, bool) {
-	if j.batch {
-		return j.nextBatched()
-	}
-	for j.cur < len(j.phases) {
-		ph := &j.phases[j.cur]
-		w, ok := ph.it.Next()
-		if !ok {
-			j.cur++
-			continue
-		}
-		if t, ok := ph.opts.tuple(w, j.ev); ok {
-			return t, true
-		}
-	}
-	return tp.Tuple{}, false
-}
-
-func (j *joinStream) nextBatched() (tp.Tuple, bool) {
 	for {
 		if j.tpos < j.tn {
 			t := j.tbuf[j.tpos]
@@ -294,7 +317,7 @@ func (j *joinStream) nextBatched() (tp.Tuple, bool) {
 // fillBatch forms up to BatchSize output tuples from the window stream —
 // fact and lineage only — then evaluates all their probabilities in one
 // EvalBatch call. Deferring the probability to the batch boundary is what
-// turns the per-tuple scalar tail into batched work over the shared memo.
+// turns a per-tuple tail into batched work over the shared memo.
 func (j *joinStream) fillBatch() bool {
 	if j.tbuf == nil {
 		j.tbuf = make([]tp.Tuple, BatchSize)
@@ -302,23 +325,24 @@ func (j *joinStream) fillBatch() bool {
 		j.ps = make([]float64, BatchSize)
 	}
 	j.tpos, j.tn = 0, 0
-	for j.cur < len(j.phases) && j.tn < BatchSize {
+	for j.cur < len(j.pipes) && j.tn < BatchSize {
 		if j.bufPos == j.bufN {
 			if j.buf == nil {
 				j.buf = getBatchBuf()
 			}
-			j.bufN = NextBatch(j.phases[j.cur].it, *j.buf)
+			j.bufN = j.pipes[j.cur].it.NextBatch(*j.buf)
 			j.bufPos = 0
 			if j.bufN == 0 {
 				j.cur++
 				continue
 			}
 		}
-		ph := &j.phases[j.cur]
+		ph := &j.pipes[j.cur]
 		for j.bufPos < j.bufN && j.tn < BatchSize {
-			w := (*j.buf)[j.bufPos]
+			w := &(*j.buf)[j.bufPos]
 			j.bufPos++
-			if t, ok := ph.opts.tupleLam(w); ok {
+			if class := w.Class(); ph.keep&(1<<class) != 0 {
+				t := j.tuple(ph, w, class)
 				j.tbuf[j.tn] = t
 				j.lams[j.tn] = t.Lineage
 				j.tn++
@@ -345,84 +369,32 @@ func (j *joinStream) fillBatch() bool {
 	return true
 }
 
-// emitOpts selects which window classes contribute output tuples and how
-// facts are assembled.
-type emitOpts struct {
-	keepOverlap   bool
-	keepUnmatched bool
-	keepNegating  bool
-	// mirror indicates the pipeline ran with swapped inputs: the window's
-	// Fr is a fact of s, and output facts must be reassembled in (r, s)
-	// attribute order.
-	mirror bool
-	// sArity is the arity of the NULL-extended side.
-	sArity int
-	// antiSchema drops the NULL-extension entirely (anti join outputs have
-	// r's schema).
-	antiSchema bool
-}
-
-// tuple forms the output tuple of window w with its exact probability, or
-// reports false when w's class is not part of the operator. This is the
-// scalar reference path; the batched path forms tuples via tupleLam and
-// fills probabilities per batch.
-func (o emitOpts) tuple(w window.Window, ev *prob.Evaluator) (tp.Tuple, bool) {
-	t, ok := o.tupleLam(w)
-	if !ok {
-		return tp.Tuple{}, false
-	}
-	t.Prob = ev.Prob(t.Lineage)
-	return t, true
-}
-
-// tupleLam forms the output tuple of window w — fact, lineage and
-// interval, probability left unset — or reports false when w's class is
-// not part of the operator.
-func (o emitOpts) tupleLam(w window.Window) (tp.Tuple, bool) {
-	var f tp.Fact
-	var lam *lineage.Expr
-	switch w.Class() {
-	case window.Overlapping:
-		if !o.keepOverlap {
-			return tp.Tuple{}, false
-		}
-		if o.mirror {
-			f = w.Fs.Concat(w.Fr)
-		} else {
-			f = w.Fr.Concat(w.Fs)
-		}
-		lam = lineage.And(w.Lr, w.Ls)
-	case window.Unmatched:
-		if !o.keepUnmatched {
-			return tp.Tuple{}, false
-		}
-		f = o.negFact(w)
-		lam = w.Lr
-	default: // Negating
-		if !o.keepNegating {
-			return tp.Tuple{}, false
-		}
-		f = o.negFact(w)
+// tuple forms the output tuple of a kept window w of pipeline ph — fact,
+// interval and the lineage concatenation of its class: λr ∧ λs (∨ for the
+// union) for overlapping, λr for unmatched and andNot(λr,λs) = λr ∧ ¬λs
+// for negating windows. The probability is filled in per batch.
+func (j *joinStream) tuple(ph *pipeline, w *window.Window, class window.Class) tp.Tuple {
+	f, lam := w.Fr, w.Lr
+	switch {
+	case class == window.Negating:
 		lam = lineage.AndNot(w.Lr, w.Ls)
+	case class == window.Overlapping && j.op.or:
+		lam = lineage.Or(w.Lr, w.Ls)
+	case class == window.Overlapping:
+		lam = lineage.And(w.Lr, w.Ls)
 	}
-	return tp.Tuple{Fact: f, Lineage: lam, T: w.T}, true
-}
-
-func (o emitOpts) negFact(w window.Window) tp.Fact {
-	if o.antiSchema {
-		return w.Fr
+	if !j.op.rSchema {
+		other := w.Fs
+		if class != window.Overlapping {
+			other = tp.Nulls(ph.nullArity)
+		}
+		if ph.mirror {
+			f = other.Concat(w.Fr)
+		} else {
+			f = w.Fr.Concat(other)
+		}
 	}
-	if o.mirror {
-		return tp.Nulls(o.sArity).Concat(w.Fr)
-	}
-	return w.Fr.Concat(tp.Nulls(o.sArity))
-}
-
-func joinAttrs(r, s *tp.Relation) []string {
-	attrs := make([]string, 0, len(r.Attrs)+len(s.Attrs))
-	attrs = append(attrs, r.Attrs...)
-	attrs = append(attrs, s.Attrs...)
-	return attrs
+	return tp.Tuple{Fact: f, Lineage: lam, T: w.T}
 }
 
 // WUO materializes the overlapping and unmatched windows of r with respect

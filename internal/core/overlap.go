@@ -192,55 +192,9 @@ func (j *hashOverlapJoin) bucketFor(f tp.Fact) []int32 {
 	return j.lastBucket
 }
 
-// step processes the next r tuple, pushing its windows onto the output
-// queue. It reports false when r is exhausted.
-func (j *hashOverlapJoin) step() bool {
-	if j.ri >= len(j.r.Tuples) {
-		return false
-	}
-	rt := &j.r.Tuples[j.ri]
-	matched := false
-	for _, si := range j.bucketFor(rt.Fact) {
-		st := &j.s.Tuples[si]
-		if st.T.Start >= rt.T.End {
-			break // bucket sorted by start: nothing later overlaps
-		}
-		if !st.T.Overlaps(rt.T) {
-			continue
-		}
-		matched = true
-		j.out.push(window.Window{
-			Fr: rt.Fact, Fs: st.Fact,
-			T:  rt.T.Intersect(st.T),
-			Lr: rt.Lineage, Ls: st.Lineage,
-			RID: j.ri, RT: rt.T,
-		})
-	}
-	if !matched {
-		j.out.push(window.Window{
-			Fr: rt.Fact, T: rt.T, Lr: rt.Lineage,
-			RID: j.ri, RT: rt.T,
-		})
-	}
-	j.ri++
-	return true
-}
-
-func (j *hashOverlapJoin) Next() (window.Window, bool) {
-	for {
-		if w, ok := j.out.pop(); ok {
-			return w, true
-		}
-		if !j.step() {
-			return window.Window{}, false
-		}
-	}
-}
-
-// NextBatch implements BatchIterator. Windows are emitted straight into
-// buf — the queue is only used by the scalar path and as overflow for an
-// r tuple whose window burst exceeds the batch — which saves the
-// push/pop copy pair per window.
+// NextBatch implements Iterator. Windows are emitted straight into buf;
+// the queue only holds the overflow of an r tuple whose window burst
+// exceeds the space left, which saves the push/pop copy pair per window.
 func (j *hashOverlapJoin) NextBatch(buf []window.Window) int {
 	n := j.out.popInto(buf)
 	for n < len(buf) {
@@ -378,7 +332,8 @@ func newLoopOverlapJoin(r, s *tp.Relation, theta tp.Theta) *loopOverlapJoin {
 	return &loopOverlapJoin{r: r, s: s, theta: theta, order: startSorted(s)}
 }
 
-// step processes the next r tuple; see hashOverlapJoin.step.
+// step processes the next r tuple, pushing its windows onto the output
+// queue. It reports false when r is exhausted.
 func (j *loopOverlapJoin) step() bool {
 	if j.ri >= len(j.r.Tuples) {
 		return false
@@ -411,18 +366,7 @@ func (j *loopOverlapJoin) step() bool {
 	return true
 }
 
-func (j *loopOverlapJoin) Next() (window.Window, bool) {
-	for {
-		if w, ok := j.out.pop(); ok {
-			return w, true
-		}
-		if !j.step() {
-			return window.Window{}, false
-		}
-	}
-}
-
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (j *loopOverlapJoin) NextBatch(buf []window.Window) int {
 	n := j.out.popInto(buf)
 	for n < len(buf) {

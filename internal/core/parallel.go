@@ -19,7 +19,7 @@ import (
 // to the paper's operators; the sweep algorithms themselves stay strictly
 // sequential per partition, as their correctness depends on group order.
 func ParallelJoin(op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int) *tp.Relation {
-	out, _ := parallelJoinCtx(context.Background(), op, r, s, eq, workers, true, nil)
+	out, _ := ParallelJoinContext(context.Background(), op, r, s, eq, workers, nil)
 	return out
 }
 
@@ -32,7 +32,22 @@ func ParallelJoin(op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int) *tp
 // error is ctx.Err(). A non-nil st additionally accounts partitions and
 // output tuples for EXPLAIN ANALYZE.
 func ParallelJoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int, st *ParallelStats) (*tp.Relation, error) {
-	return parallelJoinCtx(ctx, op, r, s, eq, workers, true, st)
+	// Merge the base-event probabilities once; the map is only read by
+	// the workers' evaluators, so sharing it across goroutines is safe.
+	merged := tp.MergeProbs(r, s)
+	o := lookup(op)
+	out, w, parts, err := par.Join(ctx, r, s, eq, workers,
+		func(ctx context.Context, rp, sp *tp.Relation) (*tp.Relation, error) {
+			res, err := o.drain(ctx, rp, sp, eq, merged, st)
+			if err == nil && st != nil {
+				st.PartitionsDone.Add(1)
+			}
+			return res, err
+		})
+	if st != nil {
+		st.Workers, st.Partitions = int64(w), int64(parts)
+	}
+	return out, err
 }
 
 // cancelCheck is how many tuples a partition worker drains between
@@ -56,30 +71,4 @@ type ParallelStats struct {
 	// (counted even for partitions whose results were discarded by a
 	// later abort).
 	Tuples atomic.Int64
-}
-
-// parallelJoin is ParallelJoinContext with the batched window transport
-// made explicit, so tests can pin batch/scalar equality of the
-// partitioned executor too.
-func parallelJoin(op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int, batch bool) *tp.Relation {
-	out, _ := parallelJoinCtx(context.Background(), op, r, s, eq, workers, batch, nil)
-	return out
-}
-
-func parallelJoinCtx(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int, batch bool, st *ParallelStats) (*tp.Relation, error) {
-	// Merge the base-event probabilities once; the map is only read by
-	// the workers' evaluators, so sharing it across goroutines is safe.
-	merged := tp.MergeProbs(r, s)
-	out, w, parts, err := par.Join(ctx, r, s, eq, workers,
-		func(ctx context.Context, rp, sp *tp.Relation) (*tp.Relation, error) {
-			res, err := drainJoinCtx(ctx, op, rp, sp, eq, merged, batch, st)
-			if err == nil && st != nil {
-				st.PartitionsDone.Add(1)
-			}
-			return res, err
-		})
-	if st != nil {
-		st.Workers, st.Partitions = int64(w), int64(parts)
-	}
-	return out, err
 }

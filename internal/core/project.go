@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"sort"
 
 	"tpjoin/internal/interval"
 	"tpjoin/internal/lineage"
+	"tpjoin/internal/mem"
 	"tpjoin/internal/prob"
 	"tpjoin/internal/tp"
 )
@@ -24,7 +26,11 @@ import (
 // intervals whose disjunctions are structurally equal are re-coalesced,
 // so maximal intervals come out (e.g. a projection that drops a column
 // distinguishing two adjacent chunks yields one merged tuple).
-func ProjectLineage(rel *tp.Relation, cols []int, names []string) *tp.Relation {
+//
+// ctx is observed while grouping, once per projected fact and at every
+// probability batch, where a memory budget on it (mem.WithGauge) is also
+// charged for the emitted rows; on either failure the result is nil.
+func ProjectLineage(ctx context.Context, rel *tp.Relation, cols []int, names []string) (*tp.Relation, error) {
 	if len(cols) != len(names) {
 		panic("core: ProjectLineage arity mismatch")
 	}
@@ -40,7 +46,12 @@ func ProjectLineage(rel *tp.Relation, cols []int, names []string) *tp.Relation {
 	}
 	// Group by hashed projected-fact key in first-seen order.
 	byFact := tp.NewKeyGroups[entry]()
-	for _, tu := range rel.Tuples {
+	for n, tu := range rel.Tuples {
+		if n%cancelCheck == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		f := make(tp.Fact, len(cols))
 		for i, c := range cols {
 			f[i] = tu.Fact[c]
@@ -61,7 +72,14 @@ func ProjectLineage(rel *tp.Relation, cols []int, names []string) *tp.Relation {
 	pend := make([]outRow, 0, BatchSize)
 	lams := make([]*lineage.Expr, BatchSize)
 	ps := make([]float64, BatchSize)
-	flush := func() {
+	gauge := mem.FromContext(ctx)
+	flush := func() error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := gauge.Charge(int64(len(pend)) * mem.TupleBytes(len(names))); err != nil {
+			return err
+		}
 		for i := range pend {
 			lams[i] = pend[i].lam
 		}
@@ -70,9 +88,13 @@ func ProjectLineage(rel *tp.Relation, cols []int, names []string) *tp.Relation {
 			out.AppendDerived(pend[i].fact, pend[i].lam, pend[i].t, ps[i])
 		}
 		pend = pend[:0]
+		return nil
 	}
 	list := byFact.Groups()
 	for gi := range list {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		es := list[gi].Vals
 		// Elementary intervals of the group's coverage.
 		ivs := make([]interval.Interval, len(es))
@@ -106,11 +128,15 @@ func ProjectLineage(rel *tp.Relation, cols []int, names []string) *tp.Relation {
 			}
 			pend = append(pend, outRow{fact: list[gi].Fact, lam: cur.lam, t: cur.t})
 			if len(pend) == BatchSize {
-				flush()
+				if err := flush(); err != nil {
+					return nil, err
+				}
 			}
 			i = j
 		}
 	}
-	flush()
-	return out
+	if err := flush(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -1,20 +1,34 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"tpjoin/internal/dataset"
 	"tpjoin/internal/interval"
+	"tpjoin/internal/mem"
 	"tpjoin/internal/prob"
 	"tpjoin/internal/tp"
 )
+
+// project runs ProjectLineage under the background context.
+func project(t *testing.T, rel *tp.Relation, cols []int, names []string) *tp.Relation {
+	t.Helper()
+	out, err := ProjectLineage(context.Background(), rel, cols, names)
+	if err != nil {
+		t.Fatalf("ProjectLineage: %v", err)
+	}
+	return out
+}
 
 func TestProjectLineageMergesDuplicates(t *testing.T) {
 	// Two hotels in ZAK: projecting availability to the location merges
 	// them with OR lineage on the overlap.
 	b := paperB()
-	p := ProjectLineage(b, []int{1}, []string{"Loc"})
+	p := project(t, b, []int{1}, []string{"Loc"})
 	pm, err := tp.Expand(p)
 	if err != nil {
 		t.Fatalf("projection invalid: %v", err)
@@ -46,7 +60,7 @@ func TestProjectLineageCoalesces(t *testing.T) {
 	r := tp.NewRelation("r", "K", "Sub")
 	r.Append(tp.Strings("x", "p1"), interval.New(0, 5), 0.5)
 	r.Append(tp.Strings("x", "p2"), interval.New(5, 9), 0.5) // different sub-fact, adjacent
-	p := ProjectLineage(r, []int{0}, []string{"K"})
+	p := project(t, r, []int{0}, []string{"K"})
 	if p.Len() != 2 {
 		// r1 over [0,5) and r2 over [5,9) have different lineages — they
 		// must NOT merge (they are different events).
@@ -58,7 +72,7 @@ func TestProjectLineageCoalesces(t *testing.T) {
 	s := tp.NewRelation("s", "K", "Sub")
 	v := s.Append(tp.Strings("y", "q"), interval.New(0, 4), 0.5)
 	_ = v
-	s2 := ProjectLineage(s, []int{0}, []string{"K"})
+	s2 := project(t, s, []int{0}, []string{"K"})
 	if s2.Len() != 1 || !s2.Tuples[0].T.Equal(interval.New(0, 4)) {
 		t.Errorf("single-tuple projection wrong: %v", s2)
 	}
@@ -91,7 +105,7 @@ func TestProjectLineagePointwise(t *testing.T) {
 			used[key] = append(used[key], span{st, e})
 			r.Append(tp.Strings(k, sub), interval.New(st, e), 0.1+0.8*rng.Float64())
 		}
-		p := ProjectLineage(r, []int{0}, []string{"K"})
+		p := project(t, r, []int{0}, []string{"K"})
 		pm, err := tp.Expand(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%v", trial, err, p)
@@ -143,5 +157,20 @@ func TestProjectLineagePanics(t *testing.T) {
 			t.Fatalf("expected panic")
 		}
 	}()
-	ProjectLineage(paperA(), []int{0, 1}, []string{"only-one"})
+	project(t, paperA(), []int{0, 1}, []string{"only-one"})
+}
+
+// TestProjectLineageObservesContext: the projection stops on a cancelled
+// context and charges a memory budget for the rows it emits.
+func TestProjectLineageObservesContext(t *testing.T) {
+	r, _ := dataset.Meteo(2000, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ProjectLineage(ctx, r, []int{0}, []string{"Key"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
+	}
+	ctx = mem.WithGauge(context.Background(), mem.NewGauge(1024))
+	if _, err := ProjectLineage(ctx, r, []int{0}, []string{"Key"}); !mem.IsBudget(err) {
+		t.Fatalf("1 KiB budget: err = %v, want a budget error", err)
+	}
 }

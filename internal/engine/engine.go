@@ -56,10 +56,10 @@ func Run(op Operator, name string) (*tp.Relation, error) {
 	return RunContext(context.Background(), op, name)
 }
 
-// cancelCheckInterval is how many tuples RunContext drains between
-// context checks: frequent enough that per-query timeouts bite within
-// microseconds on the pipelined NJ operators, rare enough that the check
-// never shows up in profiles.
+// cancelCheckInterval is how many tuples drain pulls between checkpoints:
+// frequent enough that per-query timeouts bite within microseconds on the
+// pipelined NJ operators, rare enough that the check never shows up in
+// profiles.
 const cancelCheckInterval = 256
 
 // RunContext drains op into a relation named name, opening and closing
@@ -67,27 +67,45 @@ const cancelCheckInterval = 256
 // deadline passes. Cancellation is observed before Open, inside blocking
 // Opens (ctx is bound over the tree first, so the TA baseline checks it
 // between alignment batches and the PNJ partition workers between
-// partitions — see ContextBinder), and then every cancelCheckInterval
-// tuples while draining. A memory budget on ctx (mem.WithGauge) is
-// charged for the materialized result at the same checkpoints, so a
-// runaway result set aborts with a budget error as promptly as a timeout
-// would fire.
+// partitions — see ContextBinder), and then at every checkpoint of the
+// final drain, like a memory budget on ctx (mem.WithGauge).
 func RunContext(ctx context.Context, op Operator, name string) (*tp.Relation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	BindContext(ctx, op)
+	return materialize(ctx, op, name)
+}
+
+// materialize opens op, drains it into a relation named name and closes
+// it.
+func materialize(ctx context.Context, op Operator, name string) (*tp.Relation, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
-	out := &tp.Relation{
-		Name:  name,
-		Attrs: append([]string(nil), op.Attrs()...),
-		Probs: op.Probs(),
+	tuples, err := drain(ctx, op)
+	if err != nil {
+		return nil, err
 	}
+	return &tp.Relation{
+		Name:   name,
+		Attrs:  append([]string(nil), op.Attrs()...),
+		Probs:  op.Probs(),
+		Tuples: tuples,
+	}, nil
+}
+
+// drain pulls the opened op to exhaustion — the one loop behind every
+// place the engine buffers tuples (the final result, a join's or set
+// operation's derived input, Sort). Every cancelCheckInterval tuples it
+// observes ctx and charges a memory budget on it for the tuples buffered
+// since the last checkpoint, so a runaway buffer aborts with a budget
+// error as promptly as a timeout would fire.
+func drain(ctx context.Context, op Operator) ([]tp.Tuple, error) {
 	gauge := mem.FromContext(ctx)
-	perCheck := cancelCheckInterval * mem.TupleBytes(len(out.Attrs))
+	perCheck := cancelCheckInterval * mem.TupleBytes(len(op.Attrs()))
+	var out []tp.Tuple
 	for n := 0; ; n++ {
 		if n%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -106,8 +124,45 @@ func RunContext(ctx context.Context, op Operator, name string) (*tp.Relation, er
 		if !ok {
 			return out, nil
 		}
-		out.Tuples = append(out.Tuples, t)
+		out = append(out, t)
 	}
+}
+
+// blocking is the state every operator with a materializing Open shares:
+// the query context RunContext binds (see ContextBinder), the tuples Open
+// materialized and the cursor Next scans them with.
+type blocking struct {
+	base
+	ctx context.Context
+	mat []tp.Tuple
+	mi  int
+}
+
+// BindContext implements ContextBinder: the materializing Open observes
+// ctx, so a per-query timeout, client disconnect or memory budget aborts
+// mid-Open instead of at the next tuple boundary.
+func (b *blocking) BindContext(ctx context.Context) { b.ctx = ctx }
+
+// begin resets the operator for a fresh Open and returns the bound
+// context (Background for a tree driven without RunContext).
+func (b *blocking) begin() context.Context {
+	b.stats = Stats{}
+	b.mat, b.mi = nil, 0
+	if b.ctx == nil {
+		return context.Background()
+	}
+	return b.ctx
+}
+
+// Next scans the materialized tuples.
+func (b *blocking) Next() (tp.Tuple, bool, error) {
+	if b.mi >= len(b.mat) {
+		return tp.Tuple{}, false, nil
+	}
+	t := b.mat[b.mi]
+	b.mi++
+	b.stats.Rows++
+	return t, true, nil
 }
 
 // --- Scan ---

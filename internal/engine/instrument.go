@@ -109,10 +109,11 @@ func (i *Instrumented) Probs() prob.Probs { return i.op.Probs() }
 func (i *Instrumented) Stats() Stats { return Stats{Rows: i.stats.Rows} }
 
 // ContextBinder is implemented by operators whose Open must observe the
-// query context: materializing strategies (TA, PNJ) check it between
-// build batches/partitions so cancellation aborts mid-Open rather than at
-// the next tuple boundary. RunContext binds the context over the whole
-// tree before Open; operators that never block may ignore it.
+// query context — every operator with a materializing Open, through the
+// blocking state they embed — so cancellation and the memory budget abort
+// mid-Open rather than at the next tuple boundary. RunContext binds the
+// context over the whole tree before Open; operators that never block
+// ignore it.
 type ContextBinder interface {
 	BindContext(ctx context.Context)
 }

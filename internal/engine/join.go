@@ -63,7 +63,7 @@ func (s Strategy) String() string {
 // partitioned-parallel executors PNJ/PTA) the result is materialized at
 // Open and then scanned.
 type TPJoin struct {
-	base
+	blocking
 	op       tp.Op
 	left     Operator
 	right    Operator
@@ -72,10 +72,6 @@ type TPJoin struct {
 	taCfg    align.Config
 	workers  int // PNJ worker count; 0 means GOMAXPROCS
 
-	// ctx is the query context bound by RunContext (see ContextBinder):
-	// the blocking strategies observe it during their materializing Open.
-	// nil means context.Background().
-	ctx context.Context
 	// instr enables strategy-level stage accounting (set by Instrument);
 	// abort records the context error that interrupted a blocking Open,
 	// for EXPLAIN ANALYZE's abort annotation.
@@ -91,9 +87,7 @@ type TPJoin struct {
 	// carries it only so EXPLAIN can render the decision.
 	pick *AutoPick
 
-	stream core.TupleIterator // NJ
-	mat    *tp.Relation       // TA / PNJ
-	mi     int
+	stream core.TupleIterator // NJ; nil under the blocking strategies
 	probs  prob.Probs
 }
 
@@ -145,28 +139,16 @@ func (j *TPJoin) SetWorkers(n int) { j.workers = n }
 // Workers returns the configured parallel worker count.
 func (j *TPJoin) Workers() int { return j.workers }
 
-// BindContext implements ContextBinder: the blocking strategies (TA,
-// PNJ, PTA) observe ctx during their materializing Open, so a per-query
-// timeout or client disconnect aborts mid-Open instead of at the next
-// tuple boundary.
-func (j *TPJoin) BindContext(ctx context.Context) { j.ctx = ctx }
-
 // AbortErr returns the context error that interrupted the last Open, or
 // nil if it ran to completion. EXPLAIN ANALYZE reports it as the node's
 // abort reason.
 func (j *TPJoin) AbortErr() error { return j.abort }
 
 func (j *TPJoin) Open() error {
-	j.stats = Stats{}
+	ctx := j.begin()
 	j.stream = nil
-	j.mat = nil
-	j.mi = 0
 	j.abort = nil
 	j.njInstr, j.taStats, j.pnjStats = nil, nil, nil
-	ctx := j.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	r, err := childRelation(ctx, j.left, "l")
 	if err != nil {
 		j.abort = ctx.Err()
@@ -178,11 +160,12 @@ func (j *TPJoin) Open() error {
 		return err
 	}
 	j.probs = tp.MergeProbs(r, s)
+	var out *tp.Relation
 	switch j.strategy {
 	case StrategyNJ:
 		// The NJ stream's pooled batch buffers are the strategy's only
-		// allocation beyond the result drain (which RunContext charges);
-		// budget them up front at checkout size.
+		// allocation beyond whatever buffers its rows downstream (drain
+		// charges those); budget them up front at checkout size.
 		if err := mem.FromContext(ctx).Charge(core.PipelineBytes(j.op)); err != nil {
 			return err
 		}
@@ -191,15 +174,12 @@ func (j *TPJoin) Open() error {
 		} else {
 			j.stream, _ = core.JoinStream(j.op, r, s, j.theta)
 		}
+		return nil
 	case StrategyTA:
 		if j.instr {
 			j.taStats = &align.Stats{}
 		}
-		j.mat, err = align.JoinContext(ctx, j.op, r, s, j.theta, j.taCfg, j.taStats)
-		if err != nil {
-			j.abort = err
-			return err
-		}
+		out, err = align.JoinContext(ctx, j.op, r, s, j.theta, j.taCfg, j.taStats)
 	case StrategyPNJ, StrategyPTA:
 		eq, ok := j.theta.(tp.EquiTheta)
 		if !ok {
@@ -209,20 +189,21 @@ func (j *TPJoin) Open() error {
 			if j.instr {
 				j.pnjStats = &core.ParallelStats{}
 			}
-			j.mat, err = core.ParallelJoinContext(ctx, j.op, r, s, eq, j.workers, j.pnjStats)
+			out, err = core.ParallelJoinContext(ctx, j.op, r, s, eq, j.workers, j.pnjStats)
 		} else {
 			if j.instr {
 				j.taStats = &align.Stats{}
 			}
-			j.mat, err = align.ParallelJoinContext(ctx, j.op, r, s, eq, j.taCfg, j.workers, j.taStats)
-		}
-		if err != nil {
-			j.abort = err
-			return err
+			out, err = align.ParallelJoinContext(ctx, j.op, r, s, eq, j.taCfg, j.workers, j.taStats)
 		}
 	default:
 		return fmt.Errorf("engine: unknown join strategy %v", j.strategy)
 	}
+	if err != nil {
+		j.abort = err
+		return err
+	}
+	j.mat = out.Tuples
 	return nil
 }
 
@@ -271,24 +252,18 @@ func (j *TPJoin) Stages() []StageStat {
 	return nil
 }
 
+// Next streams out of the window pipeline under NJ — pipelining is the
+// paper's integration claim and what LIMIT relies on — and scans the
+// materialized result otherwise.
 func (j *TPJoin) Next() (tp.Tuple, bool, error) {
-	switch j.strategy {
-	case StrategyNJ:
-		t, ok := j.stream.Next()
-		if !ok {
-			return tp.Tuple{}, false, nil
-		}
-		j.stats.Rows++
-		return t, true, nil
-	default:
-		if j.mi >= len(j.mat.Tuples) {
-			return tp.Tuple{}, false, nil
-		}
-		t := j.mat.Tuples[j.mi]
-		j.mi++
-		j.stats.Rows++
-		return t, true, nil
+	if j.stream == nil {
+		return j.blocking.Next()
 	}
+	t, ok := j.stream.Next()
+	if ok {
+		j.stats.Rows++
+	}
+	return t, ok, nil
 }
 
 func (j *TPJoin) Close() error {
@@ -315,45 +290,17 @@ func (j *TPJoin) Probs() prob.Probs {
 // passes its relation through without copying (the common case, keeping
 // the NJ pipeline zero-copy); any other child is drained once into a
 // per-query temporary, marked Transient so downstream operators skip the
-// per-relation derived-structure caches for it. The drain observes ctx
-// every cancelCheckInterval tuples, so a materializing Open over a large
-// subplan aborts promptly too.
+// per-relation derived-structure caches for it.
 func childRelation(ctx context.Context, op Operator, tag string) (*tp.Relation, error) {
 	if sc, ok := bareScan(op); ok {
 		return sc.Relation(), nil
 	}
-	if err := op.Open(); err != nil {
+	out, err := materialize(ctx, op, "tmp_"+tag)
+	if err != nil {
 		return nil, err
 	}
-	defer op.Close()
-	out := &tp.Relation{
-		Name:      "tmp_" + tag,
-		Attrs:     append([]string(nil), op.Attrs()...),
-		Probs:     op.Probs(),
-		Transient: true,
-	}
-	gauge := mem.FromContext(ctx)
-	perCheck := cancelCheckInterval * mem.TupleBytes(len(out.Attrs))
-	for n := 0; ; n++ {
-		if n%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if n > 0 {
-				if err := gauge.Charge(perCheck); err != nil {
-					return nil, err
-				}
-			}
-		}
-		t, ok, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out.Tuples = append(out.Tuples, t)
-	}
+	out.Transient = true
+	return out, nil
 }
 
 // bareScan unwraps the ANALYZE accounting decorator when looking for the

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"tpjoin/internal/core"
@@ -35,28 +34,20 @@ func (k SetOpKind) String() string {
 
 // TPSetOp is the executor node for TP set operations (∪, ∩, −). Set
 // operations need both inputs as relations; the node materializes its
-// children at Open (cheap for the common bare-scan case) and streams the
-// result.
+// children (free for the common bare-scan case) and then its result at
+// Open, under the query context.
 type TPSetOp struct {
-	base
+	blocking
 	kind  SetOpKind
 	left  Operator
 	right Operator
-
-	ctx   context.Context // bound by RunContext; nil = Background
-	mat   *tp.Relation
-	mi    int
 	probs prob.Probs
 }
-
-// BindContext implements ContextBinder: the materializing Open drains its
-// children under the query context.
-func (s *TPSetOp) BindContext(ctx context.Context) { s.ctx = ctx }
 
 // NewTPSetOp builds a set-operation node; the children must be
 // union-compatible (checked at Open).
 func NewTPSetOp(kind SetOpKind, left, right Operator) *TPSetOp {
-	return &TPSetOp{base: base{attrs: left.Attrs()}, kind: kind, left: left, right: right}
+	return &TPSetOp{blocking: blocking{base: base{attrs: left.Attrs()}}, kind: kind, left: left, right: right}
 }
 
 // Kind returns the set operation kind.
@@ -66,12 +57,7 @@ func (s *TPSetOp) Kind() SetOpKind { return s.kind }
 func (s *TPSetOp) Children() []Operator { return []Operator{s.left, s.right} }
 
 func (s *TPSetOp) Open() error {
-	s.stats = Stats{}
-	s.mi = 0
-	ctx := s.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := s.begin()
 	r, err := childRelation(ctx, s.left, "l")
 	if err != nil {
 		return err
@@ -81,27 +67,22 @@ func (s *TPSetOp) Open() error {
 		return err
 	}
 	s.probs = tp.MergeProbs(r, t)
+	var out *tp.Relation
 	switch s.kind {
 	case SetUnion:
-		s.mat, err = setops.Union(r, t)
+		out, err = setops.Union(ctx, r, t)
 	case SetIntersect:
-		s.mat, err = setops.Intersect(r, t)
+		out, err = setops.Intersect(ctx, r, t)
 	case SetExcept:
-		s.mat, err = setops.Difference(r, t)
+		out, err = setops.Difference(ctx, r, t)
 	default:
 		return fmt.Errorf("engine: unknown set operation %v", s.kind)
 	}
-	return err
-}
-
-func (s *TPSetOp) Next() (tp.Tuple, bool, error) {
-	if s.mat == nil || s.mi >= len(s.mat.Tuples) {
-		return tp.Tuple{}, false, nil
+	if err != nil {
+		return err
 	}
-	t := s.mat.Tuples[s.mi]
-	s.mi++
-	s.stats.Rows++
-	return t, true, nil
+	s.mat = out.Tuples
+	return nil
 }
 
 func (s *TPSetOp) Close() error {
@@ -128,17 +109,10 @@ func (s *TPSetOp) Probs() prob.Probs {
 // temporal-probabilistic projection with duplicate elimination
 // (core.ProjectLineage) over the given columns of its input. Blocking.
 type LineageDistinct struct {
-	base
+	blocking
 	in   Operator
 	cols []int
-
-	ctx context.Context // bound by RunContext; nil = Background
-	mat *tp.Relation
-	mi  int
 }
-
-// BindContext implements ContextBinder.
-func (d *LineageDistinct) BindContext(ctx context.Context) { d.ctx = ctx }
 
 // NewLineageDistinct projects in to cols (named names) with TP duplicate
 // elimination.
@@ -152,35 +126,24 @@ func NewLineageDistinct(in Operator, cols []int, names []string) (*LineageDistin
 			return nil, fmt.Errorf("engine: distinct column %d out of range", c)
 		}
 	}
-	return &LineageDistinct{base: base{attrs: names}, in: in, cols: cols}, nil
+	return &LineageDistinct{blocking: blocking{base: base{attrs: names}}, in: in, cols: cols}, nil
 }
 
 // Child returns the input operator.
 func (d *LineageDistinct) Child() Operator { return d.in }
 
 func (d *LineageDistinct) Open() error {
-	d.stats = Stats{}
-	d.mi = 0
-	ctx := d.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := d.begin()
 	rel, err := childRelation(ctx, d.in, "d")
 	if err != nil {
 		return err
 	}
-	d.mat = core.ProjectLineage(rel, d.cols, d.attrs)
-	return nil
-}
-
-func (d *LineageDistinct) Next() (tp.Tuple, bool, error) {
-	if d.mat == nil || d.mi >= len(d.mat.Tuples) {
-		return tp.Tuple{}, false, nil
+	out, err := core.ProjectLineage(ctx, rel, d.cols, d.attrs)
+	if err != nil {
+		return err
 	}
-	t := d.mat.Tuples[d.mi]
-	d.mi++
-	d.stats.Rows++
-	return t, true, nil
+	d.mat = out.Tuples
+	return nil
 }
 
 func (d *LineageDistinct) Close() error { return d.in.Close() }

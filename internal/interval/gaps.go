@@ -36,33 +36,6 @@ func Gaps(span Interval, cover []Interval) []Interval {
 	return out
 }
 
-// Coalesce merges overlapping or adjacent intervals into the minimal set of
-// maximal disjoint intervals, in temporal order. Empty inputs are dropped.
-func Coalesce(ivs []Interval) []Interval {
-	cs := make([]Interval, 0, len(ivs))
-	for _, iv := range ivs {
-		if !iv.Empty() {
-			cs = append(cs, iv)
-		}
-	}
-	if len(cs) == 0 {
-		return nil
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Less(cs[j]) })
-	out := []Interval{cs[0]}
-	for _, iv := range cs[1:] {
-		last := &out[len(out)-1]
-		if iv.Start <= last.End {
-			if iv.End > last.End {
-				last.End = iv.End
-			}
-		} else {
-			out = append(out, iv)
-		}
-	}
-	return out
-}
-
 // Elementary splits the region covered by ivs at every interval boundary,
 // returning the elementary intervals in temporal order. Within one
 // elementary interval the set of covering input intervals is constant.

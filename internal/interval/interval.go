@@ -89,34 +89,6 @@ func (iv Interval) Intersect(other Interval) Interval {
 	return Interval{Start: s, End: e}
 }
 
-// Union returns the smallest interval covering both iv and other.
-// It panics if the intervals are disjoint and non-adjacent, since the
-// result would not be an interval.
-func (iv Interval) Union(other Interval) Interval {
-	if iv.Empty() {
-		return other
-	}
-	if other.Empty() {
-		return iv
-	}
-	if iv.End < other.Start || other.End < iv.Start {
-		panic(fmt.Sprintf("interval: union of disjoint intervals %v and %v", iv, other))
-	}
-	return Interval{Start: min64(iv.Start, other.Start), End: max64(iv.End, other.End)}
-}
-
-// Before reports whether iv ends at or before the start of other
-// (Allen's before-or-meets).
-func (iv Interval) Before(other Interval) bool { return iv.End <= other.Start }
-
-// Meets reports whether iv ends exactly where other starts.
-func (iv Interval) Meets(other Interval) bool { return iv.End == other.Start }
-
-// Adjacent reports whether the two intervals meet in either direction.
-func (iv Interval) Adjacent(other Interval) bool {
-	return iv.End == other.Start || other.End == iv.Start
-}
-
 // Equal reports whether the two intervals contain exactly the same time
 // points. All empty intervals are equal.
 func (iv Interval) Equal(other Interval) bool {
@@ -149,26 +121,6 @@ func (iv Interval) Compare(other Interval) int {
 	default:
 		return 0
 	}
-}
-
-// Subtract returns the parts of iv not covered by other: zero, one or two
-// intervals, in temporal order.
-func (iv Interval) Subtract(other Interval) []Interval {
-	if iv.Empty() {
-		return nil
-	}
-	x := iv.Intersect(other)
-	if x.Empty() {
-		return []Interval{iv}
-	}
-	var out []Interval
-	if iv.Start < x.Start {
-		out = append(out, Interval{Start: iv.Start, End: x.Start})
-	}
-	if x.End < iv.End {
-		out = append(out, Interval{Start: x.End, End: iv.End})
-	}
-	return out
 }
 
 // String renders the interval in the paper's [s,e) notation.

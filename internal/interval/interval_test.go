@@ -121,40 +121,6 @@ func TestIntersectMatchesPointwise(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	if got := New(2, 5).Union(New(4, 9)); got != New(2, 9) {
-		t.Errorf("Union = %v, want [2,9)", got)
-	}
-	if got := New(2, 5).Union(New(5, 9)); got != New(2, 9) {
-		t.Errorf("adjacent Union = %v, want [2,9)", got)
-	}
-	if got := New(2, 5).Union(Interval{}); got != New(2, 5) {
-		t.Errorf("Union with empty = %v, want [2,5)", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Union of disjoint non-adjacent did not panic")
-		}
-	}()
-	New(2, 4).Union(New(6, 9))
-}
-
-func TestBeforeMeetsAdjacent(t *testing.T) {
-	a, b := New(2, 5), New(5, 9)
-	if !a.Before(b) || b.Before(a) {
-		t.Errorf("Before wrong for %v, %v", a, b)
-	}
-	if !a.Meets(b) || b.Meets(a) {
-		t.Errorf("Meets wrong for %v, %v", a, b)
-	}
-	if !a.Adjacent(b) || !b.Adjacent(a) {
-		t.Errorf("Adjacent should be symmetric")
-	}
-	if a.Adjacent(New(6, 7)) {
-		t.Errorf("[2,5) not adjacent to [6,7)")
-	}
-}
-
 func TestEqualLessCompare(t *testing.T) {
 	if !New(2, 5).Equal(New(2, 5)) {
 		t.Errorf("identical intervals must be Equal")
@@ -176,57 +142,6 @@ func TestEqualLessCompare(t *testing.T) {
 	}
 	if New(1, 9).Compare(New(2, 3)) != -1 || New(3, 4).Compare(New(2, 9)) != 1 {
 		t.Errorf("Compare start ordering failed")
-	}
-}
-
-func TestSubtract(t *testing.T) {
-	cases := []struct {
-		a, b Interval
-		want []Interval
-	}{
-		{New(2, 8), New(4, 6), []Interval{New(2, 4), New(6, 8)}},
-		{New(2, 8), New(2, 8), nil},
-		{New(2, 8), New(1, 9), nil},
-		{New(2, 8), New(6, 12), []Interval{New(2, 6)}},
-		{New(2, 8), New(0, 4), []Interval{New(4, 8)}},
-		{New(2, 8), New(10, 12), []Interval{New(2, 8)}},
-		{Interval{}, New(1, 2), nil},
-	}
-	for _, c := range cases {
-		got := c.a.Subtract(c.b)
-		if len(got) != len(c.want) {
-			t.Errorf("%v.Subtract(%v) = %v, want %v", c.a, c.b, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("%v.Subtract(%v)[%d] = %v, want %v", c.a, c.b, i, got[i], c.want[i])
-			}
-		}
-	}
-}
-
-func TestSubtractPointwise(t *testing.T) {
-	f := func(a1, a2, b1, b2 int8) bool {
-		a := ordered(Time(a1), Time(a2))
-		b := ordered(Time(b1), Time(b2))
-		parts := a.Subtract(b)
-		for p := Time(-130); p <= 130; p++ {
-			want := a.Contains(p) && !b.Contains(p)
-			got := false
-			for _, pt := range parts {
-				if pt.Contains(p) {
-					got = true
-				}
-			}
-			if got != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -308,14 +223,6 @@ func TestGapsPointwiseRandom(t *testing.T) {
 				t.Fatalf("gaps not disjoint/maximal: %v", gaps)
 			}
 		}
-	}
-}
-
-func TestCoalesce(t *testing.T) {
-	got := Coalesce([]Interval{New(5, 7), New(1, 3), New(2, 4), New(7, 9), {}})
-	assertIntervals(t, got, []Interval{New(1, 4), New(5, 9)})
-	if Coalesce(nil) != nil {
-		t.Errorf("Coalesce(nil) should be nil")
 	}
 }
 

@@ -1,107 +1,5 @@
 package lineage
 
-// NNF returns the negation normal form of e: negations appear only
-// directly above variables, obtained by De Morgan rewriting. The result
-// is logically equivalent to e (property-tested) and at most twice its
-// size. Inference engines that case-split on the top-level connective
-// (e.g. d-DNNF style compilers) expect this shape.
-func NNF(e *Expr) *Expr {
-	return nnf(e, false)
-}
-
-func nnf(e *Expr, negated bool) *Expr {
-	switch e.kind {
-	case KindFalse:
-		if negated {
-			return exprTrue
-		}
-		return e
-	case KindTrue:
-		if negated {
-			return exprFalse
-		}
-		return e
-	case KindVar:
-		if negated {
-			return Not(e)
-		}
-		return e
-	case KindNot:
-		return nnf(e.kids[0], !negated)
-	case KindAnd, KindOr:
-		kids := make([]*Expr, len(e.kids))
-		for i, k := range e.kids {
-			kids[i] = nnf(k, negated)
-		}
-		// De Morgan: negation flips the connective.
-		if (e.kind == KindAnd) != negated {
-			return And(kids...)
-		}
-		return Or(kids...)
-	default:
-		panic("lineage: invalid expression")
-	}
-}
-
-// IsNNF reports whether negations in e occur only directly above
-// variables.
-func IsNNF(e *Expr) bool {
-	switch e.kind {
-	case KindFalse, KindTrue, KindVar:
-		return true
-	case KindNot:
-		return e.kids[0].kind == KindVar
-	default:
-		for _, k := range e.kids {
-			if !IsNNF(k) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// Substitute replaces every occurrence of the mapped variables by their
-// images and re-simplifies bottom-up. This is lineage composition (view
-// unfolding): if a derived relation's tuples were assigned fresh base
-// events, substituting their true lineages yields the lineage over the
-// original database. Unmapped variables are kept.
-func Substitute(e *Expr, subst map[Var]*Expr) *Expr {
-	switch e.kind {
-	case KindFalse, KindTrue:
-		return e
-	case KindVar:
-		if img, ok := subst[e.v]; ok {
-			return img
-		}
-		return e
-	case KindNot:
-		k := Substitute(e.kids[0], subst)
-		if k == e.kids[0] {
-			return e
-		}
-		return Not(k)
-	case KindAnd, KindOr:
-		changed := false
-		kids := make([]*Expr, len(e.kids))
-		for i, k := range e.kids {
-			kids[i] = Substitute(k, subst)
-			if kids[i] != k {
-				changed = true
-			}
-		}
-		if !changed {
-			return e
-		}
-		if e.kind == KindAnd {
-			return And(kids...)
-		}
-		return Or(kids...)
-	default:
-		panic("lineage: invalid expression")
-	}
-}
-
 // Literals returns the number of literal occurrences (variables, possibly
 // negated) in e.
 func Literals(e *Expr) int {

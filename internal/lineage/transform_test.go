@@ -1,105 +1,6 @@
 package lineage
 
-import (
-	"math/rand"
-	"testing"
-)
-
-func TestNNFBasics(t *testing.T) {
-	x, y := v("a", 1), v("b", 2)
-	e := Not(And(x, y))
-	n := NNF(e)
-	if n.String() != "¬a1 ∨ ¬b2" {
-		t.Errorf("NNF(¬(x∧y)) = %q", n)
-	}
-	if !IsNNF(n) {
-		t.Errorf("NNF output must be in NNF")
-	}
-	if !Equivalent(e, n) {
-		t.Errorf("NNF must preserve semantics")
-	}
-	if NNF(Not(True())) != False() || NNF(Not(False())) != True() {
-		t.Errorf("NNF of negated constants wrong")
-	}
-	if !IsNNF(x) || !IsNNF(Not(x)) {
-		t.Errorf("literals are NNF")
-	}
-	if IsNNF(Not(And(x, y))) {
-		t.Errorf("¬(x∧y) is not NNF")
-	}
-}
-
-func TestNNFNested(t *testing.T) {
-	a1, b2, b3 := v("a", 1), v("b", 2), v("b", 3)
-	e := AndNot(a1, Or(b3, b2)) // a1 ∧ ¬(b3 ∨ b2)
-	n := NNF(e)
-	if n.String() != "a1 ∧ ¬b3 ∧ ¬b2" {
-		t.Errorf("NNF = %q", n)
-	}
-	if !Equivalent(e, n) {
-		t.Errorf("not equivalent")
-	}
-}
-
-func TestNNFRandomEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 300; trial++ {
-		e := randExpr(rng, 4)
-		n := NNF(e)
-		if !IsNNF(n) {
-			t.Fatalf("trial %d: not NNF: %v → %v", trial, e, n)
-		}
-		if !Equivalent(e, n) {
-			t.Fatalf("trial %d: NNF changed semantics: %v vs %v", trial, e, n)
-		}
-	}
-}
-
-func TestSubstitute(t *testing.T) {
-	x, y, z := v("a", 1), v("b", 2), v("c", 3)
-	e := And(x, Not(y))
-	// Unfold y as (x ∨ z).
-	got := Substitute(e, map[Var]*Expr{{Rel: "b", ID: 2}: Or(x, z)})
-	want := And(x, Not(Or(x, z)))
-	if !got.Equal(want) {
-		t.Errorf("Substitute = %v, want %v", got, want)
-	}
-	// Identity substitution returns the same node (no realloc).
-	if Substitute(e, map[Var]*Expr{}) != e {
-		t.Errorf("empty substitution must be identity")
-	}
-	if Substitute(e, map[Var]*Expr{{Rel: "z", ID: 9}: x}) != e {
-		t.Errorf("irrelevant substitution must be identity")
-	}
-	// Constants pass through.
-	if Substitute(True(), map[Var]*Expr{{Rel: "a", ID: 1}: y}) != True() {
-		t.Errorf("constant substitution wrong")
-	}
-}
-
-func TestSubstituteComposesProbability(t *testing.T) {
-	// View unfolding: a derived event d1 ≡ a1 ∧ b1; substituting into
-	// d1 ∨ c1 must be equivalent to (a1 ∧ b1) ∨ c1.
-	a1, b1, c1, d1 := v("a", 1), v("b", 1), v("c", 1), v("d", 1)
-	view := Or(d1, c1)
-	unfolded := Substitute(view, map[Var]*Expr{{Rel: "d", ID: 1}: And(a1, b1)})
-	if !Equivalent(unfolded, Or(And(a1, b1), c1)) {
-		t.Errorf("unfolding wrong: %v", unfolded)
-	}
-}
-
-func TestSubstituteSimplifies(t *testing.T) {
-	x, y := v("a", 1), v("b", 2)
-	// Substituting ⊥ must collapse conjunctions.
-	got := Substitute(And(x, y), map[Var]*Expr{{Rel: "a", ID: 1}: False()})
-	if got != False() {
-		t.Errorf("⊥ substitution = %v", got)
-	}
-	got = Substitute(Or(x, y), map[Var]*Expr{{Rel: "a", ID: 1}: True()})
-	if got != True() {
-		t.Errorf("⊤ substitution = %v", got)
-	}
-}
+import "testing"
 
 func TestLiterals(t *testing.T) {
 	x, y := v("a", 1), v("b", 2)
@@ -111,17 +12,5 @@ func TestLiterals(t *testing.T) {
 	}
 	if Literals(Not(x)) != 1 {
 		t.Errorf("negated literal counts once")
-	}
-}
-
-func TestNNFSizeBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 200; trial++ {
-		e := randExpr(rng, 4)
-		n := NNF(e)
-		if Literals(n) > Literals(e) {
-			t.Fatalf("trial %d: NNF increased literal count: %d → %d (%v → %v)",
-				trial, Literals(e), Literals(n), e, n)
-		}
 	}
 }

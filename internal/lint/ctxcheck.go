@@ -115,7 +115,7 @@ func rangesOverTuples(x ast.Expr) bool {
 // drainCallNames are the method/function names whose presence makes a
 // loop a tuple/batch/fragment drain.
 var drainCallNames = map[string]bool{
-	"Next": true, "NextBatch": true, "Drain": true, "DrainBatched": true,
+	"Next": true, "NextBatch": true, "Drain": true,
 }
 
 // bodyDrains reports whether the loop body pulls from an iterator.

@@ -105,7 +105,7 @@ func drainNoCtxInScope(op Operator) (n int) {
 	}
 }
 
-// BatchSource mirrors core.BatchIterator: one NextBatch call moves a
+// BatchSource mirrors core.Iterator: one NextBatch call moves a
 // whole batch between stages.
 type BatchSource interface {
 	NextBatch(buf []Tuple) int

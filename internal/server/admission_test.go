@@ -8,9 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"tpjoin/internal/catalog"
 	"tpjoin/internal/client"
+	"tpjoin/internal/dataset"
 	"tpjoin/internal/fault"
 	"tpjoin/internal/server"
+	"tpjoin/internal/tp"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -270,5 +273,52 @@ func TestMemoryBudgetServerDefault(t *testing.T) {
 	}
 	if resp, err := c.Query(ctx, joinQueries[5]); err != nil || resp.RowCount == 0 {
 		t.Fatalf("override did not defeat the server default: rows=%v err=%v", resp, err)
+	}
+}
+
+// TestMemoryBudgetOrderByLimit: the rows a statement buffers count
+// against its budget wherever they are buffered — under a Sort fed by a
+// streaming NJ join, inside a set operation, inside DISTINCT — so putting
+// ORDER BY … LIMIT 1 (or LIMIT 1) on top of an over-budget statement
+// still ends in ErrClass "budget" instead of one row.
+func TestMemoryBudgetOrderByLimit(t *testing.T) {
+	expectGoroutines(t)
+	cat := catalog.New()
+	r, s := dataset.Webkit(12000, 1)
+	for _, rel := range []*tp.Relation{r, s} {
+		if err := cat.Register(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, addr := startServer(t, cat, server.Config{})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for _, q := range []string{"SET strategy = nj", "SET memory_budget = 256kb"} {
+		if _, err := c.Query(ctx, q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	for _, q := range []string{
+		"SELECT * FROM r TP LEFT JOIN s ON r.Key = s.Key",
+		"SELECT * FROM r TP LEFT JOIN s ON r.Key = s.Key ORDER BY P DESC LIMIT 1",
+		"SELECT * FROM r TP UNION s ORDER BY P DESC LIMIT 1",
+		"SELECT * FROM r TP INTERSECT s ORDER BY P DESC LIMIT 1",
+		"SELECT * FROM r TP EXCEPT s ORDER BY P DESC LIMIT 1",
+		"SELECT DISTINCT Key FROM r LIMIT 1",
+	} {
+		resp, err := c.Query(ctx, q)
+		se, ok := err.(*client.ServerError)
+		if !ok || se.ErrClass != "budget" || resp.ErrClass != "budget" {
+			t.Errorf("%s: err = %v, want ErrClass budget", q, err)
+		}
+	}
+	// The budget is per statement: the session still serves a query
+	// that fits.
+	if resp, err := c.Query(ctx, "SELECT * FROM r LIMIT 1"); err != nil || resp.RowCount != 1 {
+		t.Fatalf("after the budget errors: rows=%v err=%v", resp, err)
 	}
 }

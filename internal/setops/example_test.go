@@ -1,6 +1,7 @@
 package setops_test
 
 import (
+	"context"
 	"fmt"
 
 	"tpjoin/internal/interval"
@@ -16,7 +17,7 @@ func ExampleUnion() {
 	s := tp.NewRelation("s", "Service")
 	s.Append(tp.Strings("api"), interval.New(4, 10), 0.25)
 
-	u, _ := setops.Union(r, s)
+	u, _ := setops.Union(context.Background(), r, s)
 	for _, t := range u.Tuples {
 		fmt.Println(t)
 	}
@@ -34,7 +35,7 @@ func ExampleDifference() {
 	s := tp.NewRelation("s", "Service")
 	s.Append(tp.Strings("api"), interval.New(4, 10), 0.25)
 
-	d, _ := setops.Difference(r, s)
+	d, _ := setops.Difference(context.Background(), r, s)
 	for _, t := range d.Tuples {
 		fmt.Println(t)
 	}

@@ -6,7 +6,10 @@
 // [1] of the reproduced paper).
 //
 // Set operations are TP joins whose θ is equality on *all* non-temporal
-// attributes (the two relations must be union-compatible):
+// attributes (the two relations must be union-compatible), so they run as
+// rows of internal/core's operator table — the same window pipelines,
+// tuple tail, probability batches, cancellation checks and memory-budget
+// charges as the joins:
 //
 //	r ∪Tp s : overlapping windows → λr ∨ λs,
 //	          unmatched windows of either side → that side's lineage;
@@ -20,13 +23,11 @@
 package setops
 
 import (
+	"context"
 	"fmt"
 
 	"tpjoin/internal/core"
-	"tpjoin/internal/lineage"
-	"tpjoin/internal/prob"
 	"tpjoin/internal/tp"
-	"tpjoin/internal/window"
 )
 
 // allTheta builds the full-fact equality condition for two
@@ -47,83 +48,36 @@ func allTheta(r, s *tp.Relation) (tp.EquiTheta, error) {
 
 // Union computes r ∪Tp s: at each time point, a fact is true when it is
 // true in either input.
-func Union(r, s *tp.Relation) (*tp.Relation, error) {
+func Union(ctx context.Context, r, s *tp.Relation) (*tp.Relation, error) {
 	theta, err := allTheta(r, s)
 	if err != nil {
 		return nil, err
 	}
-	out := &tp.Relation{
-		Name:  fmt.Sprintf("%s_union_%s", r.Name, s.Name),
-		Attrs: append([]string(nil), r.Attrs...),
-		Probs: tp.MergeProbs(r, s),
-	}
-	ev := prob.NewEvaluator(out.Probs)
-
-	// Forward pass: overlapping windows (λr ∨ λs) and r's unmatched (λr).
-	fwd := core.LAWAU(core.OverlapJoin(r, s, theta))
-	for {
-		w, ok := fwd.Next()
-		if !ok {
-			break
-		}
-		switch w.Class() {
-		case window.Overlapping:
-			lam := lineage.Or(w.Lr, w.Ls)
-			out.AppendDerived(w.Fr, lam, w.T, ev.Prob(lam))
-		case window.Unmatched:
-			out.AppendDerived(w.Fr, w.Lr, w.T, ev.Prob(w.Lr))
-		}
-	}
-	// Backward pass: s's unmatched windows (λs).
-	bwd := core.LAWAU(core.OverlapJoin(s, r, tp.Swap(theta)))
-	for {
-		w, ok := bwd.Next()
-		if !ok {
-			break
-		}
-		if w.Class() == window.Unmatched {
-			out.AppendDerived(w.Fr, w.Lr, w.T, ev.Prob(w.Lr))
-		}
-	}
-	return out, nil
+	return core.Union(ctx, r, s, theta)
 }
 
 // Intersect computes r ∩Tp s: a fact is true when it is true in both
 // inputs.
-func Intersect(r, s *tp.Relation) (*tp.Relation, error) {
+func Intersect(ctx context.Context, r, s *tp.Relation) (*tp.Relation, error) {
 	theta, err := allTheta(r, s)
 	if err != nil {
 		return nil, err
 	}
-	out := &tp.Relation{
-		Name:  fmt.Sprintf("%s_intersect_%s", r.Name, s.Name),
-		Attrs: append([]string(nil), r.Attrs...),
-		Probs: tp.MergeProbs(r, s),
-	}
-	ev := prob.NewEvaluator(out.Probs)
-	it := core.OverlapJoin(r, s, theta)
-	for {
-		w, ok := it.Next()
-		if !ok {
-			return out, nil
-		}
-		if w.Class() != window.Overlapping {
-			continue
-		}
-		lam := lineage.And(w.Lr, w.Ls)
-		out.AppendDerived(w.Fr, lam, w.T, ev.Prob(lam))
-	}
+	return core.Intersect(ctx, r, s, theta)
 }
 
 // Difference computes r −Tp s: at each time point the probability that
 // the fact is true in r and not true in s. It is exactly the TP anti join
 // with full-fact equality.
-func Difference(r, s *tp.Relation) (*tp.Relation, error) {
+func Difference(ctx context.Context, r, s *tp.Relation) (*tp.Relation, error) {
 	theta, err := allTheta(r, s)
 	if err != nil {
 		return nil, err
 	}
-	out := core.AntiJoin(r, s, theta)
+	out, err := core.JoinContext(ctx, tp.OpAnti, r, s, theta)
+	if err != nil {
+		return nil, err
+	}
 	out.Name = fmt.Sprintf("%s_minus_%s", r.Name, s.Name)
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package setops
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,8 @@ import (
 	"tpjoin/internal/prob"
 	"tpjoin/internal/tp"
 )
+
+var ctx = context.Background()
 
 // pointwiseRef computes the reference result of a set operation at every
 // time point: for each fact and t, the probabilities pr (valid in r) and
@@ -136,7 +139,7 @@ func demo() (*tp.Relation, *tp.Relation) {
 
 func TestUnionDemo(t *testing.T) {
 	r, s := demo()
-	u, err := Union(r, s)
+	u, err := Union(ctx, r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestUnionDemo(t *testing.T) {
 
 func TestIntersectDemo(t *testing.T) {
 	r, s := demo()
-	x, err := Intersect(r, s)
+	x, err := Intersect(ctx, r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +179,7 @@ func TestIntersectDemo(t *testing.T) {
 
 func TestDifferenceDemo(t *testing.T) {
 	r, s := demo()
-	d, err := Difference(r, s)
+	d, err := Difference(ctx, r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +198,13 @@ func TestDifferenceDemo(t *testing.T) {
 func TestUnionCompatibility(t *testing.T) {
 	r := tp.NewRelation("r", "A", "B")
 	s := tp.NewRelation("s", "A")
-	if _, err := Union(r, s); err == nil {
+	if _, err := Union(ctx, r, s); err == nil {
 		t.Errorf("arity mismatch must error")
 	}
-	if _, err := Intersect(r, s); err == nil {
+	if _, err := Intersect(ctx, r, s); err == nil {
 		t.Errorf("arity mismatch must error")
 	}
-	if _, err := Difference(r, s); err == nil {
+	if _, err := Difference(ctx, r, s); err == nil {
 		t.Errorf("arity mismatch must error")
 	}
 }
@@ -211,17 +214,17 @@ func TestSetOpsRandom(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		r := randRelation(rng, "r")
 		s := randRelation(rng, "s")
-		u, err := Union(r, s)
+		u, err := Union(ctx, r, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		equalMaps(t, expandProbs(t, u), pointwiseRef("union", r, s), "union")
-		x, err := Intersect(r, s)
+		x, err := Intersect(ctx, r, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		equalMaps(t, expandProbs(t, x), pointwiseRef("intersect", r, s), "intersect")
-		d, err := Difference(r, s)
+		d, err := Difference(ctx, r, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +237,7 @@ func TestSetOpsIdentities(t *testing.T) {
 	// r matches itself, giving λ ∧ ¬λ = ⊥, probability 0. The companion
 	// paper keeps such tuples (they are valid windows); check prob 0.
 	r, _ := demo()
-	d, err := Difference(r, r.Clone())
+	d, err := Difference(ctx, r, r.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +248,7 @@ func TestSetOpsIdentities(t *testing.T) {
 	}
 	// r ∪ r: 1-(1-p)² pointwise? No — both sides share base events, so
 	// λ ∨ λ = λ and the probability stays p.
-	u, err := Union(r, r.Clone())
+	u, err := Union(ctx, r, r.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

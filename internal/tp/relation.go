@@ -112,19 +112,6 @@ func (r *Relation) Clone() *Relation {
 // not. Treat a relation as immutable once it has been used as a join
 // input, or Clone before mutating it by hand.
 
-// SortByFactStart sorts tuples by (fact, interval) — the canonical order
-// for grouping operators. See the in-place mutation caveat above.
-func (r *Relation) SortByFactStart() {
-	r.version++
-	sort.SliceStable(r.Tuples, func(i, j int) bool {
-		ti, tj := r.Tuples[i], r.Tuples[j]
-		if c := ti.Fact.Compare(tj.Fact); c != 0 {
-			return c < 0
-		}
-		return ti.T.Less(tj.T)
-	})
-}
-
 // SortByStart sorts tuples by interval (Start, End). See the in-place
 // mutation caveat above.
 func (r *Relation) SortByStart() {
@@ -157,16 +144,6 @@ func (r *Relation) ValidateSequenced() error {
 		g.Vals = append(g.Vals, t.T)
 	}
 	return nil
-}
-
-// ComputeProbs fills in Prob = Pr(λ) for every tuple, using the base-event
-// probabilities of the relation. It returns the relation for chaining.
-func (r *Relation) ComputeProbs() *Relation {
-	ev := prob.NewEvaluator(r.Probs)
-	for i := range r.Tuples {
-		r.Tuples[i].Prob = ev.Prob(r.Tuples[i].Lineage)
-	}
-	return r
 }
 
 // String renders the relation as a small table, for examples and debugging.

@@ -98,21 +98,6 @@ func TestValidateNullLineage(t *testing.T) {
 	}
 }
 
-func TestSortByFactStart(t *testing.T) {
-	r := NewRelation("r", "X")
-	r.Append(Strings("b"), interval.New(5, 6), 0.5)
-	r.Append(Strings("a"), interval.New(7, 9), 0.5)
-	r.Append(Strings("a"), interval.New(2, 4), 0.5)
-	r.SortByFactStart()
-	want := []string{"a", "a", "b"}
-	starts := []interval.Time{2, 7, 5}
-	for i, tu := range r.Tuples {
-		if tu.Fact[0].AsString() != want[i] || tu.T.Start != starts[i] {
-			t.Fatalf("sorted order wrong: %v", r.Tuples)
-		}
-	}
-}
-
 func TestSortByStart(t *testing.T) {
 	r := NewRelation("r", "X")
 	r.Append(Strings("b"), interval.New(5, 6), 0.5)
@@ -120,17 +105,6 @@ func TestSortByStart(t *testing.T) {
 	r.SortByStart()
 	if r.Tuples[0].T.Start != 2 {
 		t.Fatalf("SortByStart wrong")
-	}
-}
-
-func TestComputeProbs(t *testing.T) {
-	a := paperA()
-	out := NewRelation("q", "Name", "Loc")
-	out.Probs = a.Probs.Clone()
-	out.AppendDerived(Strings("Ann", "ZAK"), lineage.Not(lineage.NewVar("a", 1)), interval.New(0, 1), 0)
-	out.ComputeProbs()
-	if got := out.Tuples[0].Prob; got < 0.2999 || got > 0.3001 {
-		t.Errorf("ComputeProbs = %g, want 0.3", got)
 	}
 }
 
@@ -190,16 +164,16 @@ func TestThetaEqui(t *testing.T) {
 	if theta.Match(Fact{String_("Ann"), Null()}, h1) {
 		t.Errorf("NULL must not match anything")
 	}
-	k1, ok1 := theta.RKey(ann)
-	k2, ok2 := theta.SKey(h1)
-	if !ok1 || !ok2 || k1 != k2 {
-		t.Errorf("equal keys expected: %q vs %q", k1, k2)
+	k1, ok1 := theta.RKeyHash(ann)
+	k2, ok2 := theta.SKeyHash(h1)
+	if !ok1 || !ok2 || k1 != k2 || !theta.KeyMatch(ann, h1) {
+		t.Errorf("equal keys expected: %x vs %x", k1, k2)
 	}
-	if _, ok := theta.RKey(Fact{String_("x"), Null()}); ok {
+	if _, ok := theta.RKeyHash(Fact{String_("x"), Null()}); ok {
 		t.Errorf("NULL key must be reported unmatchable")
 	}
-	k3, _ := theta.SKey(h3)
-	if k1 == k3 {
+	k3, _ := theta.SKeyHash(h3)
+	if k1 == k3 || theta.KeyMatch(ann, h3) {
 		t.Errorf("different join values must produce different keys")
 	}
 }

@@ -1,7 +1,5 @@
 package tp
 
-import "strings"
-
 // Theta is a join condition θ over the non-temporal attributes of two
 // relations: Match reports whether the pair (r, s) of facts satisfies θ.
 type Theta interface {
@@ -36,33 +34,16 @@ func (e EquiTheta) Match(r, s Fact) bool {
 	return true
 }
 
-// RKey returns the partition key of an r fact; facts whose key differs from
-// an s fact's SKey can never satisfy θ. The bool is false when the key
-// involves a NULL (such facts match nothing).
-func (e EquiTheta) RKey(f Fact) (string, bool) { return equiKey(f, e.RCols) }
-
-// SKey returns the partition key of an s fact; see RKey.
-func (e EquiTheta) SKey(f Fact) (string, bool) { return equiKey(f, e.SCols) }
-
-func equiKey(f Fact, cols []int) (string, bool) {
-	var b strings.Builder
-	for _, c := range cols {
-		if f[c].IsNull() {
-			return "", false
-		}
-		f[c].appendKey(&b)
-	}
-	return b.String(), true
-}
-
-// RKeyHash is the allocation-free fast path of RKey: a 64-bit FNV-1a hash
-// of the r fact's equi-key columns. Facts with equal RKey strings always
-// hash equal; distinct keys may collide, so hash buckets must be resolved
-// with KeyMatch (probe vs. build side) or RKeyEqual/SKeyEqual (same side)
-// before tuples are paired.
+// RKeyHash returns the partition key of an r fact: a 64-bit FNV-1a hash
+// of the canonical key encoding of its equi-key columns, computed without
+// allocating. Facts whose key differs from an s fact's can never satisfy
+// θ; the bool is false when the key involves a NULL (such facts match
+// nothing). Equal keys always hash equal; distinct keys may collide, so
+// hash buckets must be resolved with KeyMatch (probe vs. build side) or
+// RKeyEqual/SKeyEqual (same side) before tuples are paired.
 func (e EquiTheta) RKeyHash(f Fact) (uint64, bool) { return equiKeyHash(f, e.RCols) }
 
-// SKeyHash is the hashed fast path of SKey; see RKeyHash.
+// SKeyHash returns the partition key of an s fact; see RKeyHash.
 func (e EquiTheta) SKeyHash(f Fact) (uint64, bool) { return equiKeyHash(f, e.SCols) }
 
 func equiKeyHash(f Fact, cols []int) (uint64, bool) {
@@ -78,8 +59,7 @@ func equiKeyHash(f Fact, cols []int) (uint64, bool) {
 
 // KeyMatch reports whether an r fact and an s fact have identical equi
 // keys under the strict (kind-exact) equality that the canonical key
-// encoding discriminates by — the relation RKey(r) == SKey(s) computes on
-// strings, without the allocation. Note this is deliberately NOT Match:
+// encoding discriminates by. Note this is deliberately NOT Match:
 // hash-partitioned equi joins pair tuples by key identity, under which
 // Int(2) and Float(2) differ even though Match widens numeric kinds.
 func (e EquiTheta) KeyMatch(r, s Fact) bool {
