@@ -1,241 +1,75 @@
-// Benchmarks reproducing the paper's evaluation, one per figure panel and
-// series. The paper's sweeps go to 200K input tuples; the sizes here are
-// chosen so that the whole suite runs in minutes while preserving every
-// comparison the figures make (cmd/tpbench regenerates the full sweeps).
+// Benchmarks reproducing the paper's evaluation: one top-level benchmark
+// per figure panel, whose sub-benchmarks are the rows of the panel table
+// in internal/bench — <dataset>/<series>, e.g.
+// BenchmarkFig7_LeftOuter/webkit/TA. The paper's sweeps go to 200K input
+// tuples; each panel runs here at the second size of its default sweep
+// (100K Webkit, 20K Meteo, 10K for Fig. 7a's nested-loop TA plan), so the
+// whole suite runs in minutes while preserving every comparison the
+// figures make (cmd/tpbench regenerates the full sweeps).
 //
 //	Fig. 5 — overlapping + unmatched windows (WUO): NJ vs TA
 //	Fig. 6 — negating windows: NJ-WN, NJ-WUON vs TA
-//	Fig. 7 — full TP left outer join: NJ vs TA
+//	Fig. 7 — full TP left outer join: NJ, PNJ vs TA, PTA
 //	A1/A2 — extensions: anti join and full outer join
 package tpjoin_test
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"tpjoin/internal/align"
+	"tpjoin/internal/bench"
 	"tpjoin/internal/core"
 	"tpjoin/internal/dataset"
-	"tpjoin/internal/tp"
 )
 
-const (
-	webkitN   = 100000 // Fig. 5/6 panels (paper: 50K–200K)
-	meteoN    = 20000  // Meteo is 1–2 orders slower per tuple, as in the paper
-	webkitNL  = 10000  // Fig. 7a: TA runs the nested-loop plan, O(n²)
-	benchSeed = 1
-)
+const benchSeed = 1
 
-// cached inputs so repeated benchmark iterations do not regenerate data.
-// The mutex makes the cache safe for `go test -bench -cpu=...` and future
-// parallel benchmark runners (b.RunParallel), which may enter inputs from
-// several goroutines. Entries are never evicted: the suite's (dataset, n)
-// set is small and fixed, so the cache is bounded by the benchmark matrix
-// — add eviction before introducing unbounded size sweeps here.
-var (
-	inputCacheMu sync.Mutex
-	inputCache   = map[string]struct{ r, s *tp.Relation }{}
-)
-
-func inputs(b *testing.B, ds string, n int) (*tp.Relation, *tp.Relation, tp.EquiTheta) {
-	b.Helper()
-	// Both workloads join on their first attribute (file resp. metric).
-	theta := dataset.WebkitTheta()
-	if ds == "meteo" {
-		theta = dataset.MeteoTheta()
+// benchPanel runs every series of the panel on both datasets. Inputs are
+// generated inside the dataset's sub-benchmark, so a -bench pattern that
+// filters a dataset out does not pay for its generation.
+func benchPanel(b *testing.B, fig string) {
+	for _, p := range bench.Panels {
+		if p.Fig != fig {
+			continue
+		}
+		for _, ds := range bench.Datasets {
+			b.Run(ds, func(b *testing.B) {
+				for _, rn := range p.Bind(ds, p.Sizes(ds)[1], benchSeed) {
+					b.Run(rn.Series, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							rn.Run()
+						}
+					})
+				}
+			})
+		}
+		return
 	}
-	key := fmt.Sprintf("%s/%d", ds, n)
-	inputCacheMu.Lock()
-	defer inputCacheMu.Unlock()
-	if c, ok := inputCache[key]; ok {
-		return c.r, c.s, theta
-	}
-	var r, s *tp.Relation
-	switch ds {
-	case "webkit":
-		r, s = dataset.Webkit(n, benchSeed)
-	case "meteo":
-		r, s = dataset.Meteo(n, benchSeed)
-	default:
-		b.Fatalf("unknown dataset %s", ds)
-	}
-	inputCache[key] = struct{ r, s *tp.Relation }{r, s}
-	return r, s, theta
+	b.Fatalf("no panel %q in bench.Panels", fig)
 }
 
-// --- Fig. 5: WUO (overlapping and unmatched windows) ---
-
-func BenchmarkFig5_WUO_Webkit_NJ(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Count(core.LAWAU(core.OverlapJoin(r, s, theta)))
-	}
-}
-
-func BenchmarkFig5_WUO_Webkit_TA(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		align.CountWUO(r, s, theta, align.Config{})
-	}
-}
-
-func BenchmarkFig5_WUO_Meteo_NJ(b *testing.B) {
-	r, s, theta := inputs(b, "meteo", meteoN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Count(core.LAWAU(core.OverlapJoin(r, s, theta)))
-	}
-}
-
-func BenchmarkFig5_WUO_Meteo_TA(b *testing.B) {
-	r, s, theta := inputs(b, "meteo", meteoN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		align.CountWUO(r, s, theta, align.Config{})
-	}
-}
-
-// --- Fig. 6: negating windows ---
-
-func BenchmarkFig6_Negating_Webkit_NJ_WN(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitN)
-	wuo := core.Drain(core.LAWAU(core.OverlapJoin(r, s, theta)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Count(core.LAWAN(core.NewSliceIterator(wuo)))
-	}
-}
-
-func BenchmarkFig6_Negating_Webkit_NJ_WUON(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Count(core.LAWAN(core.LAWAU(core.OverlapJoin(r, s, theta))))
-	}
-}
-
-func BenchmarkFig6_Negating_Webkit_TA(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		align.CountNegating(r, s, theta, align.Config{})
-	}
-}
-
-func BenchmarkFig6_Negating_Meteo_NJ_WN(b *testing.B) {
-	r, s, theta := inputs(b, "meteo", meteoN)
-	wuo := core.Drain(core.LAWAU(core.OverlapJoin(r, s, theta)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Count(core.LAWAN(core.NewSliceIterator(wuo)))
-	}
-}
-
-func BenchmarkFig6_Negating_Meteo_NJ_WUON(b *testing.B) {
-	r, s, theta := inputs(b, "meteo", meteoN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Count(core.LAWAN(core.LAWAU(core.OverlapJoin(r, s, theta))))
-	}
-}
-
-func BenchmarkFig6_Negating_Meteo_TA(b *testing.B) {
-	r, s, theta := inputs(b, "meteo", meteoN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		align.CountNegating(r, s, theta, align.Config{})
-	}
-}
-
-// --- Fig. 7: TP left outer join (full operator incl. probabilities) ---
-
-func BenchmarkFig7_LeftOuter_Webkit_NJ(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitNL)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.LeftOuterJoin(r, s, theta)
-	}
-}
-
-// TA runs the nested-loop plan PostgreSQL's optimizer chose in the paper —
-// the source of the two-orders-of-magnitude gap of Fig. 7a.
-func BenchmarkFig7_LeftOuter_Webkit_TA_NestedLoop(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitNL)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		align.LeftOuterJoin(r, s, theta, align.Config{NestedLoop: true})
-	}
-}
-
-func BenchmarkFig7_LeftOuter_Meteo_NJ(b *testing.B) {
-	r, s, theta := inputs(b, "meteo", meteoN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.LeftOuterJoin(r, s, theta)
-	}
-}
-
-func BenchmarkFig7_LeftOuter_Meteo_TA(b *testing.B) {
-	r, s, theta := inputs(b, "meteo", meteoN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		align.LeftOuterJoin(r, s, theta, align.Config{})
-	}
-}
-
-// --- Extensions beyond the paper's figures ---
-
-func BenchmarkExtA1_Anti_Webkit_NJ(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.AntiJoin(r, s, theta)
-	}
-}
-
-func BenchmarkExtA1_Anti_Webkit_TA(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		align.AntiJoin(r, s, theta, align.Config{})
-	}
-}
-
-func BenchmarkExtA2_FullOuter_Webkit_NJ(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.FullOuterJoin(r, s, theta)
-	}
-}
-
-func BenchmarkExtA2_FullOuter_Webkit_TA(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		align.FullOuterJoin(r, s, theta, align.Config{})
-	}
-}
+func BenchmarkFig5_WUO(b *testing.B)        { benchPanel(b, "5") }
+func BenchmarkFig6_Negating(b *testing.B)   { benchPanel(b, "6") }
+func BenchmarkFig7_LeftOuter(b *testing.B)  { benchPanel(b, "7") }
+func BenchmarkExtA1_Anti(b *testing.B)      { benchPanel(b, "A1") }
+func BenchmarkExtA2_FullOuter(b *testing.B) { benchPanel(b, "A2") }
 
 // Ablation: the hash-partitioned TA plan on Fig. 7a's workload, isolating
 // how much of the Fig. 7a gap is the nested-loop plan vs. alignment itself.
 func BenchmarkAblation_LeftOuter_Webkit_TA_Hash(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitNL)
+	r, s := dataset.Webkit(10000, benchSeed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		align.LeftOuterJoin(r, s, theta, align.Config{})
+		align.LeftOuterJoin(r, s, dataset.WebkitTheta(), align.Config{})
 	}
 }
 
 // Ablation: probability computation share — the NJ pipeline without
 // forming output tuples vs. the full operator.
 func BenchmarkAblation_WindowsOnly_Webkit_NJ(b *testing.B) {
-	r, s, theta := inputs(b, "webkit", webkitNL)
+	r, s := dataset.Webkit(10000, benchSeed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Count(core.LAWAN(core.LAWAU(core.OverlapJoin(r, s, theta))))
+		core.Count(core.LAWAN(core.LAWAU(core.OverlapJoin(r, s, dataset.WebkitTheta()))))
 	}
 }

@@ -10,10 +10,10 @@
 //	tpbench -extensions     # also run the anti/full-outer extensions
 //	tpbench -repeats 3      # report the minimum of 3 runs per point
 //	tpbench -json BENCH.json -label post-PR2
-//	                        # machine-readable run: ns/op, allocs/op and
-//	                        # B/op per figure panel and strategy, measured
-//	                        # with testing.Benchmark (tracks the perf
-//	                        # trajectory; see BENCH_*.json at the repo root)
+//	                        # the same panels, series and measurements as
+//	                        # a machine-readable run: ns/op, allocs/op and
+//	                        # B/op per point (tracks the perf trajectory;
+//	                        # see BENCH_*.json at the repo root)
 //	tpbench -calibrate internal/plan/calibration.json
 //	                        # measure the cost model's per-primitive
 //	                        # constants on this host and write them as a
@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,14 +43,14 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "figure to run: 5, 6, 7, probagg or all")
+		fig        = flag.String("fig", "all", "figure to run: 5, 6, 7 or all")
 		ds         = flag.String("dataset", "both", "dataset: webkit, meteo or both")
 		sizesStr   = flag.String("sizes", "", "comma-separated input sizes (total tuples), overrides defaults")
 		seed       = flag.Int64("seed", 1, "dataset generation seed")
 		repeats    = flag.Int("repeats", 1, "timed repetitions per point (minimum reported)")
 		extensions = flag.Bool("extensions", false, "also run the anti-join and full-outer-join extensions")
 		ablation   = flag.String("ablation", "", "run an ablation instead of the figures: selectivity or groups")
-		jsonPath   = flag.String("json", "", "write a machine-readable benchmark run (ns/op, allocs/op, B/op) to this file instead of text figures")
+		jsonPath   = flag.String("json", "", "write the run as machine-readable records (ns/op, allocs/op, B/op) to this file instead of text figures")
 		label      = flag.String("label", "tpbench", "label recorded in the -json run or -calibrate file")
 		calibrate  = flag.String("calibrate", "", "measure the cost model's per-primitive constants and write a plan.Calibration JSON to this file")
 		quick      = flag.Bool("quick", false, "with -calibrate: shrink the measurement workloads (CI smoke mode)")
@@ -115,77 +116,53 @@ func main() {
 		return
 	}
 
-	datasets := []string{"webkit", "meteo"}
-	switch *ds {
-	case "both":
-	case "webkit", "meteo":
-		datasets = []string{*ds}
-	default:
-		fmt.Fprintf(os.Stderr, "tpbench: unknown dataset %q\n", *ds)
-		os.Exit(2)
-	}
-
-	if *jsonPath != "" {
-		figs := []string{"5", "6", "7", "probagg"}
-		switch *fig {
-		case "all":
-		case "5", "6", "7", "probagg":
-			figs = []string{*fig}
-		default:
-			fmt.Fprintf(os.Stderr, "tpbench: unknown figure %q\n", *fig)
+	datasets := bench.Datasets
+	if *ds != "both" {
+		if !slices.Contains(datasets, *ds) {
+			fmt.Fprintf(os.Stderr, "tpbench: unknown dataset %q\n", *ds)
 			os.Exit(2)
 		}
-		run := bench.CollectJSON(figs, datasets, opt, *label)
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tpbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteJSON(f, run); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "tpbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "tpbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d records to %s\n", len(run.Records), *jsonPath)
-		return
+		datasets = []string{*ds}
 	}
-
-	type job struct {
-		name string
-		run  func(string, bench.Options) bench.Figure
-	}
-	var jobs []job
-	switch *fig {
-	case "all":
-		jobs = []job{{"5", bench.Fig5}, {"6", bench.Fig6}, {"7", bench.Fig7}}
-	case "5":
-		jobs = []job{{"5", bench.Fig5}}
-	case "6":
-		jobs = []job{{"6", bench.Fig6}}
-	case "7":
-		jobs = []job{{"7", bench.Fig7}}
-	case "probagg":
-		jobs = []job{{"P", bench.ProbAgg}}
-	default:
-		fmt.Fprintf(os.Stderr, "tpbench: unknown figure %q\n", *fig)
+	panels, err := bench.SelectPanels(*fig, *extensions)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tpbench: %v\n", err)
 		os.Exit(2)
 	}
-	if *extensions {
-		jobs = append(jobs, job{"A1", bench.ExtraAnti}, job{"A2", bench.ExtraFullOuter})
-	}
 
-	for _, j := range jobs {
+	// Text and JSON are two renderings of the same records.
+	run := bench.NewRun(*label)
+	for _, p := range panels {
 		for _, d := range datasets {
-			f := j.run(d, opt)
-			fmt.Println(bench.Format(f))
-			printSpeedups(f)
-			fmt.Println()
+			recs := p.Measure(d, opt)
+			run.Records = append(run.Records, recs...)
+			if *jsonPath == "" {
+				for _, f := range bench.Figures(recs) {
+					fmt.Println(bench.Format(f))
+					printSpeedups(f)
+					fmt.Println()
+				}
+			}
 		}
 	}
+	if *jsonPath == "" {
+		return
+	}
+	f, err := os.Create(*jsonPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tpbench: %v\n", err)
+		os.Exit(1)
+	}
+	if err := bench.WriteJSON(f, run); err != nil {
+		f.Close()
+		fmt.Fprintf(os.Stderr, "tpbench: %v\n", err)
+		os.Exit(1)
+	}
+	if err := f.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "tpbench: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("wrote %d records to %s\n", len(run.Records), *jsonPath)
 }
 
 func printSpeedups(f bench.Figure) {

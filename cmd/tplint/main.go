@@ -5,17 +5,11 @@
 // Version) cache validity (cachekey), Strategy-enum synchronization
 // (enumsync) and the wire error-class vocabulary (errclass).
 //
-// Standalone, from the module root:
+// From the module root:
 //
 //	go run ./cmd/tplint ./...          # whole repo
 //	go run ./cmd/tplint -analyzers ctxcheck,poolhygiene ./internal/core
 //	go run ./cmd/tplint -list          # analyzer names and invariants
-//
-// As a go vet tool (runs per package through the build cache, test files
-// included):
-//
-//	go build -o bin/tplint ./cmd/tplint
-//	go vet -vettool=$(pwd)/bin/tplint ./...
 //
 // Findings are suppressed line-by-line with a written reason:
 //
@@ -34,18 +28,9 @@ import (
 )
 
 func main() {
-	// go vet's tool protocol: the tool is invoked with -V=full for a
-	// version fingerprint, -flags for its flag schema, and then once per
-	// package with a JSON config file argument.
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(runVet(os.Args[1]))
-	}
-
 	var (
-		list      = flag.Bool("list", false, "list analyzers and exit")
-		names     = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		vFlag     = flag.String("V", "", "print version and exit (go vet protocol; use -V=full)")
-		flagsFlag = flag.Bool("flags", false, "print the flag schema as JSON and exit (go vet protocol)")
+		list  = flag.Bool("list", false, "list analyzers and exit")
+		names = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: tplint [-analyzers a,b] [packages]\n")
@@ -53,18 +38,6 @@ func main() {
 	}
 	flag.Parse()
 
-	if *vFlag != "" {
-		// The whole output line is the go command's cache key for this
-		// tool; bump the trailing tag when analyzer behavior changes.
-		fmt.Printf("tplint version tplint-1\n")
-		return
-	}
-	if *flagsFlag {
-		// No analyzer flags are passed through go vet; an empty schema
-		// tells the go command not to forward any.
-		fmt.Println("[]")
-		return
-	}
 	if *list {
 		for _, a := range lint.Analyzers() {
 			doc := a.Doc

@@ -98,9 +98,11 @@ type Stats struct {
 	DupAvoided int64
 	// ProbBatches is how many probability batches the batched evaluation
 	// tail served; MemoHits how many sub-lineages it answered from the
-	// shared memo instead of re-evaluating.
-	ProbBatches int64
-	MemoHits    int64
+	// shared memo instead of re-evaluating; ShannonSteps how many Shannon
+	// expansions it paid (zero on read-once lineage).
+	ProbBatches  int64
+	MemoHits     int64
+	ShannonSteps int64
 	// Workers is the effective worker count of a ParallelJoin (0 for the
 	// sequential baseline).
 	Workers int64

@@ -54,6 +54,7 @@ func ParallelJoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp
 			st.DupAvoided += ps.DupAvoided
 			st.ProbBatches += ps.ProbBatches
 			st.MemoHits += ps.MemoHits
+			st.ShannonSteps += ps.ShannonSteps
 			return res, err
 		})
 	if st != nil {

@@ -153,7 +153,7 @@ func unionDistinct(rows []row) []row {
 
 func finish(name string, attrs []string, probs prob.Probs, rows []row) *tp.Relation {
 	rel := &tp.Relation{Name: name, Attrs: attrs, Probs: probs}
-	ev := prob.NewEvaluator(probs)
+	ev := prob.NewBatchEvaluator(probs)
 	rel.Tuples = make([]tp.Tuple, 0, len(rows))
 	for _, rw := range rows {
 		rel.Tuples = append(rel.Tuples, tp.Tuple{

@@ -32,8 +32,8 @@ package align
 //
 // Surviving rows are evaluated through prob.BatchEvaluator in
 // probBatchSize chunks (shared memo across the join, counters surfaced as
-// prob-batches / memo-hits in EXPLAIN ANALYZE), with a cancellation +
-// memory-budget checkpoint per chunk.
+// prob-batches / memo-hits / shannon-steps in EXPLAIN ANALYZE), with a
+// cancellation + memory-budget checkpoint per chunk.
 
 import (
 	"cmp"
@@ -492,8 +492,8 @@ func (su *streamUnion) rankFacts() ([]int32, int) {
 
 // finish forms the output relation from the union survivors, evaluating
 // probabilities in probBatchSize chunks through prob.BatchEvaluator (one
-// memo across the join; Stats.ProbBatches / Stats.MemoHits surface the
-// batching in EXPLAIN ANALYZE). Output tuples alias the interned fact
+// memo across the join; Stats.ProbBatches / MemoHits / ShannonSteps surface
+// it in EXPLAIN ANALYZE). Output tuples alias the interned fact
 // slices — facts are immutable, and duplicates of one source tuple share
 // storage instead of repeating it.
 func (su *streamUnion) finish(ctx context.Context, name string, attrs []string, probs prob.Probs, rows []srow, stats *Stats) (*tp.Relation, error) {
@@ -543,6 +543,7 @@ func (su *streamUnion) finish(ctx context.Context, name string, attrs []string, 
 	if stats != nil {
 		stats.ProbBatches += bev.Batches()
 		stats.MemoHits += bev.MemoHits()
+		stats.ShannonSteps += bev.ShannonSteps()
 	}
 	return rel, nil
 }

@@ -193,6 +193,9 @@ func TestStreamStatsCounters(t *testing.T) {
 		if st.ProbBatches == 0 {
 			t.Errorf("%+v streamed left outer: ProbBatches = 0, want > 0", cfg)
 		}
+		if st.ShannonSteps != 0 {
+			t.Errorf("%+v base relations: ShannonSteps = %d, want 0 (read-once lineage)", cfg, st.ShannonSteps)
+		}
 	}
 
 	var full Stats

@@ -9,6 +9,26 @@ import (
 	"tpjoin/internal/tp"
 )
 
+// point times f as an ablation figure's point: x is the swept parameter
+// × 1000 (Format prints the size axis in K).
+func point(x int, opt Options, f func()) Point {
+	ns, _, _ := measure(opt.repeats(), f)
+	return Point{N: x, Millis: float64(ns) / 1e6}
+}
+
+// synthetic generates an ablation's two inputs of n total tuples, joined
+// on the key: everything but the swept key and group counts is fixed.
+func synthetic(n, keys, groups int, groupPrefix string, seed int64) (r, s *tp.Relation, theta tp.EquiTheta) {
+	gen := func(name string, n int, seed int64) *tp.Relation {
+		return dataset.Generate(dataset.Config{
+			Name: name, N: n, Keys: keys, KeyPrefix: "k",
+			Groups: groups, GroupPrefix: groupPrefix,
+			MeanDur: 50, MeanGap: 8, Seed: seed,
+		})
+	}
+	return gen("r", n/2, seed), gen("s", n-n/2, seed+1), tp.Equi(0, 0)
+}
+
 // AblationSelectivity sweeps the number of distinct join keys at a fixed
 // input size, interpolating between the Webkit regime (many keys,
 // selective θ) and the Meteo regime (few keys, non-selective θ). The
@@ -26,24 +46,13 @@ func AblationSelectivity(n int, keyCounts []int, opt Options) Figure {
 	nj := Series{Name: "NJ"}
 	ta := Series{Name: "TA"}
 	for _, keys := range keyCounts {
-		r := dataset.Generate(dataset.Config{
-			Name: "r", N: n / 2, Keys: keys, KeyPrefix: "k",
-			Groups: 4, GroupPrefix: "g",
-			MeanDur: 50, MeanGap: 8, Seed: opt.seed(),
-		})
-		s := dataset.Generate(dataset.Config{
-			Name: "s", N: n - n/2, Keys: keys, KeyPrefix: "k",
-			Groups: 4, GroupPrefix: "g",
-			MeanDur: 50, MeanGap: 8, Seed: opt.seed() + 1,
-		})
-		theta := tp.Equi(0, 0)
-		// Abuse Point.N to carry the key count (the x axis of this figure).
-		nj.Points = append(nj.Points, Point{N: keys * 1000, Millis: timeIt(opt.repeats(), func() {
+		r, s, theta := synthetic(n, keys, 4, "g", opt.seed())
+		nj.Points = append(nj.Points, point(keys*1000, opt, func() {
 			core.LeftOuterJoin(r, s, theta)
-		})})
-		ta.Points = append(ta.Points, Point{N: keys * 1000, Millis: timeIt(opt.repeats(), func() {
+		}))
+		ta.Points = append(ta.Points, point(keys*1000, opt, func() {
 			align.LeftOuterJoin(r, s, theta, align.Config{})
-		})})
+		}))
 	}
 	fig.Series = []Series{nj, ta}
 	return fig
@@ -63,20 +72,10 @@ func AblationGroupSize(n int, groupCounts []int, opt Options) Figure {
 	}
 	nj := Series{Name: "NJ-WUON"}
 	for _, g := range groupCounts {
-		r := dataset.Generate(dataset.Config{
-			Name: "r", N: n / 2, Keys: 20, KeyPrefix: "k",
-			Groups: g, GroupPrefix: "st",
-			MeanDur: 50, MeanGap: 8, Seed: opt.seed(),
-		})
-		s := dataset.Generate(dataset.Config{
-			Name: "s", N: n - n/2, Keys: 20, KeyPrefix: "k",
-			Groups: g, GroupPrefix: "st",
-			MeanDur: 50, MeanGap: 8, Seed: opt.seed() + 1,
-		})
-		theta := tp.Equi(0, 0)
-		nj.Points = append(nj.Points, Point{N: g * 1000, Millis: timeIt(opt.repeats(), func() {
+		r, s, theta := synthetic(n, 20, g, "st", opt.seed())
+		nj.Points = append(nj.Points, point(g*1000, opt, func() {
 			core.Count(core.LAWAN(core.LAWAU(core.OverlapJoin(r, s, theta))))
-		})})
+		}))
 	}
 	fig.Series = []Series{nj}
 	return fig

@@ -1,17 +1,54 @@
 package bench
 
 import (
+	"flag"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// TestMain makes every testing.Benchmark call inside measure a single
+// iteration: the harness's own tests check shapes, not timings.
+func TestMain(m *testing.M) {
+	if err := flag.Set("test.benchtime", "1x"); err != nil {
+		panic(err)
+	}
+	os.Exit(m.Run())
+}
 
 // Tiny sizes keep the harness's own tests fast; the real sweeps run via
 // cmd/tpbench and the top-level testing.B benchmarks.
 var tiny = Options{Sizes: []int{1000, 2000}, Seed: 3, Repeats: 1}
 
+// tinyFigure measures one panel of the table on ds at the tiny sizes and
+// returns its text view.
+func tinyFigure(t *testing.T, fig, ds string) Figure {
+	t.Helper()
+	for _, p := range Panels {
+		if p.Fig == fig {
+			figs := Figures(p.Measure(ds, tiny))
+			if len(figs) != 1 {
+				t.Fatalf("panel %s on %s renders as %d figures", fig, ds, len(figs))
+			}
+			return figs[0]
+		}
+	}
+	t.Fatalf("no panel %q in the table", fig)
+	return Figure{}
+}
+
+func seriesNames(fig Figure) []string {
+	var names []string
+	for _, s := range fig.Series {
+		names = append(names, s.Name)
+	}
+	return names
+}
+
 func TestFig5Shape(t *testing.T) {
-	fig := Fig5("webkit", tiny)
-	if fig.ID != "5a" || len(fig.Series) != 2 {
+	fig := tinyFigure(t, "5", "webkit")
+	if fig.ID != "5a" || fig.Title == "" || !slices.Equal(seriesNames(fig), []string{"NJ", "TA", "AUTO"}) {
 		t.Fatalf("unexpected figure: %+v", fig)
 	}
 	for _, s := range fig.Series {
@@ -24,42 +61,118 @@ func TestFig5Shape(t *testing.T) {
 			}
 		}
 	}
-	if fig.Series[0].Name != "NJ" || fig.Series[1].Name != "TA" {
-		t.Errorf("series order wrong: %v, %v", fig.Series[0].Name, fig.Series[1].Name)
-	}
-}
-
-func TestFig6HasThreeSeries(t *testing.T) {
-	fig := Fig6("meteo", tiny)
-	if fig.ID != "6b" || len(fig.Series) != 3 {
-		t.Fatalf("unexpected figure: %+v", fig)
-	}
-	names := map[string]bool{}
-	for _, s := range fig.Series {
-		names[s.Name] = true
-	}
-	for _, want := range []string{"NJ-WN", "NJ-WUON", "TA"} {
-		if !names[want] {
-			t.Errorf("missing series %s", want)
+	// Fig. 5 has no partitioned series: AUTO names the sequential
+	// pipeline it measured.
+	for _, pick := range fig.Series[2].Picks {
+		if pick != "NJ" && pick != "TA" {
+			t.Errorf("AUTO ran %q, want NJ or TA", pick)
 		}
 	}
 }
 
+func TestFig6HasThreeSeries(t *testing.T) {
+	fig := tinyFigure(t, "6", "meteo")
+	if fig.ID != "6b" || !slices.Equal(seriesNames(fig), []string{"NJ-WN", "NJ-WUON", "TA"}) {
+		t.Fatalf("unexpected figure: %+v", fig)
+	}
+}
+
 func TestFig7BothDatasets(t *testing.T) {
-	for _, ds := range []string{"webkit", "meteo"} {
-		fig := Fig7(ds, tiny)
-		if len(fig.Series) != 2 {
-			t.Fatalf("%s: unexpected series count", ds)
+	for _, ds := range Datasets {
+		fig := tinyFigure(t, "7", ds)
+		if !slices.Equal(seriesNames(fig), []string{"NJ", "TA", "PNJ", "PTA", "AUTO"}) {
+			t.Fatalf("%s: unexpected series %v", ds, seriesNames(fig))
+		}
+		if picks := fig.Series[4].Picks; len(picks) != 2 || !slices.Contains(seriesNames(fig)[:4], picks[0]) {
+			t.Errorf("%s: AUTO picks %v are not series of the panel", ds, picks)
 		}
 	}
 }
 
 func TestExtensions(t *testing.T) {
-	if fig := ExtraAnti("webkit", tiny); fig.ID != "A1a" || len(fig.Series) != 2 {
-		t.Errorf("ExtraAnti: %+v", fig)
+	if fig := tinyFigure(t, "A1", "webkit"); fig.ID != "A1a" || len(fig.Series) != 2 {
+		t.Errorf("anti-join extension: %+v", fig)
 	}
-	if fig := ExtraFullOuter("meteo", tiny); fig.ID != "A2b" || len(fig.Series) != 2 {
-		t.Errorf("ExtraFullOuter: %+v", fig)
+	if fig := tinyFigure(t, "A2", "meteo"); fig.ID != "A2b" || len(fig.Series) != 2 {
+		t.Errorf("full-outer extension: %+v", fig)
+	}
+}
+
+// TestTextAndJSONListTheSameSeries: for every panel × dataset the text
+// figure and the records behind a -json run carry the same (figure,
+// series) set — the two used to be separate definitions that drifted
+// (-json dropped -extensions, the text mode dropped PNJ / PTA / AUTO).
+func TestTextAndJSONListTheSameSeries(t *testing.T) {
+	one := Options{Sizes: []int{600}, Seed: 3}
+	panels, err := SelectPanels("all", true)
+	if err != nil || len(panels) != len(Panels) {
+		t.Fatalf("SelectPanels(all, extensions) = %d panels, %v; want the whole table", len(panels), err)
+	}
+	for _, p := range panels {
+		for _, ds := range Datasets {
+			recs := p.Measure(ds, one)
+			want := len(p.series)
+			if p.auto {
+				want++
+			}
+			if len(recs) != want {
+				t.Errorf("%s: %d records, want one per series (%d)", p.ID(ds), len(recs), want)
+			}
+			inJSON := map[string]bool{}
+			for _, rc := range recs {
+				inJSON[rc.Figure+"/"+rc.Series] = true
+			}
+			text := ""
+			for _, fig := range Figures(recs) {
+				text += Format(fig)
+				for _, s := range fig.Series {
+					if !inJSON[fig.ID+"/"+s.Name] {
+						t.Errorf("text shows %s/%s, which no record carries", fig.ID, s.Name)
+					}
+					delete(inJSON, fig.ID+"/"+s.Name)
+				}
+			}
+			for k := range inJSON {
+				t.Errorf("record %s is missing from the text view", k)
+			}
+			if !strings.Contains(text, "Fig. "+p.ID(ds)+" — "+p.Title) {
+				t.Errorf("%s: text lacks the panel's heading:\n%s", p.ID(ds), text)
+			}
+		}
+	}
+}
+
+// TestSelectPanels pins tpbench's -fig / -extensions vocabulary, shared
+// by both output modes.
+func TestSelectPanels(t *testing.T) {
+	figs := func(ps []Panel) (out []string) {
+		for _, p := range ps {
+			out = append(out, p.Fig)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		fig  string
+		ext  bool
+		want []string
+	}{
+		{"all", false, []string{"5", "6", "7"}},
+		{"all", true, []string{"5", "6", "7", "A1", "A2"}},
+		{"7", false, []string{"7"}},
+		{"7", true, []string{"7", "A1", "A2"}},
+	} {
+		got, err := SelectPanels(tc.fig, tc.ext)
+		if err != nil || !slices.Equal(figs(got), tc.want) {
+			t.Errorf("SelectPanels(%q, %v) = %v, %v; want %v", tc.fig, tc.ext, figs(got), err, tc.want)
+		}
+	}
+	// probagg compared the batched evaluator with the scalar one that no
+	// longer exists (BENCH_5.json is its record); extension panels are
+	// selected by -extensions, not by name.
+	for _, fig := range []string{"probagg", "8", "A1", ""} {
+		if got, err := SelectPanels(fig, true); err == nil {
+			t.Errorf("SelectPanels(%q) = %v, want an unknown-figure error", fig, figs(got))
+		}
 	}
 }
 

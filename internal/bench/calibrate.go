@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"tpjoin/internal/align"
 	"tpjoin/internal/core"
@@ -139,24 +138,13 @@ const (
 	neutralParTuple = 80
 )
 
-// measureNS times f (minimum of repeats runs) in nanoseconds.
-func measureNS(repeats int, f func()) float64 {
-	best := -1.0
-	for i := 0; i < repeats; i++ {
-		t0 := time.Now()
-		f()
-		ns := float64(time.Since(t0).Nanoseconds())
-		if best < 0 || ns < best {
-			best = ns
-		}
-	}
-	return best
-}
-
 // Calibrate measures the strategy primitives and returns the fitted
 // calibration. A full run takes tens of seconds; Quick mode a few.
 func Calibrate(opt CalibrateOptions) plan.Calibration {
-	rep := opt.repeats()
+	ns := func(f func()) float64 {
+		t, _, _ := measure(opt.repeats(), f)
+		return float64(t)
+	}
 	selN, denseN, midN, nlN, tinyN := 20000, 24000, 8000, 2000, 1200
 	if opt.Quick {
 		selN, denseN, midN, nlN, tinyN = 4000, 6000, 2000, 600, 600
@@ -166,13 +154,13 @@ func Calibrate(opt CalibrateOptions) plan.Calibration {
 
 	// NJ: the window pipeline (overlap join + LAWAU), the Fig. 5 core.
 	njT := func(w workload) float64 {
-		return measureNS(rep, func() {
+		return ns(func() {
 			core.Count(core.LAWAU(core.OverlapJoin(w.r, w.s, w.theta)))
 		})
 	}
 	// TA: both conventional joins of the alignment step (CountWUO).
 	taT := func(w workload) float64 {
-		return measureNS(rep, func() {
+		return ns(func() {
 			align.CountWUO(w.r, w.s, w.theta, align.Config{})
 		})
 	}
@@ -183,7 +171,7 @@ func Calibrate(opt CalibrateOptions) plan.Calibration {
 
 	// TA nested loop: the Fig. 7a plan, quadratic in the input sizes.
 	rnl, snl := dataset.Webkit(nlN, 3)
-	nlTime := measureNS(rep, func() {
+	nlTime := ns(func() {
 		align.CountWUO(rnl, snl, dataset.WebkitTheta(), align.Config{NestedLoop: true})
 	})
 	taNLPair := (nlTime - taTuple*float64(rnl.Len()+snl.Len())) /
@@ -200,16 +188,16 @@ func Calibrate(opt CalibrateOptions) plan.Calibration {
 	if runtime.GOMAXPROCS(0) > 1 {
 		rt, st := dataset.Meteo(tinyN, 3)
 		tiny := newWorkload(rt, st, dataset.MeteoTheta())
-		t1 := measureNS(rep, func() { core.ParallelJoin(tp.OpLeft, tiny.r, tiny.s, tiny.theta, 1) })
-		t8 := measureNS(rep, func() { core.ParallelJoin(tp.OpLeft, tiny.r, tiny.s, tiny.theta, 8) })
+		t1 := ns(func() { core.ParallelJoin(tp.OpLeft, tiny.r, tiny.s, tiny.theta, 1) })
+		t8 := ns(func() { core.ParallelJoin(tp.OpLeft, tiny.r, tiny.s, tiny.theta, 8) })
 		parSetup = (t8 - t1) / 7
 		if parSetup < 1000 {
 			parSetup = 1000 // goroutine + partition-buffer floor
 		}
 		rm, sm := dataset.Meteo(midN, 103)
 		mid := newWorkload(rm, sm, dataset.MeteoTheta())
-		seq := measureNS(rep, func() { core.LeftOuterJoin(mid.r, mid.s, mid.theta) })
-		par1 := measureNS(rep, func() { core.ParallelJoin(tp.OpLeft, mid.r, mid.s, mid.theta, 1) })
+		seq := ns(func() { core.LeftOuterJoin(mid.r, mid.s, mid.theta) })
+		par1 := ns(func() { core.ParallelJoin(tp.OpLeft, mid.r, mid.s, mid.theta, 1) })
 		parTuple = (par1 - seq - parSetup) / mid.n
 		if parTuple < fitFloor {
 			parTuple = fitFloor

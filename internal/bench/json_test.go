@@ -16,7 +16,7 @@ import (
 // names are part of the on-disk schema — renaming one silently breaks
 // every tool that diffs the checked-in baselines.
 func TestRunEnvironmentMetadata(t *testing.T) {
-	run := CollectJSON(nil, nil, Options{}, "env-test")
+	run := NewRun("env-test")
 	if run.GoVersion != runtime.Version() {
 		t.Errorf("GoVersion = %q, want %q", run.GoVersion, runtime.Version())
 	}

@@ -71,7 +71,7 @@ func TestDerivedJoinTriggersShannon(t *testing.T) {
 	a, b := paperA(), paperB()
 	q := LeftOuterJoin(a, b, theta)
 	probs := tp.MergeProbs(q, b)
-	ev := prob.NewEvaluator(probs)
+	ev := prob.NewBatchEvaluator(probs)
 	for _, tu := range AntiJoin(q, b, tp.Equi(1, 1)).Tuples {
 		ev.Prob(tu.Lineage)
 	}
@@ -80,7 +80,7 @@ func TestDerivedJoinTriggersShannon(t *testing.T) {
 	}
 
 	r1 := AntiJoin(a, b, theta)
-	ev2 := prob.NewEvaluator(tp.MergeProbs(r1, b))
+	ev2 := prob.NewBatchEvaluator(tp.MergeProbs(r1, b))
 	for _, tu := range AntiJoin(r1, b, theta).Tuples {
 		ev2.Prob(tu.Lineage)
 	}

@@ -31,11 +31,14 @@ type StageStats struct {
 // forward phase's.
 type JoinInstr struct {
 	Stages []*StageStats
-	// ProbBatches is how many probability batches the tail evaluated, and
+	// ProbBatches is how many probability batches the tail evaluated,
 	// MemoHits how many sub-lineages it answered from the shared memo
-	// instead of re-evaluating.
-	ProbBatches int64
-	MemoHits    int64
+	// instead of re-evaluating, and ShannonSteps how many Shannon
+	// expansions it paid — zero unless a lineage repeats a base event
+	// (a derived input joined with its own source again).
+	ProbBatches  int64
+	MemoHits     int64
+	ShannonSteps int64
 }
 
 // stage wraps it with a counting iterator feeding a new StageStats named

@@ -365,6 +365,7 @@ func (j *joinStream) fillBatch() bool {
 	if j.instr != nil {
 		j.instr.ProbBatches = j.bev.Batches()
 		j.instr.MemoHits = j.bev.MemoHits()
+		j.instr.ShannonSteps = j.bev.ShannonSteps()
 	}
 	return true
 }

@@ -110,7 +110,7 @@ func TestProjectLineagePointwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%v", trial, err, p)
 		}
-		ev := prob.NewEvaluator(r.Probs)
+		ev := prob.NewBatchEvaluator(r.Probs)
 		for _, k := range []string{"x", "y"} {
 			fk := tp.Strings(k).Key()
 			for tt := interval.Time(0); tt < 20; tt++ {

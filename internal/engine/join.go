@@ -209,7 +209,7 @@ func (j *TPJoin) Open() error {
 
 // Stages returns the strategy-level ANALYZE detail counters of the last
 // run: window-pipeline stages (windows/batches) plus probability batching
-// (prob-batches/memo-hits) under NJ, alignment passes/fragments/pre-union
+// (prob-batches/memo-hits/shannon-steps) under NJ, alignment passes/fragments/pre-union
 // rows plus the streaming union's dup-avoided and probability batching
 // under TA (prefixed by workers/partitions under PTA),
 // workers/partitions/tuples under PNJ. It returns nil when the join was
@@ -217,15 +217,16 @@ func (j *TPJoin) Open() error {
 func (j *TPJoin) Stages() []StageStat {
 	switch {
 	case j.njInstr != nil:
-		out := make([]StageStat, 0, len(j.njInstr.Stages)+2)
+		out := make([]StageStat, 0, len(j.njInstr.Stages)+3)
 		for _, st := range j.njInstr.Stages {
 			out = append(out, StageStat{Name: st.Name, Count: st.Windows, Batches: st.Batches})
 		}
 		return append(out,
 			StageStat{Name: "prob-batches", Count: j.njInstr.ProbBatches},
-			StageStat{Name: "memo-hits", Count: j.njInstr.MemoHits})
+			StageStat{Name: "memo-hits", Count: j.njInstr.MemoHits},
+			StageStat{Name: "shannon-steps", Count: j.njInstr.ShannonSteps})
 	case j.taStats != nil:
-		out := make([]StageStat, 0, 8)
+		out := make([]StageStat, 0, 9)
 		if j.taStats.Workers > 0 {
 			// The parallel executor (PTA) additionally reports its
 			// partitioning; the alignment counters below then aggregate
@@ -240,7 +241,8 @@ func (j *TPJoin) Stages() []StageStat {
 			StageStat{Name: "pre-union rows", Count: j.taStats.Rows},
 			StageStat{Name: "dup-avoided", Count: j.taStats.DupAvoided},
 			StageStat{Name: "prob-batches", Count: j.taStats.ProbBatches},
-			StageStat{Name: "memo-hits", Count: j.taStats.MemoHits})
+			StageStat{Name: "memo-hits", Count: j.taStats.MemoHits},
+			StageStat{Name: "shannon-steps", Count: j.taStats.ShannonSteps})
 	case j.pnjStats != nil:
 		return []StageStat{
 			{Name: "workers", Count: j.pnjStats.Workers},

@@ -122,12 +122,6 @@ func (e *Expr) Variable() Var {
 // slice must not be modified.
 func (e *Expr) Operands() []*Expr { return e.kids }
 
-// IsFalse reports whether e is the constant false.
-func (e *Expr) IsFalse() bool { return e != nil && e.kind == KindFalse }
-
-// IsTrue reports whether e is the constant true.
-func (e *Expr) IsTrue() bool { return e != nil && e.kind == KindTrue }
-
 // Hash returns the structural hash of e.
 func (e *Expr) Hash() uint64 { return e.hash }
 
@@ -318,30 +312,6 @@ func (e *Expr) collectVars(set map[Var]struct{}) {
 	for _, k := range e.kids {
 		k.collectVars(set)
 	}
-}
-
-// VarCount returns the number of variable occurrences (with multiplicity).
-func (e *Expr) VarCount() int {
-	switch e.kind {
-	case KindVar:
-		return 1
-	case KindFalse, KindTrue:
-		return 0
-	}
-	n := 0
-	for _, k := range e.kids {
-		n += k.VarCount()
-	}
-	return n
-}
-
-// Size returns the number of nodes of the expression tree.
-func (e *Expr) Size() int {
-	n := 1
-	for _, k := range e.kids {
-		n += k.Size()
-	}
-	return n
 }
 
 // Restrict returns e with variable v fixed to the truth value b (the

@@ -36,12 +36,6 @@ func Equivalent(a, b *Expr) bool {
 	return rec(0)
 }
 
-// Tautology reports whether e is true under every assignment.
-func Tautology(e *Expr) bool { return Equivalent(e, True()) }
-
-// Unsatisfiable reports whether e is false under every assignment.
-func Unsatisfiable(e *Expr) bool { return Equivalent(e, False()) }
-
 func unionVars(a, b *Expr) []Var {
 	set := make(map[Var]struct{})
 	a.collectVars(set)

@@ -10,8 +10,7 @@
 // mechanically, but it is built entirely on the standard library
 // (go/ast, go/types, go/importer): this repo vendors nothing and the
 // checker must build from a bare toolchain. cmd/tplint is the driver; it
-// runs standalone over package patterns and also speaks the go vet
-// -vettool unitchecker protocol.
+// runs over package patterns (load.go).
 //
 // # Suppressions
 //
@@ -197,22 +196,15 @@ func applySuppressions(diags []Diagnostic, sups []*suppression) []Diagnostic {
 // diagnostics sorted by position. Suppression comments are honored per
 // package; unused and malformed suppressions are themselves reported.
 //
-// Test sources (*_test.go) are excluded here, at the single choke point
-// both drivers share: the suite encodes production contracts, and test
-// code legitimately uses shapes the analyzers reject (length-only
-// assertions on generated relations, un-pooled scratch buffers, loops
-// with no query context). The standalone loader never parses test
-// files; the go vet protocol hands them to us in test-variant package
-// units, and this filter keeps the two modes in agreement.
+// Test sources (*_test.go) never get here — the loader does not parse
+// them: the suite encodes production contracts, and test code
+// legitimately uses shapes the analyzers reject (length-only assertions
+// on generated relations, un-pooled scratch buffers, loops with no query
+// context).
 func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 	var all []Diagnostic
 	for _, pkg := range pkgs {
-		files := make([]*ast.File, 0, len(pkg.Files))
-		for _, f := range pkg.Files {
-			if !strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
-				files = append(files, f)
-			}
-		}
+		files := pkg.Files
 		var diags []Diagnostic
 		sups := collectSuppressions(pkg.Fset, files, &diags)
 		for _, a := range analyzers {

@@ -101,74 +101,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // HistogramSnapshot is a point-in-time copy of a Histogram: per-bucket
 // (non-cumulative) counts, the observation sum and the observation count.
-// Snapshots with identical bounds are mergeable, which is what a
-// scatter–gather tier needs to aggregate per-node histograms.
 type HistogramSnapshot struct {
 	Bounds []float64
 	Counts []int64 // len(Bounds)+1, last is the +Inf bucket
 	Sum    float64
 	Count  int64
-}
-
-// Merge returns the bucket-wise sum of s and o. It panics if the bucket
-// schemes differ — merging histograms of different shapes is a bug, not a
-// recoverable condition.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	if len(s.Bounds) != len(o.Bounds) {
-		panic("obs: merging histograms with different bucket schemes")
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != o.Bounds[i] {
-			panic("obs: merging histograms with different bucket schemes")
-		}
-	}
-	m := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]int64, len(s.Counts)),
-		Sum:    s.Sum + o.Sum,
-		Count:  s.Count + o.Count,
-	}
-	for i := range s.Counts {
-		m.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return m
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts
-// using log-linear interpolation inside the selected bucket — the natural
-// interpolation for log-spaced bounds. An empty histogram reports 0; a
-// rank landing in the +Inf bucket reports the highest finite bound (the
-// estimate is then a lower bound).
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i == len(s.Bounds) {
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		upper := s.Bounds[i]
-		lower := upper / math.Sqrt(10) // one log step below
-		if i > 0 {
-			lower = s.Bounds[i-1]
-		}
-		frac := (rank - prev) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		return lower * math.Pow(upper/lower, frac)
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }

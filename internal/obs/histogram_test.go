@@ -43,73 +43,6 @@ func TestHistogramObserveBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(LatencyBounds())
-	for i := 0; i < 100; i++ {
-		h.Observe(0.005) // all in (0.00316, 0.01]
-	}
-	s := h.Snapshot()
-	for _, q := range []float64{0.5, 0.99} {
-		got := s.Quantile(q)
-		if got < 0.00316 || got > 0.01 {
-			t.Errorf("Quantile(%v) = %v, want within the (0.00316, 0.01] bucket", q, got)
-		}
-	}
-	// Empty histogram.
-	if got := NewHistogram(LatencyBounds()).Snapshot().Quantile(0.5); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
-	}
-	// Overflow rank reports the highest finite bound (a lower bound on
-	// the true quantile).
-	h2 := NewHistogram(LatencyBounds())
-	h2.Observe(1000)
-	if got := h2.Snapshot().Quantile(0.99); got != 100 {
-		t.Errorf("overflow quantile = %v, want 100", got)
-	}
-	// Quantiles are monotone in q across buckets.
-	h3 := NewHistogram(LatencyBounds())
-	for i := 0; i < 90; i++ {
-		h3.Observe(0.001)
-	}
-	for i := 0; i < 10; i++ {
-		h3.Observe(5)
-	}
-	s3 := h3.Snapshot()
-	if p50, p99 := s3.Quantile(0.5), s3.Quantile(0.99); p50 >= p99 {
-		t.Errorf("p50 %v >= p99 %v", p50, p99)
-	} else if p99 < 3.16 || p99 > 10 {
-		t.Errorf("p99 = %v, want within (3.16, 10]", p99)
-	}
-}
-
-func TestHistogramSnapshotMerge(t *testing.T) {
-	a, b := NewHistogram(LatencyBounds()), NewHistogram(LatencyBounds())
-	a.Observe(0.005)
-	a.Observe(0.2)
-	b.Observe(0.005)
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Count != 3 {
-		t.Errorf("merged count = %d, want 3", m.Count)
-	}
-	if math.Abs(m.Sum-0.21) > 1e-9 {
-		t.Errorf("merged sum = %v, want 0.21", m.Sum)
-	}
-	var total int64
-	for _, c := range m.Counts {
-		total += c
-	}
-	if total != 3 {
-		t.Errorf("merged bucket sum = %d, want 3", total)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("merging mismatched bucket schemes must panic")
-		}
-	}()
-	_ = a.Snapshot().Merge(NewHistogram(RowBounds()).Snapshot())
-}
-
 // TestHistogramConcurrentObserve drives concurrent Observes against
 // snapshots; run under -race this pins the lock-free scheme, and the
 // final totals prove no increment was lost.

@@ -2,12 +2,15 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"tpjoin/internal/catalog"
+	"tpjoin/internal/dataset"
 	"tpjoin/internal/engine"
 	"tpjoin/internal/interval"
 	"tpjoin/internal/sql"
@@ -512,6 +515,55 @@ func TestOrderByViaSQL(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeShannonSteps: the probability tail's Shannon-step
+// count is printed under every strategy that has a tail to itself — 0
+// while lineage stays read-once, > 0 once a statement leaves the linear
+// path by joining a derived relation with its own source again (each
+// output lineage then names an s event twice).
+func TestExplainAnalyzeShannonSteps(t *testing.T) {
+	r, s := dataset.Meteo(300, 1)
+	cat := catalog.New()
+	for _, rel := range []*tp.Relation{r, s} {
+		if err := cat.Register(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t2 := mustRun(t, "SELECT * FROM r TP ANTI JOIN s ON r.Key = s.Key", &Session{}, cat)
+	t2.Name = "t2"
+	if err := cat.Register(t2); err != nil {
+		t.Fatal(err)
+	}
+	steps := func(strat Strategy, src string) int64 {
+		t.Helper()
+		st, err := sql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := ExplainTree(context.Background(), st.(*sql.Select), cat, &Session{Strategy: strat}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sg := range tree.Root.Stages {
+			if sg.Name == "shannon-steps" {
+				if !strings.Contains(tree.Render(), fmt.Sprintf("stage shannon-steps: %d", sg.Count)) {
+					t.Errorf("%v: rendering lacks the shannon-steps line:\n%s", strat, tree.Render())
+				}
+				return sg.Count
+			}
+		}
+		t.Fatalf("%v: no shannon-steps stage in %v", strat, tree.Root.Stages)
+		return 0
+	}
+	for _, strat := range []Strategy{StrategyNJ, StrategyTA, StrategyPTA} {
+		if n := steps(strat, "SELECT * FROM r TP LEFT JOIN s ON r.Key = s.Key"); n != 0 {
+			t.Errorf("%v over base relations: shannon-steps = %d, want 0 (read-once lineage)", strat, n)
+		}
+		if n := steps(strat, "SELECT * FROM t2 TP LEFT JOIN s ON t2.Key = s.Key"); n == 0 {
+			t.Errorf("%v re-joining a derived relation: shannon-steps = 0, want > 0", strat)
+		}
+	}
+}
+
 // TestExplainAnalyzeStructured pins the structured ANALYZE tree: rows and
 // wall time per node, strategy stage counters on the join, and their text
 // rendering.
@@ -531,17 +583,17 @@ func TestExplainAnalyzeStructured(t *testing.T) {
 	if tree.Root.Rows != 7 {
 		t.Errorf("root rows = %d, want 7 (Fig. 1b left outer join)", tree.Root.Rows)
 	}
-	if len(tree.Root.Stages) != 5 {
-		t.Errorf("NJ join stages = %v, want overlap/lawau/lawan + prob-batches/memo-hits", tree.Root.Stages)
+	var names []string
+	for _, sg := range tree.Root.Stages {
+		names = append(names, sg.Name)
 	}
-	if n := len(tree.Root.Stages); n >= 2 {
-		if got := tree.Root.Stages[n-2].Name; got != "prob-batches" {
-			t.Errorf("stage[%d] = %q, want prob-batches", n-2, got)
-		}
-		// 7 output rows fit in one probability batch.
-		if got := tree.Root.Stages[n-2].Count; got != 1 {
-			t.Errorf("prob-batches = %d, want 1", got)
-		}
+	want := []string{"overlap", "lawau", "lawan", "prob-batches", "memo-hits", "shannon-steps"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("NJ join stages = %v, want %v", names, want)
+	}
+	// 7 output rows fit in one probability batch.
+	if got := tree.Root.Stages[3].Count; got != 1 {
+		t.Errorf("prob-batches = %d, want 1", got)
 	}
 	if len(tree.Root.Children) != 2 {
 		t.Fatalf("join children = %d, want 2 scans", len(tree.Root.Children))
@@ -553,7 +605,7 @@ func TestExplainAnalyzeStructured(t *testing.T) {
 		t.Errorf("Scan a rows = %d, want 0 (zero-copy borrow)", got)
 	}
 	out := tree.Render()
-	for _, want := range []string{"rows=7", "time=", "stage overlap: 3", "stage lawan: 7", "total: time="} {
+	for _, want := range []string{"rows=7", "time=", "stage overlap: 3", "stage lawan: 7", "stage shannon-steps: 0", "total: time="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ANALYZE rendering lacks %q:\n%s", want, out)
 		}

@@ -62,7 +62,7 @@ func TestBDDAgainstEnumeration(t *testing.T) {
 			t.Fatalf("trial %d: BDD prob %g, enumeration %g for %v", trial, got, want, e)
 		}
 		// Shannon evaluator and BDD must agree too.
-		ev := NewEvaluator(probs)
+		ev := NewBatchEvaluator(probs)
 		if s := ev.Prob(e); math.Abs(got-s) > 1e-9 {
 			t.Fatalf("trial %d: BDD %g vs Shannon %g for %v", trial, got, s, e)
 		}

@@ -2,22 +2,34 @@
 // tuple-independence assumption of probabilistic databases: every base
 // event (lineage variable) is an independent Bernoulli variable.
 //
-// Computing Pr(λ) is #P-hard in general. The evaluator uses the standard
-// exact strategy:
+// Computing Pr(λ) is #P-hard in general. The package holds one exact
+// evaluator (BatchEvaluator) with one evaluation function, which tries in
+// this order:
 //
-//  1. constants and literals are immediate;
-//  2. negation complements;
-//  3. conjunctions/disjunctions are partitioned into variable-disjoint
-//     groups (independent sub-formulas), whose probabilities compose by
-//     multiplication (AND) or inclusion-exclusion of complements (OR);
-//  4. otherwise Shannon expansion on the most frequent variable, with
-//     memoization of intermediate results.
+//  1. constants and literals are immediate, negation complements;
+//  2. an ∧/∨ node already in the memo (structural hash + Equal, shared by
+//     every lineage the evaluator sees) is answered from it;
+//  3. the operands are partitioned into variable-connected groups, on a
+//     generation-stamped ownership map and a reused union-find that
+//     allocate nothing per node. Pairwise variable-disjoint operands
+//     (every operand its own group) are independent: their probabilities
+//     compose in operand order by multiplication (∧) or by multiplying
+//     complements (∨);
+//  4. several groups compose the same way, each group evaluated as the
+//     ∧/∨ of its members;
+//  5. a node that is one connected group is Shannon-expanded on its most
+//     frequent variable.
+//
+// Cofactors and groups go back through the same function, so a read-once
+// sub-formula below a shared-variable node takes step 3 again.
 //
 // Every lineage produced by the TP join operators over base relations is
 // read-once (each base event occurs at most once), so step 3 always
 // applies and evaluation is linear in formula size — the paper's operators
-// never pay the exponential branch. Step 4 exists for completeness, e.g.
-// when joining derived relations, and is exercised by tests.
+// never pay the exponential branch. Steps 4 and 5 exist for completeness,
+// e.g. when joining derived relations; ShannonSteps counts them and
+// EXPLAIN ANALYZE prints the count. Enumerate and the BDD (bdd.go) are
+// independent references the tests compare against.
 package prob
 
 import (
@@ -38,13 +50,26 @@ func (p Probs) Clone() Probs {
 	return out
 }
 
-// Evaluator computes exact probabilities of lineage expressions, caching
-// intermediate results across calls. It is not safe for concurrent use.
-type Evaluator struct {
+// BatchEvaluator computes exact probabilities of lineage expressions,
+// one at a time (Prob) or a batch of rows at a time (EvalBatch), caching
+// every ∧/∨ sub-lineage it has evaluated: the chain-shaped lineages of a
+// join are evaluated once per distinct sub-expression, not once per row.
+// It is not safe for concurrent use.
+type BatchEvaluator struct {
 	probs Probs
 	memo  map[uint64][]memoEntry
-	// stats
-	shannonSteps int
+
+	// owners and group are the independence scratch of steps 3–4 (see
+	// partition): one map and one union-find slice live for the
+	// evaluator's lifetime, and each node stamps the map entries with a
+	// fresh generation instead of clearing.
+	owners map[lineage.Var]ownerMark
+	gen    uint64
+	group  []int32
+
+	batches      int64
+	memoHits     int64
+	shannonSteps int64
 }
 
 type memoEntry struct {
@@ -52,183 +77,202 @@ type memoEntry struct {
 	p    float64
 }
 
-// NewEvaluator returns an evaluator over the given base-event
-// probabilities. Probabilities must lie in [0, 1]; Prob panics on a
-// variable absent from probs, which indicates an inconsistent database.
-func NewEvaluator(probs Probs) *Evaluator {
-	return &Evaluator{probs: probs, memo: make(map[uint64][]memoEntry)}
+type ownerMark struct {
+	gen uint64
+	kid int32
 }
+
+// NewBatchEvaluator returns an evaluator over the given base-event
+// probabilities. Probabilities must lie in [0, 1]; evaluation panics on a
+// variable absent from probs, which indicates an inconsistent database.
+func NewBatchEvaluator(probs Probs) *BatchEvaluator {
+	return &BatchEvaluator{
+		probs:  probs,
+		memo:   make(map[uint64][]memoEntry),
+		owners: make(map[lineage.Var]ownerMark),
+	}
+}
+
+// Batches reports how many EvalBatch calls the evaluator has served.
+func (b *BatchEvaluator) Batches() int64 { return b.batches }
+
+// MemoHits reports how many ∧/∨ sub-lineages were answered from the memo
+// instead of being re-evaluated.
+func (b *BatchEvaluator) MemoHits() int64 { return b.memoHits }
 
 // ShannonSteps reports how many Shannon expansions the evaluator has
 // performed; zero for purely read-once workloads.
-func (ev *Evaluator) ShannonSteps() int { return ev.shannonSteps }
+func (b *BatchEvaluator) ShannonSteps() int64 { return b.shannonSteps }
 
-// Prob returns the exact probability of e. A nil expression (the "null"
-// lineage of unmatched windows) has no probability; Prob panics on it.
-func (ev *Evaluator) Prob(e *lineage.Expr) float64 {
+// EvalBatch computes out[i] = Pr(es[i]) for every expression of the
+// batch. out must have at least len(es) entries; a nil expression (the
+// "null" lineage of unmatched windows) has no probability and panics.
+func (b *BatchEvaluator) EvalBatch(es []*lineage.Expr, out []float64) {
+	if len(out) < len(es) {
+		panic(fmt.Sprintf("prob: EvalBatch output has %d slots for %d expressions", len(out), len(es)))
+	}
+	b.batches++
+	for i, e := range es {
+		if e == nil {
+			panic("prob: EvalBatch(nil lineage)")
+		}
+		out[i] = b.eval(e)
+	}
+}
+
+// Prob returns the exact probability of e through the same memo as
+// EvalBatch. It panics on nil.
+func (b *BatchEvaluator) Prob(e *lineage.Expr) float64 {
 	if e == nil {
 		panic("prob: Prob(nil lineage)")
 	}
-	return ev.eval(e)
+	return b.eval(e)
 }
 
-func (ev *Evaluator) eval(e *lineage.Expr) float64 {
+// eval is the package doc's steps 1–5.
+func (b *BatchEvaluator) eval(e *lineage.Expr) float64 {
 	switch e.Kind() {
 	case lineage.KindFalse:
 		return 0
 	case lineage.KindTrue:
 		return 1
 	case lineage.KindVar:
-		v := e.Variable()
-		p, ok := ev.probs[v]
-		if !ok {
-			panic(fmt.Sprintf("prob: no probability for base event %v", v))
-		}
-		return p
+		return b.prob(e.Variable())
 	case lineage.KindNot:
-		return 1 - ev.eval(e.Operands()[0])
+		return 1 - b.eval(e.Operands()[0])
 	}
 
-	if p, ok := ev.lookup(e); ok {
-		return p
+	for _, ent := range b.memo[e.Hash()] {
+		if ent.expr.Equal(e) {
+			b.memoHits++
+			return ent.p
+		}
 	}
-	p := ev.evalNary(e)
-	ev.store(e, p)
+	parts := e.Operands()
+	n := b.partition(parts)
+	if 1 < n && n < len(parts) {
+		parts = b.parts(e.Kind(), parts, n)
+	}
+	var p float64
+	switch {
+	case n == 1:
+		p = b.shannon(e)
+	case e.Kind() == lineage.KindAnd:
+		p = 1.0
+		for _, k := range parts {
+			p *= b.eval(k)
+		}
+	default:
+		q := 1.0
+		for _, k := range parts {
+			q *= 1 - b.eval(k)
+		}
+		p = 1 - q
+	}
+	b.memo[e.Hash()] = append(b.memo[e.Hash()], memoEntry{expr: e, p: p})
 	return p
 }
 
-func (ev *Evaluator) evalNary(e *lineage.Expr) float64 {
-	kids := e.Operands()
-	groups := independentGroups(kids)
-	isAnd := e.Kind() == lineage.KindAnd
-
-	if len(groups) == 1 && len(groups[0]) == len(kids) {
-		// No independence structure at this level: Shannon expansion.
-		return ev.shannon(e)
+func (b *BatchEvaluator) prob(v lineage.Var) float64 {
+	p, ok := b.probs[v]
+	if !ok {
+		panic(fmt.Sprintf("prob: no probability for base event %v", v))
 	}
-
-	if isAnd {
-		p := 1.0
-		for _, g := range groups {
-			p *= ev.evalGroup(lineage.KindAnd, g)
-		}
-		return p
-	}
-	q := 1.0
-	for _, g := range groups {
-		q *= 1 - ev.evalGroup(lineage.KindOr, g)
-	}
-	return 1 - q
-}
-
-// evalGroup evaluates the conjunction/disjunction of a variable-connected
-// group of sub-formulas.
-func (ev *Evaluator) evalGroup(kind lineage.Kind, g []*lineage.Expr) float64 {
-	if len(g) == 1 {
-		return ev.eval(g[0])
-	}
-	var comb *lineage.Expr
-	if kind == lineage.KindAnd {
-		comb = lineage.And(g...)
-	} else {
-		comb = lineage.Or(g...)
-	}
-	if p, ok := ev.lookup(comb); ok {
-		return p
-	}
-	p := ev.shannon(comb)
-	ev.store(comb, p)
 	return p
 }
 
 // shannon expands e on its most frequently occurring variable:
 // Pr(e) = p(v)·Pr(e|v=⊤) + (1−p(v))·Pr(e|v=⊥).
-func (ev *Evaluator) shannon(e *lineage.Expr) float64 {
-	v, ok := mostFrequentVar(e)
-	if !ok {
-		// No variables at all: constant-only n-ary node cannot occur
-		// (the constructors fold constants), but stay total.
-		if e.Kind() == lineage.KindAnd {
+func (b *BatchEvaluator) shannon(e *lineage.Expr) float64 {
+	v := mostFrequentVar(e)
+	b.shannonSteps++
+	pv := b.prob(v)
+	hi := b.eval(e.Restrict(v, true))
+	lo := b.eval(e.Restrict(v, false))
+	return pv*hi + (1-pv)*lo
+}
+
+// partition finds the variable-connected groups of an ∧/∨ node's
+// operands — formulas in different groups share no variable and are
+// therefore independent under tuple independence — and returns how many
+// there are; until the next call, find(i) names the group of operand i.
+// It stamps each variable with the first operand seen holding it and
+// merges groups on a second sighting, all on scratch the evaluator
+// reuses. It completes, and parts reads it, before any recursive
+// evaluation, so the scratch is never observed mid-recursion.
+func (b *BatchEvaluator) partition(kids []*lineage.Expr) int {
+	b.gen++
+	b.group = b.group[:0]
+	for i := range kids {
+		b.group = append(b.group, int32(i))
+	}
+	n := len(kids)
+	for i, k := range kids {
+		n -= b.mark(k, int32(i))
+	}
+	return n
+}
+
+// mark stamps the variables of e for operand kid and returns how many
+// group merges that caused.
+func (b *BatchEvaluator) mark(e *lineage.Expr, kid int32) (merges int) {
+	if e.Kind() == lineage.KindVar {
+		v := e.Variable()
+		if m, ok := b.owners[v]; !ok || m.gen != b.gen {
+			b.owners[v] = ownerMark{gen: b.gen, kid: kid}
+		} else if ri, rj := b.find(m.kid), b.find(kid); ri != rj {
+			b.group[rj] = ri
 			return 1
 		}
 		return 0
 	}
-	ev.shannonSteps++
-	pv, okp := ev.probs[v]
-	if !okp {
-		panic(fmt.Sprintf("prob: no probability for base event %v", v))
+	for _, k := range e.Operands() {
+		merges += b.mark(k, kid)
 	}
-	hi := ev.eval(e.Restrict(v, true))
-	lo := ev.eval(e.Restrict(v, false))
-	return pv*hi + (1-pv)*lo
+	return merges
 }
 
-func (ev *Evaluator) lookup(e *lineage.Expr) (float64, bool) {
-	for _, ent := range ev.memo[e.Hash()] {
-		if ent.expr.Equal(e) {
-			return ent.p, true
-		}
+func (b *BatchEvaluator) find(x int32) int32 {
+	for b.group[x] != x {
+		b.group[x] = b.group[b.group[x]]
+		x = b.group[x]
 	}
-	return 0, false
+	return x
 }
 
-func (ev *Evaluator) store(e *lineage.Expr, p float64) {
-	h := e.Hash()
-	ev.memo[h] = append(ev.memo[h], memoEntry{expr: e, p: p})
-}
-
-// independentGroups partitions kids into groups such that formulas in
-// different groups share no variables (and are therefore independent under
-// tuple independence). Singleton partitioning is returned in input order.
-func independentGroups(kids []*lineage.Expr) [][]*lineage.Expr {
-	n := len(kids)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	owner := make(map[lineage.Var]int)
+// parts returns one formula per group of the partition just computed, in
+// order of first member: the operand itself for a singleton, the ∧/∨ of
+// the members otherwise.
+func (b *BatchEvaluator) parts(kind lineage.Kind, kids []*lineage.Expr, n int) []*lineage.Expr {
+	slot := make(map[int32]int, n)
+	members := make([][]*lineage.Expr, 0, n)
 	for i, k := range kids {
-		for _, v := range k.Vars() {
-			if j, ok := owner[v]; ok {
-				union(i, j)
-			} else {
-				owner[v] = i
-			}
+		r := b.find(int32(i))
+		j, seen := slot[r]
+		if !seen {
+			j, slot[r] = len(members), len(members)
+			members = append(members, nil)
 		}
+		members[j] = append(members[j], k)
 	}
-	order := make([]int, 0, n)
-	buckets := make(map[int][]*lineage.Expr)
-	for i, k := range kids {
-		r := find(i)
-		if _, seen := buckets[r]; !seen {
-			order = append(order, r)
+	out := make([]*lineage.Expr, n)
+	for j, g := range members {
+		switch {
+		case len(g) == 1:
+			out[j] = g[0]
+		case kind == lineage.KindAnd:
+			out[j] = lineage.And(g...)
+		default:
+			out[j] = lineage.Or(g...)
 		}
-		buckets[r] = append(buckets[r], k)
-	}
-	out := make([][]*lineage.Expr, 0, len(order))
-	for _, r := range order {
-		out = append(out, buckets[r])
 	}
 	return out
 }
 
 // mostFrequentVar returns the variable with the most occurrences in e,
-// breaking ties toward the smaller variable for determinism.
-func mostFrequentVar(e *lineage.Expr) (lineage.Var, bool) {
+// breaking ties toward the smaller variable for determinism. Every ∧/∨
+// node has one: the lineage constructors fold constants away.
+func mostFrequentVar(e *lineage.Expr) lineage.Var {
 	counts := make(map[lineage.Var]int)
 	countVars(e, counts)
 	var best lineage.Var
@@ -238,7 +282,7 @@ func mostFrequentVar(e *lineage.Expr) (lineage.Var, bool) {
 			best, bestN = v, n
 		}
 	}
-	return best, bestN > 0
+	return best
 }
 
 func countVars(e *lineage.Expr, counts map[lineage.Var]int) {
@@ -282,25 +326,4 @@ func Enumerate(e *lineage.Expr, probs Probs) float64 {
 		return t + f
 	}
 	return rec(0, 1)
-}
-
-// MonteCarlo estimates Pr(e) from n independent samples drawn with the
-// given seed. The standard error is about sqrt(p(1-p)/n). It panics for
-// n <= 0 (the estimate hits/n would silently be NaN), matching the
-// package's contract style for programmer errors.
-//
-// Each call owns a private PCG stream (math/rand/v2), so concurrent
-// estimators — one per worker in a parallel aggregation — never contend
-// on a shared locked source and stay individually reproducible from
-// their seeds. The sample scratch (variable list + truth assignment) is
-// checked out of a sync.Pool rather than allocated per call; see
-// MonteCarloBatch for the batched entry point that amortizes one
-// checkout over a whole row batch.
-func MonteCarlo(e *lineage.Expr, probs Probs, n int, seed int64) float64 {
-	if n <= 0 {
-		panic(fmt.Sprintf("prob: MonteCarlo needs a positive sample count, got %d", n))
-	}
-	sc := mcScratchPool.Get().(*mcScratch)
-	defer sc.release()
-	return monteCarloInto(e, probs, n, seed, sc)
 }

@@ -349,8 +349,10 @@ func TestQueryIDEndToEnd(t *testing.T) {
 		t.Errorf("cross-session query ID %d after %d: not monotonic", resp.QueryID, last)
 	}
 	tag := fmt.Sprintf("query_id=%d", resp.QueryID)
-	if !strings.Contains(resp.Message, tag) {
-		t.Errorf("ANALYZE trailer missing %q:\n%s", tag, resp.Message)
+	for _, want := range []string{tag, "stage memo-hits: ", "stage shannon-steps: 0"} {
+		if !strings.Contains(resp.Message, want) {
+			t.Errorf("ANALYZE text missing %q:\n%s", want, resp.Message)
+		}
 	}
 	if resp.Plan == nil || resp.Plan.QueryID != resp.QueryID {
 		t.Errorf("structured tree QueryID = %v, response = %d", resp.Plan, resp.QueryID)

@@ -20,7 +20,7 @@ import (
 // referenceUnion and referenceIntersect are the hand-written window loops
 // Union and Intersect ran before they became rows of core's operator
 // table, kept as the byte-identity reference: one window at a time, a
-// scalar prob.Evaluator, the lineage concatenation spelled out per class.
+// Prob call per tuple, the lineage concatenation spelled out per class.
 
 func referenceUnion(r, s *tp.Relation) *tp.Relation {
 	theta, _ := allTheta(r, s)
@@ -29,7 +29,7 @@ func referenceUnion(r, s *tp.Relation) *tp.Relation {
 		Attrs: append([]string(nil), r.Attrs...),
 		Probs: tp.MergeProbs(r, s),
 	}
-	ev := prob.NewEvaluator(out.Probs)
+	ev := prob.NewBatchEvaluator(out.Probs)
 
 	// Forward pass: overlapping windows (λr ∨ λs) and r's unmatched (λr).
 	for _, w := range core.Drain(core.LAWAU(core.OverlapJoin(r, s, theta))) {
@@ -57,7 +57,7 @@ func referenceIntersect(r, s *tp.Relation) *tp.Relation {
 		Attrs: append([]string(nil), r.Attrs...),
 		Probs: tp.MergeProbs(r, s),
 	}
-	ev := prob.NewEvaluator(out.Probs)
+	ev := prob.NewBatchEvaluator(out.Probs)
 	for _, w := range core.Drain(core.OverlapJoin(r, s, theta)) {
 		if w.Class() != window.Overlapping {
 			continue

@@ -23,7 +23,7 @@ func pointwiseRef(op string, r, s *tp.Relation) map[string]map[interval.Time]flo
 		valid bool
 	}
 	collect := func(rel *tp.Relation) map[string]map[interval.Time]sideVal {
-		ev := prob.NewEvaluator(rel.Probs)
+		ev := prob.NewBatchEvaluator(rel.Probs)
 		out := make(map[string]map[interval.Time]sideVal)
 		for _, t := range rel.Tuples {
 			k := t.Fact.Key()

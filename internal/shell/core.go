@@ -110,7 +110,7 @@ func PreloadFig1a(cat *catalog.Catalog) {
 // states — e.g. joining a stale CREATE TABLE AS snapshot against a
 // regenerated workload with conflicting base-event probabilities
 // (tp.MergeProbs), or evaluating a derived lineage whose base events were
-// dropped (prob.Evaluator). Those are per-query data problems, not
+// dropped (prob.BatchEvaluator). Those are per-query data problems, not
 // session corruption, so every surface (the interactive REPL exactly like
 // the server) converts them into that query's error and lives on.
 func (c *Core) Eval(ctx context.Context, line string) (res Result, err error) {

@@ -101,7 +101,7 @@ func TestSetPTA(t *testing.T) {
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 	out = run(t, sh, "EXPLAIN ANALYZE SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc")
-	for _, want := range []string{"stage workers:", "stage partitions:", "stage align-passes:", "stage fragments:"} {
+	for _, want := range []string{"stage workers:", "stage partitions:", "stage align-passes:", "stage fragments:", "stage shannon-steps: 0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("PTA ANALYZE missing %q:\n%s", want, out)
 		}

@@ -65,7 +65,7 @@ type PointMap map[string]map[interval.Time]PointRow
 // fact occurs twice at the same time point (a violation of the sequenced-TP
 // constraint that every valid result must satisfy).
 func Expand(r *Relation) (PointMap, error) {
-	ev := prob.NewEvaluator(r.Probs)
+	ev := prob.NewBatchEvaluator(r.Probs)
 	out := make(PointMap)
 	for _, t := range r.Tuples {
 		k := t.Fact.Key()
@@ -151,7 +151,7 @@ func (m PointMap) EqualLineage(o PointMap) error {
 // unmatched outputs, and symmetrically for the right/full variants.
 func RefJoin(op Op, r, s *Relation, theta Theta) PointMap {
 	probs := MergeProbs(r, s)
-	ev := prob.NewEvaluator(probs)
+	ev := prob.NewBatchEvaluator(probs)
 	out := make(PointMap)
 
 	add := func(f Fact, t interval.Time, lam *lineage.Expr) {
