@@ -1,9 +1,9 @@
-// Command tplint is the repo's custom static-analysis gate: five
+// Command tplint is the repo's custom static-analysis gate: four
 // vet-style analyzers (internal/lint) that mechanically enforce the
 // engine's hand-maintained contracts — cancellation checkpoints in drain
-// loops (ctxcheck), pooled-buffer hygiene (poolhygiene), (length,
-// Version) cache validity (cachekey), Strategy-enum synchronization
-// (enumsync) and the wire error-class vocabulary (errclass).
+// loops (ctxcheck), pooled-buffer hygiene (poolhygiene), Strategy-enum
+// synchronization (enumsync) and the wire error-class vocabulary
+// (errclass).
 //
 // From the module root:
 //

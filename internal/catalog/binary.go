@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"tpjoin/internal/interval"
 	"tpjoin/internal/lineage"
@@ -151,21 +152,10 @@ func ReadBinary(r io.Reader) (*tp.Relation, error) {
 	if string(magic) != binaryMagic {
 		return nil, fmt.Errorf("catalog: bad magic %q", magic)
 	}
-	readString := func() (string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<20 {
-			return "", fmt.Errorf("catalog: implausible string length %d", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	name, err := readString()
+	// Every count below comes from the input: slices grow as elements
+	// arrive instead of being presized, so a short file cannot demand more
+	// memory than it holds.
+	name, err := readString(r, br, 1<<20)
 	if err != nil {
 		return nil, err
 	}
@@ -173,11 +163,13 @@ func ReadBinary(r io.Reader) (*tp.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	attrs := make([]string, nAttrs)
-	for i := range attrs {
-		if attrs[i], err = readString(); err != nil {
+	var attrs []string
+	for i := uint64(0); i < nAttrs; i++ {
+		a, err := readString(r, br, 1<<20)
+		if err != nil {
 			return nil, err
 		}
+		attrs = append(attrs, a)
 	}
 	rel := &tp.Relation{Name: name, Attrs: attrs, Probs: make(prob.Probs)}
 	nProbs, err := binary.ReadUvarint(br)
@@ -185,7 +177,7 @@ func ReadBinary(r io.Reader) (*tp.Relation, error) {
 		return nil, err
 	}
 	for i := uint64(0); i < nProbs; i++ {
-		relName, err := readString()
+		relName, err := readString(r, br, 1<<20)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +197,7 @@ func ReadBinary(r io.Reader) (*tp.Relation, error) {
 	}
 	dec := lineage.NewDecoder(r)
 	for i := uint64(0); i < nTuples; i++ {
-		fact := make(tp.Fact, nAttrs)
+		fact := make(tp.Fact, len(attrs))
 		for j := range fact {
 			if fact[j], err = readValue(r, br); err != nil {
 				return nil, err
@@ -289,21 +281,32 @@ func readValue(r io.Reader, br io.ByteReader) (tp.Value, error) {
 		}
 		return tp.Float(f), nil
 	case 3:
-		n, err := binary.ReadUvarint(br)
+		s, err := readString(r, br, 1<<24)
 		if err != nil {
 			return tp.Value{}, err
 		}
-		if n > 1<<24 {
-			return tp.Value{}, fmt.Errorf("catalog: implausible string length %d", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return tp.Value{}, err
-		}
-		return tp.String_(string(b)), nil
+		return tp.String_(s), nil
 	default:
 		return tp.Value{}, fmt.Errorf("catalog: unknown value tag %d", tag)
 	}
+}
+
+// readString reads a uvarint length of at most max and that many bytes,
+// copied as they arrive rather than into a buffer presized from the
+// untrusted length.
+func readString(r io.Reader, br io.ByteReader, max uint64) (string, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return "", err
+	}
+	if n > max {
+		return "", fmt.Errorf("catalog: implausible string length %d", n)
+	}
+	var b strings.Builder
+	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+		return "", err
+	}
+	return b.String(), nil
 }
 
 func writeUvarint(w io.Writer, x uint64) error {

@@ -3,6 +3,7 @@ package catalog
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -223,4 +224,70 @@ func randLineage(rng *rand.Rand, depth int) *lineage.Expr {
 	default:
 		return lineage.AndNot(randLineage(rng, depth-1), randLineage(rng, depth-1))
 	}
+}
+
+// craftedHeaders are .tpr inputs whose counts promise far more data than
+// the input holds. A decoder that presizes from such a count dies with a
+// fatal out-of-memory error no recover can catch.
+func craftedHeaders() map[string][]byte {
+	uv := binary.AppendUvarint
+	magic := []byte(binaryMagic)
+	// One tuple of a zero-attribute relation, up to its lineage frame.
+	tuple := uv(uv(uv(uv(append([]byte(nil), magic...), 0), 0), 0), 1) // name, attrs, probs, 1 tuple
+	tuple = binary.AppendVarint(binary.AppendVarint(tuple, 0), 1)      // [0,1)
+	tuple = append(tuple, make([]byte, 8)...)                          // probability bits
+	return map[string][]byte{
+		"huge attr count":            uv(uv(append([]byte(nil), magic...), 0), 1<<33),
+		"huge prob count":            uv(uv(uv(append([]byte(nil), magic...), 0), 0), 1<<62),
+		"huge tuple count":           uv(uv(uv(uv(append([]byte(nil), magic...), 0), 0), 0), 1<<62),
+		"huge string length":         uv(append([]byte(nil), magic...), 1<<62),
+		"truncated string":           uv(append([]byte(nil), magic...), 1<<20),
+		"huge lineage payload size":  uv(append([]byte(nil), tuple...), 1<<40),
+		"huge lineage payload > int": uv(append([]byte(nil), tuple...), 1<<63+5),
+	}
+}
+
+// TestReadBinaryRejectsCraftedCounts: every crafted header is an error,
+// not an allocation the input cannot back.
+func TestReadBinaryRejectsCraftedCounts(t *testing.T) {
+	for name, data := range craftedHeaders() {
+		if _, err := ReadBinary(bufio.NewReader(bytes.NewReader(data))); err == nil {
+			t.Errorf("%s: ReadBinary accepted %d crafted bytes", name, len(data))
+		}
+	}
+}
+
+// FuzzReadBinary: any input either decodes into a relation that
+// re-encodes and decodes again, or is an error — never a panic or an
+// allocation the input cannot back.
+func FuzzReadBinary(f *testing.F) {
+	a, b := paperRelations()
+	for _, rel := range []*tp.Relation{a, core.LeftOuterJoin(a, b, tp.Equi(1, 1))} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, rel); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, data := range craftedHeaders() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rel, err := ReadBinary(bufio.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, rel); err != nil {
+			t.Fatalf("decoded relation does not re-encode: %v", err)
+		}
+		again, err := ReadBinary(bufio.NewReader(&buf))
+		if err != nil {
+			t.Fatalf("re-encoded relation does not decode: %v", err)
+		}
+		if again.Len() != rel.Len() || len(again.Attrs) != len(rel.Attrs) {
+			t.Fatalf("round trip changed shape: %d×%d vs %d×%d",
+				again.Len(), len(again.Attrs), rel.Len(), len(rel.Attrs))
+		}
+	})
 }

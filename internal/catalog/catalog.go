@@ -1,5 +1,8 @@
-// Package catalog manages named temporal-probabilistic relations and their
-// persistence as CSV files. The CSV layout is one row per tuple:
+// Package catalog is the name registry of temporal-probabilistic relations
+// plus their persistence: CSV here, the lineage-preserving binary format
+// in binary.go. Structures derived from a relation (statistics, join
+// build sides) live on the relation itself (tp.Relation.Derived), not
+// here. The CSV layout is one row per tuple:
 //
 //	attr1,...,attrN,tstart,tend,prob
 //
@@ -18,7 +21,6 @@ import (
 	"sync"
 
 	"tpjoin/internal/interval"
-	"tpjoin/internal/stats"
 	"tpjoin/internal/tp"
 )
 
@@ -32,25 +34,11 @@ import (
 type Catalog struct {
 	mu   sync.RWMutex
 	rels map[string]*tp.Relation
-
-	// stats caches per-relation statistics for the cost-based strategy
-	// picker and the \stats builtin, invalidated by each relation's
-	// (length, Version) pair so they are rebuilt lazily on first use
-	// after a mutation.
-	stats *stats.Cache
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{rels: make(map[string]*tp.Relation), stats: stats.NewCache()}
-}
-
-// Stats returns rel's statistics profile, computed lazily and cached on
-// the catalog. rel need not be registered (per-query temporaries are
-// computed without caching); registered relations share one cached
-// profile across all sessions.
-func (c *Catalog) Stats(rel *tp.Relation) *stats.Stats {
-	return c.stats.Get(rel)
+	return &Catalog{rels: make(map[string]*tp.Relation)}
 }
 
 // Register adds (or replaces) a relation under its name. The relation must
@@ -92,19 +80,6 @@ func (c *Catalog) Names() []string {
 	}
 	c.mu.RUnlock()
 	sort.Strings(out)
-	return out
-}
-
-// Snapshot returns a copy-on-read view of the whole catalog: relation
-// pointers keyed by name at one instant. Mutating the returned map does
-// not affect the catalog.
-func (c *Catalog) Snapshot() map[string]*tp.Relation {
-	c.mu.RLock()
-	out := make(map[string]*tp.Relation, len(c.rels))
-	for n, r := range c.rels {
-		out[n] = r
-	}
-	c.mu.RUnlock()
 	return out
 }
 

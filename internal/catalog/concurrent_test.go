@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"tpjoin/internal/core"
 	"tpjoin/internal/interval"
+	"tpjoin/internal/stats"
 	"tpjoin/internal/tp"
 )
 
@@ -17,7 +19,8 @@ func demoRelation(name string) *tp.Relation {
 }
 
 // TestConcurrentAccess hammers one catalog from many goroutines mixing
-// CREATE TABLE-style registration, lookups (SELECT), listing and drops —
+// CREATE TABLE-style registration, lookups (SELECT), listing, drops and
+// the derived-structure memo of the shared relation (\stats, a join) —
 // the access pattern of concurrent tpserverd sessions. It is meaningful
 // mainly under `go test -race`.
 func TestConcurrentAccess(t *testing.T) {
@@ -29,6 +32,8 @@ func TestConcurrentAccess(t *testing.T) {
 		sessions = 16
 		rounds   = 200
 	)
+	fresh := demoRelation("shared")
+	wantJoin := core.Join(tp.OpLeft, fresh, fresh, tp.Equi(0, 0)).Len()
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
 		wg.Add(1)
@@ -62,8 +67,17 @@ func TestConcurrentAccess(t *testing.T) {
 					if names := c.Names(); len(names) == 0 {
 						t.Error("names empty")
 					}
-					if snap := c.Snapshot(); snap["shared"] == nil {
-						t.Error("snapshot lost shared")
+					// \stats and a self-join share shared's memo across sessions.
+					rel, err := c.Lookup("shared")
+					if err != nil {
+						t.Errorf("lookup shared: %v", err)
+						continue
+					}
+					if st := stats.Of(rel); st.Tuples != 2 {
+						t.Errorf("stats of shared: %d tuples, want 2", st.Tuples)
+					}
+					if out := core.Join(tp.OpLeft, rel, rel, tp.Equi(0, 0)); out.Len() != wantJoin {
+						t.Errorf("shared ⟕ shared: %d tuples, want %d", out.Len(), wantJoin)
 					}
 				case 4: // \drop private
 					c.Drop(private)

@@ -140,16 +140,16 @@ func TestWindowBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestRelCacheInvalidatesOnSort pins the derived-structure cache's
+// TestRelCacheInvalidatesOnSort pins the derived-structure memo's
 // staleness detection: re-sorting a relation through tp.Relation's
-// methods (which bump its version) must rebuild the cached key
+// methods (which move its Stamp) must rebuild the memoized key
 // dictionary instead of serving stale tuple indexes.
 func TestRelCacheInvalidatesOnSort(t *testing.T) {
 	r, s := dataset.Webkit(800, 13)
 	theta := dataset.WebkitTheta()
-	before := Drain(LAWAU(OverlapJoin(r, s, theta))) // populates the cache for s
+	before := Drain(LAWAU(OverlapJoin(r, s, theta))) // populates s's memo
 
-	s.SortByStart() // same length, new tuple order: version bump must invalidate
+	s.SortByStart() // same length, new tuple order: Stamp move must invalidate
 	after := Drain(LAWAU(OverlapJoin(r, s, theta)))
 
 	// The window multiset is order-insensitive except for RID/RT, which

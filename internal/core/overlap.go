@@ -1,12 +1,9 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
-	"weak"
 
 	"tpjoin/internal/tp"
 	"tpjoin/internal/window"
@@ -237,60 +234,12 @@ func (j *hashOverlapJoin) NextBatch(buf []window.Window) int {
 	return n
 }
 
-// relCache memoizes per-relation derived structures — the start-sorted
-// permutation of a loop join's build side and the hash join's key
-// dictionary — so that instantiating many joins against one relation (the
-// REPL, the server, benchmark iterations) derives them once instead of
-// per instantiation. Relations published through the catalog are
-// immutable (catalog.Register documents this), which makes the entries
-// stable; a defensive length check invalidates entries for relations
-// still being appended to. Keys hold the relation weakly and every entry
-// registers a cleanup, so transient relations do not pin their derived
-// structures in memory.
-var relCache sync.Map // relCacheKey → relCacheEntry
-
-type relCacheKey struct {
-	rel weak.Pointer[tp.Relation]
-	// sub discriminates the derived structure: "start" for the sorted
-	// permutation, "dict:<cols>" for a key dictionary.
-	sub string
-}
-
-type relCacheEntry struct {
-	n   int    // len(rel.Tuples) at build time; a mismatch invalidates
-	ver uint64 // rel.Version() at build time; a mismatch invalidates
-	v   any
-}
-
-// relCached returns the cached derived structure for (rel, sub), building
-// and publishing it on a miss. Entries are invalidated by the relation's
-// (length, Version) pair, so appends and sorts through tp.Relation's
-// methods rebuild instead of serving stale structures. Transient
-// relations (per-query temporaries) bypass the cache entirely — their
-// entries could never be re-hit. Concurrent builders race benignly: one
-// entry wins, both results are valid.
-func relCached(rel *tp.Relation, sub string, build func() any) any {
-	if rel.Transient {
-		return build()
-	}
-	key := relCacheKey{rel: weak.Make(rel), sub: sub}
-	if e, ok := relCache.Load(key); ok {
-		if ent := e.(relCacheEntry); ent.n == len(rel.Tuples) && ent.ver == rel.Version() {
-			return ent.v
-		}
-	}
-	v := build()
-	ent := relCacheEntry{n: len(rel.Tuples), ver: rel.Version(), v: v}
-	if _, loaded := relCache.Swap(key, ent); !loaded {
-		runtime.AddCleanup(rel, func(k relCacheKey) {
-			relCache.Delete(k)
-		}, key)
-	}
-	return v
-}
-
+// startSorted returns s's tuple indexes in start order, derived once per
+// relation (tp.Relation.Derived) so that instantiating many joins against
+// one relation — the REPL, the server, benchmark iterations — sorts its
+// build side once instead of per instantiation.
 func startSorted(s *tp.Relation) []int {
-	return relCached(s, "start", func() any { return sortByStart(s) }).([]int)
+	return s.Derived("start", func() any { return sortByStart(s) }).([]int)
 }
 
 func sortByStart(s *tp.Relation) []int {
@@ -316,7 +265,7 @@ func cachedKeyTable(s *tp.Relation, eq tp.EquiTheta) *keyTable {
 	for _, c := range eq.SCols {
 		sub += strconv.Itoa(c) + ","
 	}
-	return relCached(s, sub, func() any { return buildKeyTable(s, eq) }).(*keyTable)
+	return s.Derived(sub, func() any { return buildKeyTable(s, eq) }).(*keyTable)
 }
 
 type loopOverlapJoin struct {

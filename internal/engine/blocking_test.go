@@ -101,18 +101,18 @@ func TestBlockingOperatorsBudgetCancelReopen(t *testing.T) {
 		}
 
 		// A second Open scans from the first tuple again.
-		op = mk()
-		first, err := Run(op, "first")
+		inst := Instrument(mk())
+		first, err := Run(inst, "first")
 		if err != nil {
 			t.Fatalf("%s: first run: %v", name, err)
 		}
-		second, err := Run(op, "second")
+		second, err := Run(inst, "second")
 		if err != nil {
 			t.Fatalf("%s: second run: %v", name, err)
 		}
-		if first.Len() == 0 || second.Len() != first.Len() || op.Stats().Rows != int64(first.Len()) {
+		if first.Len() == 0 || second.Len() != first.Len() || inst.OpStats().Rows != int64(first.Len()) {
 			t.Fatalf("%s: second run: %d rows (stats %d); first run had %d",
-				name, second.Len(), op.Stats().Rows, first.Len())
+				name, second.Len(), inst.OpStats().Rows, first.Len())
 		}
 		for i := range first.Tuples {
 			if first.Tuples[i].String() != second.Tuples[i].String() {

@@ -6,9 +6,8 @@
 // no tuple replication and no materialization barriers beyond those of a
 // conventional hash join.
 //
-// Operators follow the classic Open/Next/Close contract and report
-// per-operator statistics (rows produced) for EXPLAIN ANALYZE-style
-// output.
+// Operators follow the classic Open/Next/Close contract; EXPLAIN
+// ANALYZE counts their rows and time through the Instrumented decorator.
 package engine
 
 import (
@@ -33,23 +32,14 @@ type Operator interface {
 	// Probs returns the probabilities of the base events that may appear
 	// in the lineages of produced tuples.
 	Probs() prob.Probs
-	// Stats returns the rows produced so far.
-	Stats() Stats
-}
-
-// Stats carries per-operator runtime counters.
-type Stats struct {
-	Rows int64
 }
 
 // base provides common bookkeeping for operators.
 type base struct {
 	attrs []string
-	stats Stats
 }
 
 func (b *base) Attrs() []string { return b.attrs }
-func (b *base) Stats() Stats    { return b.stats }
 
 // Run drains op into a relation named name, opening and closing it.
 func Run(op Operator, name string) (*tp.Relation, error) {
@@ -146,7 +136,6 @@ func (b *blocking) BindContext(ctx context.Context) { b.ctx = ctx }
 // begin resets the operator for a fresh Open and returns the bound
 // context (Background for a tree driven without RunContext).
 func (b *blocking) begin() context.Context {
-	b.stats = Stats{}
 	b.mat, b.mi = nil, 0
 	if b.ctx == nil {
 		return context.Background()
@@ -161,7 +150,6 @@ func (b *blocking) Next() (tp.Tuple, bool, error) {
 	}
 	t := b.mat[b.mi]
 	b.mi++
-	b.stats.Rows++
 	return t, true, nil
 }
 
@@ -181,7 +169,6 @@ func NewScan(rel *tp.Relation) *Scan {
 
 func (s *Scan) Open() error {
 	s.i = 0
-	s.stats = Stats{}
 	return nil
 }
 
@@ -191,7 +178,6 @@ func (s *Scan) Next() (tp.Tuple, bool, error) {
 	}
 	t := s.rel.Tuples[s.i]
 	s.i++
-	s.stats.Rows++
 	return t, true, nil
 }
 
@@ -221,7 +207,7 @@ func NewFilter(in Operator, pred Predicate) *Filter {
 	return &Filter{base: base{attrs: in.Attrs()}, in: in, pred: pred}
 }
 
-func (f *Filter) Open() error { f.stats = Stats{}; return f.in.Open() }
+func (f *Filter) Open() error { return f.in.Open() }
 
 func (f *Filter) Next() (tp.Tuple, bool, error) {
 	for {
@@ -230,7 +216,6 @@ func (f *Filter) Next() (tp.Tuple, bool, error) {
 			return tp.Tuple{}, false, err
 		}
 		if f.pred(t) {
-			f.stats.Rows++
 			return t, true, nil
 		}
 	}
@@ -265,7 +250,7 @@ func NewProject(in Operator, cols []int, names []string) (*Project, error) {
 	return &Project{base: base{attrs: names}, in: in, cols: cols}, nil
 }
 
-func (p *Project) Open() error { p.stats = Stats{}; return p.in.Open() }
+func (p *Project) Open() error { return p.in.Open() }
 
 func (p *Project) Next() (tp.Tuple, bool, error) {
 	t, ok, err := p.in.Next()
@@ -277,7 +262,6 @@ func (p *Project) Next() (tp.Tuple, bool, error) {
 		f[i] = t.Fact[c]
 	}
 	t.Fact = f
-	p.stats.Rows++
 	return t, true, nil
 }
 
@@ -301,7 +285,7 @@ func NewLimit(in Operator, n int) *Limit {
 	return &Limit{base: base{attrs: in.Attrs()}, in: in, n: n}
 }
 
-func (l *Limit) Open() error { l.seen = 0; l.stats = Stats{}; return l.in.Open() }
+func (l *Limit) Open() error { l.seen = 0; return l.in.Open() }
 
 func (l *Limit) Next() (tp.Tuple, bool, error) {
 	if l.seen >= l.n {
@@ -312,7 +296,6 @@ func (l *Limit) Next() (tp.Tuple, bool, error) {
 		return tp.Tuple{}, false, err
 	}
 	l.seen++
-	l.stats.Rows++
 	return t, true, nil
 }
 

@@ -28,13 +28,13 @@ var theta = tp.Equi(1, 1)
 
 func TestScan(t *testing.T) {
 	a := paperA()
-	s := NewScan(a)
+	s := Instrument(NewScan(a))
 	out, err := Run(s, "q")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if out.Len() != 2 || s.Stats().Rows != 2 {
-		t.Errorf("scan rows = %d stats = %d", out.Len(), s.Stats().Rows)
+	if out.Len() != 2 || s.OpStats().Rows != 2 {
+		t.Errorf("scan rows = %d stats = %d", out.Len(), s.OpStats().Rows)
 	}
 	if len(out.Probs) != 2 {
 		t.Errorf("probs must flow through Run")

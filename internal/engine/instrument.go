@@ -104,10 +104,6 @@ func (i *Instrumented) Attrs() []string { return i.op.Attrs() }
 // Probs implements Operator.
 func (i *Instrumented) Probs() prob.Probs { return i.op.Probs() }
 
-// Stats implements Operator, reporting the decorator's own row count (the
-// inner count matches; reading it here avoids a virtual hop).
-func (i *Instrumented) Stats() Stats { return Stats{Rows: i.stats.Rows} }
-
 // ContextBinder is implemented by operators whose Open must observe the
 // query context — every operator with a materializing Open, through the
 // blocking state they embed — so cancellation and the memory budget abort

@@ -262,9 +262,6 @@ func (j *TPJoin) Next() (tp.Tuple, bool, error) {
 		return j.blocking.Next()
 	}
 	t, ok := j.stream.Next()
-	if ok {
-		j.stats.Rows++
-	}
 	return t, ok, nil
 }
 
@@ -291,25 +288,19 @@ func (j *TPJoin) Probs() prob.Probs {
 // childRelation obtains the child's tuples as a relation. A bare Scan
 // passes its relation through without copying (the common case, keeping
 // the NJ pipeline zero-copy); any other child is drained once into a
-// per-query temporary, marked Transient so downstream operators skip the
-// per-relation derived-structure caches for it.
+// per-query temporary.
 func childRelation(ctx context.Context, op Operator, tag string) (*tp.Relation, error) {
 	if sc, ok := bareScan(op); ok {
 		return sc.Relation(), nil
 	}
-	out, err := materialize(ctx, op, "tmp_"+tag)
-	if err != nil {
-		return nil, err
-	}
-	out.Transient = true
-	return out, nil
+	return materialize(ctx, op, "tmp_"+tag)
 }
 
 // bareScan unwraps the ANALYZE accounting decorator when looking for the
 // zero-copy Scan fast path: a scan input is borrowed without copying in
 // instrumented and plain execution alike, so EXPLAIN ANALYZE measures the
-// same plan a plain query runs (no input copies, no bypass of the
-// per-relation derived-structure caches). The borrowed scan node then
+// same plan a plain query runs (no input copies, and the input's memoized
+// build structures are reused). The borrowed scan node then
 // reports rows=0 — it was never pulled, which is exactly what happened.
 func bareScan(op Operator) (*Scan, bool) {
 	if i, ok := op.(*Instrumented); ok {

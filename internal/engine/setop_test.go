@@ -18,7 +18,8 @@ func setopDemo() (*tp.Relation, *tp.Relation) {
 func TestTPSetOpUnion(t *testing.T) {
 	r, s := setopDemo()
 	op := NewTPSetOp(SetUnion, NewScan(r), NewScan(s))
-	out, err := Run(op, "u")
+	inst := Instrument(op)
+	out, err := Run(inst, "u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +29,8 @@ func TestTPSetOpUnion(t *testing.T) {
 	if op.Kind() != SetUnion || len(op.Children()) != 2 {
 		t.Errorf("accessors wrong")
 	}
-	if op.Stats().Rows != 3 {
-		t.Errorf("stats rows = %d", op.Stats().Rows)
+	if inst.OpStats().Rows != 3 {
+		t.Errorf("stats rows = %d", inst.OpStats().Rows)
 	}
 	if len(op.Probs()) != 2 {
 		t.Errorf("probs must merge both sides")

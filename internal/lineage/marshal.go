@@ -1,9 +1,11 @@
 package lineage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary serialization of lineage expressions: a compact post-order
@@ -135,10 +137,13 @@ func (dec *Decoder) Decode() (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(dec.r.r, payload); err != nil {
+	// size comes from the stream: the payload grows as bytes arrive rather
+	// than being presized, so a few corrupt bytes cannot demand gigabytes.
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, dec.r.r, int64(min(size, math.MaxInt64))); err != nil {
 		return nil, err
 	}
+	payload := buf.Bytes()
 	var stack []*Expr
 	i := 0
 	readUvarint := func() (uint64, error) {

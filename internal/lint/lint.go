@@ -1,9 +1,9 @@
 // Package lint is tplint's analysis framework: a vet-style static
 // checker that mechanically enforces the engine's hand-maintained
 // invariants — cancellation checkpoints in drain loops (ctxcheck),
-// pooled-buffer hygiene (poolhygiene), (length, Version) cache validity
-// (cachekey), strategy-enum/array synchronization (enumsync) and the
-// wire error-class vocabulary (errclass).
+// pooled-buffer hygiene (poolhygiene), strategy-enum/array
+// synchronization (enumsync) and the wire error-class vocabulary
+// (errclass).
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the suite can be ported to the upstream framework
@@ -104,7 +104,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers is the full tplint suite in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CtxCheck, PoolHygiene, CacheKey, EnumSync, ErrClass}
+	return []*Analyzer{CtxCheck, PoolHygiene, EnumSync, ErrClass}
 }
 
 // ignoreRe matches the suppression comment syntax. The analyzer name and
@@ -198,9 +198,8 @@ func applySuppressions(diags []Diagnostic, sups []*suppression) []Diagnostic {
 //
 // Test sources (*_test.go) never get here — the loader does not parse
 // them: the suite encodes production contracts, and test code
-// legitimately uses shapes the analyzers reject (length-only assertions
-// on generated relations, un-pooled scratch buffers, loops with no query
-// context).
+// legitimately uses shapes the analyzers reject (un-pooled scratch
+// buffers, loops with no query context).
 func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 	var all []Diagnostic
 	for _, pkg := range pkgs {

@@ -160,12 +160,11 @@ func Run(ctx context.Context, parts, workers int, run func(p int) error) error {
 // together). Tuples whose key contains NULL match nothing; they still
 // must flow through a join (outer/anti semantics keep them), so they are
 // assigned round-robin by tuple index — deterministically, so repeated
-// partitionings of one relation agree. The partitions are marked
-// Transient (per-call temporaries outside the derived-structure caches).
+// partitionings of one relation agree.
 func PartitionByKey(rel *tp.Relation, cols []int, parts int) []*tp.Relation {
 	out := make([]*tp.Relation, parts)
 	for i := range out {
-		out[i] = &tp.Relation{Name: rel.Name, Attrs: rel.Attrs, Probs: rel.Probs, Transient: true}
+		out[i] = &tp.Relation{Name: rel.Name, Attrs: rel.Attrs, Probs: rel.Probs}
 	}
 	eq := tp.EquiTheta{RCols: cols, SCols: cols}
 	for i := range rel.Tuples {

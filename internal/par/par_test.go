@@ -135,8 +135,8 @@ func TestPartitionByKey(t *testing.T) {
 	home := map[string]int{}
 	total := 0
 	for p, part := range got {
-		if !part.Transient || part.Name != rel.Name {
-			t.Errorf("partition %d: Transient=%v Name=%q, want a transient view of %q", p, part.Transient, part.Name, rel.Name)
+		if part.Name != rel.Name {
+			t.Errorf("partition %d: Name=%q, want a view of %q", p, part.Name, rel.Name)
 		}
 		total += part.Len()
 		for _, tu := range part.Tuples {

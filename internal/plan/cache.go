@@ -3,10 +3,10 @@
 // re-parse per EXECUTE); the Cache additionally memoizes the expensive
 // half of Build — the statistics profiling and cost-model estimation
 // behind the auto strategy picker — keyed by the normalized statement
-// text plus every plan-relevant session setting, and invalidated by the
-// same (length, Version) staleness contract the statistics cache uses, so
-// a catalog mutation of any referenced relation forces a re-plan while
-// untouched shapes keep their pick.
+// text plus every plan-relevant session setting, and invalidated by each
+// referenced relation's identity and tp.Stamp — the Stamp the statistics
+// memo checks — so a catalog mutation of any referenced relation forces a
+// re-plan while untouched shapes keep their pick.
 package plan
 
 import (
@@ -60,16 +60,15 @@ func (p *Prepared) bindCheck(params []sql.Literal) error {
 	return nil
 }
 
-// relSnap records the identity and staleness pair of one relation a
-// cached plan was built against. The pointer is weak — the cache must not
-// keep replaced relations alive — and identity is checked against a fresh
+// relSnap records the identity and Stamp of one relation a cached plan
+// was built against. The pointer is weak — the cache must not keep
+// replaced relations alive — and identity is checked against a fresh
 // catalog lookup, so a same-name re-registration invalidates even if the
-// new relation happens to match the old (length, Version) pair.
+// new relation happens to match the old Stamp.
 type relSnap struct {
-	name    string
-	rel     weak.Pointer[tp.Relation]
-	length  int
-	version uint64
+	name  string
+	rel   weak.Pointer[tp.Relation]
+	stamp tp.Stamp
 }
 
 // Entry is one cached plan: the memoized strategy estimate of the
@@ -84,17 +83,16 @@ type Entry struct {
 // snapshot appends rel's snapshot to the entry under its catalog name.
 func (e *Entry) snapshot(name string, rel *tp.Relation) {
 	e.rels = append(e.rels, relSnap{
-		name: name, rel: weak.Make(rel), length: rel.Len(), version: rel.Version(),
+		name: name, rel: weak.Make(rel), stamp: rel.Stamp(),
 	})
 }
 
 // valid reports whether every referenced relation is still the one the
-// plan was built against, at the same (length, Version).
+// plan was built against, at the same Stamp.
 func (e *Entry) valid(cat *catalog.Catalog) bool {
 	for _, sn := range e.rels {
 		cur, err := cat.Lookup(sn.name)
-		if err != nil || cur != sn.rel.Value() ||
-			cur.Len() != sn.length || cur.Version() != sn.version {
+		if err != nil || cur != sn.rel.Value() || cur.Stamp() != sn.stamp {
 			return false
 		}
 	}

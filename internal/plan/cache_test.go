@@ -66,8 +66,8 @@ func TestPlanCacheHitOnRepeatedExecute(t *testing.T) {
 }
 
 // TestPlanCacheVersionBumpInvalidates pins the staleness contract: a
-// mutation that changes a referenced relation's Version without changing
-// its length (an in-place sort) must force a re-plan.
+// mutation that moves a referenced relation's Stamp without changing its
+// length (an in-place sort) must force a re-plan.
 func TestPlanCacheVersionBumpInvalidates(t *testing.T) {
 	cat := demoCatalog(t)
 	cache := NewCache(8)
@@ -81,11 +81,11 @@ func TestPlanCacheVersionBumpInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lenBefore, verBefore := b.Len(), b.Version()
+	lenBefore, stampBefore := b.Len(), b.Stamp()
 	b.SortByStart() // version-only bump: length is unchanged
-	if b.Len() != lenBefore || b.Version() == verBefore {
-		t.Fatalf("test premise broken: len %d→%d version %d→%d",
-			lenBefore, b.Len(), verBefore, b.Version())
+	if b.Len() != lenBefore || b.Stamp() == stampBefore {
+		t.Fatalf("test premise broken: len %d→%d stamp %v→%v",
+			lenBefore, b.Len(), stampBefore, b.Stamp())
 	}
 	if _, cached := runPrepared(t, cache, cat, sess, p); cached {
 		t.Fatal("EXECUTE after a version-only bump must re-plan")
@@ -102,7 +102,7 @@ func TestPlanCacheVersionBumpInvalidates(t *testing.T) {
 
 // TestPlanCacheReRegisterInvalidates pins the identity half of the
 // contract: replacing a relation under the same name invalidates even
-// when the replacement happens to match the old (length, Version) pair —
+// when the replacement happens to match the old Stamp —
 // the weak pointer no longer resolves to the catalog's current relation.
 func TestPlanCacheReRegisterInvalidates(t *testing.T) {
 	cat := demoCatalog(t)
@@ -118,14 +118,13 @@ func TestPlanCacheReRegisterInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rebuild b tuple by tuple: the same Append sequence yields the same
-	// (length, Version) pair, so only pointer identity can tell them apart.
+	// Stamp, so only pointer identity can tell them apart.
 	repl := tp.NewRelation("b", old.Attrs...)
 	for _, tu := range old.Tuples {
 		repl.Append(tu.Fact, tu.T, tu.Prob)
 	}
-	if repl.Len() != old.Len() || repl.Version() != old.Version() {
-		t.Fatalf("test premise broken: clone (len,version) differs: (%d,%d) vs (%d,%d)",
-			repl.Len(), repl.Version(), old.Len(), old.Version())
+	if repl.Stamp() != old.Stamp() {
+		t.Fatalf("test premise broken: clone stamp differs: %v vs %v", repl.Stamp(), old.Stamp())
 	}
 	if err := cat.Register(repl); err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ import (
 	"tpjoin/internal/engine"
 	"tpjoin/internal/par"
 	"tpjoin/internal/sql"
+	"tpjoin/internal/stats"
 	"tpjoin/internal/tp"
 )
 
@@ -363,14 +364,14 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 		// approximation (set ops only fragment time, they do not change
 		// the key distribution materially). A cache hit replays the
 		// memoized estimate instead: its validity against the inputs'
-		// (length, Version) state was just checked by Cache.get.
+		// Stamps was just checked by Cache.get.
 		strategy, forced := sess.Strategy.Physical()
 		var est Estimate
 		if cached != nil && cached.est != nil {
 			est = *cached.est
 		} else {
-			est = EstimateJoin(sel.From.Binding(), cat.Stats(left),
-				sel.Join.Right.Binding(), cat.Stats(right), theta, sess.Workers, sess.TANestedLoop, sess.Calib)
+			est = EstimateJoin(sel.From.Binding(), stats.Of(left),
+				sel.Join.Right.Binding(), stats.Of(right), theta, sess.Workers, sess.TANestedLoop, sess.Calib)
 		}
 		entry.est = &est
 		if !forced {
@@ -890,15 +891,11 @@ func buildNode(op engine.Operator, analyze bool) *Node {
 		// the children below come from the accessors, not from this switch.
 		n.Desc = fmt.Sprintf("%T", inner)
 	}
-	if analyze {
-		if inst != nil {
-			st := inst.OpStats()
-			n.Rows = st.Rows
-			n.TimeUS = st.WallNanos / 1e3
-			n.OpenUS = st.OpenNanos / 1e3
-		} else {
-			n.Rows = inner.Stats().Rows
-		}
+	if inst != nil { // under ANALYZE every node is instrumented
+		st := inst.OpStats()
+		n.Rows = st.Rows
+		n.TimeUS = st.WallNanos / 1e3
+		n.OpenUS = st.OpenNanos / 1e3
 	}
 	for _, k := range engine.Children(inner) {
 		if k != nil {

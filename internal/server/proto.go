@@ -23,8 +23,8 @@ import (
 // placeholders), `EXECUTE name [(v, ...)]` and `DEALLOCATE name` manage
 // session-local prepared statements; the planning behind EXECUTE (stats
 // profiling, cost-model strategy pick) is memoized in a server-wide plan
-// cache shared by all sessions, invalidated when a referenced relation's
-// (length, Version) state changes — Response.PlanCache reports "hit" or
+// cache shared by all sessions, invalidated when a referenced relation is
+// replaced or its tp.Stamp moves — Response.PlanCache reports "hit" or
 // "miss" per EXECUTE. The `\metrics` builtin reports per-strategy throughput
 // (queries/rows/exec-seconds per NJ, TA, PNJ and PTA) plus the last
 // query's wall time and row count, so strategy comparisons need no

@@ -3,9 +3,12 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -336,6 +339,39 @@ func TestPanicContainment(t *testing.T) {
 	c2, err := client.Dial(addr)
 	if err != nil {
 		t.Fatalf("server dead after contained panic: %v", err)
+	}
+	c2.Close()
+}
+
+// TestLoadbCraftedFile: \loadb of a 10-byte .tpr whose attribute count
+// promises 2^33 entries is a classified error for that statement, and the
+// session and the server keep serving. A decoder that presized from the
+// count would take the whole process down with a fatal out-of-memory.
+func TestLoadbCraftedFile(t *testing.T) {
+	cat := testCatalog(t)
+	_, addr := startServer(t, cat, server.Config{})
+	path := filepath.Join(t.TempDir(), "evil.tpr")
+	data := binary.AppendUvarint([]byte("TPR1\x00"), 1<<33)
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	_, err = c.Query(ctx, `\loadb evil `+path)
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.ErrClass != server.ErrClassError {
+		t.Fatalf("want a classified %q error, got %v (%+v)", server.ErrClassError, err, se)
+	}
+	if resp, err := c.Query(ctx, "SELECT * FROM a"); err != nil || resp.RowCount != 2 {
+		t.Fatalf("session dead after the failed \\loadb: %v", err)
+	}
+	c2, err := client.Dial(addr)
+	if err != nil {
+		t.Fatalf("server dead after the failed \\loadb: %v", err)
 	}
 	c2.Close()
 }

@@ -17,6 +17,7 @@ import (
 	"tpjoin/internal/obs"
 	"tpjoin/internal/plan"
 	"tpjoin/internal/sql"
+	"tpjoin/internal/stats"
 	"tpjoin/internal/tp"
 )
 
@@ -278,7 +279,7 @@ func (c *Core) command(line string) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{Kind: KindMessage, Text: c.Catalog.Stats(rel).Render(fields[1])}, nil
+		return Result{Kind: KindMessage, Text: stats.Of(rel).Render(fields[1])}, nil
 	case `\prepared`:
 		// This session's prepared statements, sorted by name.
 		names := make([]string, 0, len(c.prepared))

@@ -2,19 +2,15 @@
 // cost-based join-strategy picker (SET strategy = auto) and the \stats
 // builtin: tuple counts, per-column distinct cardinalities and group
 // sizes, and the temporal profile (interval span, durations, overlap
-// density). Everything is derived in one pass over the tuples and cached
-// per relation, invalidated by the relation's (length, Version) pair —
-// the same staleness contract the execution engine's derived-structure
-// caches use — so statistics are rebuilt lazily on first use after a
-// mutation.
+// density). Everything is derived in one pass over the tuples (Compute);
+// Of memoizes the profile on the relation itself (tp.Relation.Derived),
+// so it is rebuilt lazily on first use after a mutation and shared by
+// every session that reads a catalog relation.
 package stats
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"weak"
 
 	"tpjoin/internal/interval"
 	"tpjoin/internal/tp"
@@ -53,21 +49,20 @@ type Stats struct {
 	// span (Σ durations / span length). It is the relation-wide
 	// concurrency; divide by a key cardinality for the per-key value.
 	Density float64
+}
 
-	// (length, version) of the relation at computation time; the cache
-	// uses the pair to detect staleness.
-	len     int
-	version uint64
+// Of returns rel's statistics, memoized on rel and recomputed on first use
+// after a mutation moved its Stamp.
+func Of(rel *tp.Relation) *Stats {
+	return rel.Derived("stats", func() any { return Compute(rel) }).(*Stats)
 }
 
 // Compute derives the full statistics profile of rel in one pass over its
 // tuples.
 func Compute(rel *tp.Relation) *Stats {
 	st := &Stats{
-		Tuples:  rel.Len(),
-		Cols:    make([]ColStats, rel.Arity()),
-		len:     rel.Len(),
-		version: rel.Version(),
+		Tuples: rel.Len(),
+		Cols:   make([]ColStats, rel.Arity()),
 	}
 	counts := make([]map[tp.Value]int, rel.Arity())
 	for c := range counts {
@@ -89,7 +84,7 @@ func Compute(rel *tp.Relation) *Stats {
 		if d > st.MaxDur {
 			st.MaxDur = d
 		}
-		// Hull of all intervals (interval.Union rejects disjoint pairs).
+		// Hull of all intervals, disjoint ones included.
 		if i == 0 {
 			st.Span = t.T
 		} else {
@@ -195,49 +190,4 @@ func (s *Stats) Render(name string) string {
 	fmt.Fprintf(&b, "  time: span %s, mean duration %.1f, max %d, overlap %.2f\n",
 		s.Span, s.MeanDur, s.MaxDur, s.Density)
 	return b.String()
-}
-
-// Cache memoizes one Stats per relation, invalidated by the relation's
-// (length, Version) pair: statistics are computed lazily on first use and
-// rebuilt on first use after a mutating method touched the relation.
-// Relation keys are held weakly with a cleanup (the execution engine's
-// derived-structure cache idiom), so dropped relations do not pin their
-// statistics. Transient relations (per-query temporaries) bypass the
-// cache. Safe for concurrent use.
-type Cache struct {
-	mu      sync.Mutex
-	entries map[weak.Pointer[tp.Relation]]*Stats
-}
-
-// NewCache returns an empty cache.
-func NewCache() *Cache {
-	return &Cache{entries: make(map[weak.Pointer[tp.Relation]]*Stats)}
-}
-
-// Get returns rel's statistics, computing (and caching) them if the cache
-// has no current entry.
-func (c *Cache) Get(rel *tp.Relation) *Stats {
-	if rel.Transient {
-		return Compute(rel)
-	}
-	key := weak.Make(rel)
-	c.mu.Lock()
-	if e := c.entries[key]; e != nil && e.len == rel.Len() && e.version == rel.Version() {
-		c.mu.Unlock()
-		return e
-	}
-	c.mu.Unlock()
-	st := Compute(rel)
-	c.mu.Lock()
-	fresh := c.entries[key] == nil
-	c.entries[key] = st
-	c.mu.Unlock()
-	if fresh {
-		runtime.AddCleanup(rel, func(k weak.Pointer[tp.Relation]) {
-			c.mu.Lock()
-			delete(c.entries, k)
-			c.mu.Unlock()
-		}, key)
-	}
-	return st
 }

@@ -148,33 +148,31 @@ func TestKeyInfo(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidation pins the caching contract: a current entry is
-// served as-is, and any Version bump — even one that does not change the
+// TestCacheInvalidation pins Of's memo contract: a current profile is
+// served as-is, and any Stamp move — even one that does not change the
 // length, like a sort — forces a rebuild on next use.
 func TestCacheInvalidation(t *testing.T) {
-	c := NewCache()
 	rel := tp.NewRelation("r", "K")
 	rel.Append(tp.Strings("x"), interval.New(0, 5), 0.5)
 	rel.Append(tp.Strings("y"), interval.New(3, 9), 0.5)
 
-	s1 := c.Get(rel)
-	if s2 := c.Get(rel); s2 != s1 {
-		t.Fatal("unchanged relation must be served from the cache")
+	s1 := Of(rel)
+	if s2 := Of(rel); s2 != s1 {
+		t.Fatal("unchanged relation must be served from the memo")
 	}
-	// Version bump without length change (sort) invalidates.
+	// A sort moves the Stamp without changing the length; it invalidates.
 	rel.SortByStart()
-	s3 := c.Get(rel)
+	s3 := Of(rel)
 	if s3 == s1 {
-		t.Fatal("Version bump must force a stats rebuild")
+		t.Fatal("Stamp move must force a stats rebuild")
 	}
 	// Mutation through Append is picked up lazily on next use.
 	rel.Append(tp.Strings("z"), interval.New(10, 12), 0.5)
-	if s4 := c.Get(rel); s4 == s3 || s4.Tuples != 3 {
-		t.Fatalf("stats stale after append: %+v", c.Get(rel))
+	if s4 := Of(rel); s4 == s3 || s4.Tuples != 3 {
+		t.Fatalf("stats stale after append: %+v", s4)
 	}
-	// Transient relations bypass the cache.
-	rel.Transient = true
-	if c.Get(rel) == c.Get(rel) {
-		t.Fatal("transient relations must not be cached")
+	// The memo lives on the relation: a clone starts without it.
+	if Of(rel.Clone()) == Of(rel) {
+		t.Fatal("a clone must not share its source's memo")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"tpjoin/internal/interval"
 	"tpjoin/internal/lineage"
@@ -37,21 +38,62 @@ type Relation struct {
 	// its probability. For a base relation these are exactly the tuple
 	// probabilities; derived relations inherit the union of their inputs'.
 	Probs prob.Probs
-	// Transient marks a per-query temporary (a drained subplan, a
-	// parallel-join partition): the execution engine skips its
-	// per-relation derived-structure caches for transient relations,
-	// whose entries could never be re-hit.
-	Transient bool
 
 	// version counts structure-changing mutations through this package's
-	// methods (appends, sorts); derived-structure caches use it together
-	// with the length to detect staleness. Direct writes to Tuples bypass
-	// it — see the in-place mutation caveat below.
+	// methods (appends, sorts); Stamp pairs it with the length. Direct
+	// writes to Tuples bypass it — see the in-place mutation caveat below.
+	version uint64
+
+	// memo holds the structures Derived built from this relation; it dies
+	// with the relation.
+	mu   sync.Mutex
+	memo []derived
+}
+
+// Stamp identifies a relation's contents for staleness checks: the tuple
+// count plus the mutation counter that Append, AppendDerived and
+// SortByStart bump. Two reads of an unchanged relation compare equal.
+type Stamp struct {
+	n       int
 	version uint64
 }
 
-// Version reports the relation's mutation counter; see Relation.version.
-func (r *Relation) Version() uint64 { return r.version }
+// Stamp returns the relation's current Stamp.
+func (r *Relation) Stamp() Stamp { return Stamp{len(r.Tuples), r.version} }
+
+type derived struct {
+	key string
+	at  Stamp
+	v   any
+}
+
+// Derived returns the structure build derives from the relation's tuples
+// (a start order, a key dictionary, statistics), memoized under key and
+// rebuilt when the Stamp has moved since it was built. Safe for concurrent
+// use; two concurrent first calls may both build, and either result is
+// valid.
+func (r *Relation) Derived(key string, build func() any) any {
+	at := r.Stamp()
+	r.mu.Lock()
+	for _, d := range r.memo {
+		if d.key == key && d.at == at {
+			r.mu.Unlock()
+			return d.v
+		}
+	}
+	r.mu.Unlock()
+	v := build()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.memo {
+		if r.memo[i].key == key {
+			r.memo[i] = derived{key, at, v}
+			return v
+		}
+	}
+	r.memo = append(r.memo, derived{key, at, v})
+	return v
+}
 
 // NewRelation returns an empty relation with the given name and attribute
 // names. The name doubles as the lineage-variable prefix for base tuples.
@@ -104,13 +146,13 @@ func (r *Relation) Clone() *Relation {
 	return out
 }
 
-// In-place mutation caveat: the execution engine caches derived
-// structures (start-sorted orders, interned-key dictionaries) per
-// relation identity, invalidated by the (length, Version) pair. The
-// mutating methods of this package bump Version, so appends and sorts
-// are detected; direct writes through the exported Tuples slice are
-// not. Treat a relation as immutable once it has been used as a join
-// input, or Clone before mutating it by hand.
+// In-place mutation caveat: Derived memoizes structures (start-sorted
+// orders, interned-key dictionaries, statistics) on the relation,
+// invalidated by its Stamp. The mutating methods of this package move the
+// Stamp, as does a direct append that changes the length; an equal-length
+// write through the exported Tuples slice does not. Treat a relation as
+// immutable once it has been used as a join input, or Clone before
+// mutating it by hand.
 
 // SortByStart sorts tuples by interval (Start, End). See the in-place
 // mutation caveat above.
