@@ -1,9 +1,7 @@
-// Command tplint is the repo's custom static-analysis gate: four
+// Command tplint is the repo's custom static-analysis gate: two
 // vet-style analyzers (internal/lint) that mechanically enforce the
-// engine's hand-maintained contracts — cancellation checkpoints in drain
-// loops (ctxcheck), pooled-buffer hygiene (poolhygiene), Strategy-enum
-// synchronization (enumsync) and the wire error-class vocabulary
-// (errclass).
+// engine's control-flow contracts — cancellation checkpoints in drain
+// loops (ctxcheck) and pooled-buffer hygiene (poolhygiene).
 //
 // From the module root:
 //

@@ -27,7 +27,6 @@ import (
 	"tpjoin/internal/align"
 	"tpjoin/internal/core"
 	"tpjoin/internal/dataset"
-	"tpjoin/internal/engine"
 	"tpjoin/internal/plan"
 	"tpjoin/internal/stats"
 	"tpjoin/internal/tp"
@@ -248,10 +247,7 @@ func (p Panel) Bind(ds string, n int, seed int64) []Runner {
 		pick := est.Chosen
 		named := func(sr series) bool { return sr.name == pick.String() }
 		if !slices.ContainsFunc(p.series, named) {
-			pick = engine.StrategyNJ
-			if est.Chosen == engine.StrategyPTA {
-				pick = engine.StrategyTA
-			}
+			pick = est.Chosen.Family()
 		}
 		sr := p.series[slices.IndexFunc(p.series, named)]
 		out = append(out, Runner{Series: "AUTO", Pick: pick.String(), Run: sr.build(in)})

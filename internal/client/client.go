@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"tpjoin/internal/obs"
 	"tpjoin/internal/server"
 )
 
@@ -183,12 +184,12 @@ func (c *Client) Query(ctx context.Context, query string) (*server.Response, err
 // usable after it. Usage marks usage lines and unknown-command notices,
 // which the REPL renders verbatim without an "error:" prefix. ErrClass
 // carries the server's failure classification (see server.Response);
-// "overloaded" means the statement was shed before planning and is safe
-// to retry — IsOverloaded checks for it.
+// obs.ErrClassOverloaded means the statement was shed before planning and
+// is safe to retry — IsOverloaded checks for it.
 type ServerError struct {
 	Msg      string
 	Usage    bool
-	ErrClass string
+	ErrClass obs.ErrClass
 }
 
 func (e *ServerError) Error() string { return e.Msg }
@@ -198,7 +199,7 @@ func (e *ServerError) Error() string { return e.Msg }
 // backoff) is safe even for non-idempotent statements.
 func IsOverloaded(err error) bool {
 	var se *ServerError
-	return errors.As(err, &se) && se.ErrClass == server.ErrClassOverloaded
+	return errors.As(err, &se) && se.ErrClass == obs.ErrClassOverloaded
 }
 
 // Render writes resp to w exactly as the in-process shell would render

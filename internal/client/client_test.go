@@ -9,6 +9,7 @@ import (
 
 	"tpjoin/internal/catalog"
 	"tpjoin/internal/client"
+	"tpjoin/internal/obs"
 	"tpjoin/internal/server"
 	"tpjoin/internal/shell"
 )
@@ -88,10 +89,10 @@ func TestDialContextDeadline(t *testing.T) {
 
 // TestIsOverloaded pins the retryability test to the wire error class.
 func TestIsOverloaded(t *testing.T) {
-	if !client.IsOverloaded(&client.ServerError{Msg: "x", ErrClass: "overloaded"}) {
+	if !client.IsOverloaded(&client.ServerError{Msg: "x", ErrClass: obs.ErrClassOverloaded}) {
 		t.Error("overloaded ServerError not detected")
 	}
-	if client.IsOverloaded(&client.ServerError{Msg: "x", ErrClass: "budget"}) {
+	if client.IsOverloaded(&client.ServerError{Msg: "x", ErrClass: obs.ErrClassBudget}) {
 		t.Error("budget ServerError misread as overloaded")
 	}
 	if client.IsOverloaded(errors.New("x")) {

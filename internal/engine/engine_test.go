@@ -225,21 +225,27 @@ func TestTPJoinAntiSchema(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	if StrategyNJ.String() != "NJ" || StrategyTA.String() != "TA" ||
-		StrategyPNJ.String() != "PNJ" || StrategyPTA.String() != "PTA" {
-		t.Errorf("strategy names wrong")
-	}
-	// NumStrategies must track the enum: every strategy below it has a
-	// real name, the first value at it does not. A failure here means a
-	// strategy was added without updating NumStrategies (which sizes the
-	// per-strategy metrics arrays in internal/server).
-	for s := Strategy(0); s < NumStrategies; s++ {
-		if strings.HasPrefix(s.String(), "strategy(") {
-			t.Errorf("strategy %d below NumStrategies has no name", s)
+	for _, tc := range []struct {
+		s        Strategy
+		name     string
+		family   Strategy
+		parallel bool
+	}{
+		{StrategyNJ, "NJ", StrategyNJ, false},
+		{StrategyTA, "TA", StrategyTA, false},
+		{StrategyPNJ, "PNJ", StrategyNJ, true},
+		{StrategyPTA, "PTA", StrategyTA, true},
+	} {
+		if tc.s.String() != tc.name || tc.s.Family() != tc.family || tc.s.Parallel() != tc.parallel {
+			t.Errorf("%d: String/Family/Parallel = %s/%s/%t, want %s/%s/%t", tc.s,
+				tc.s, tc.s.Family(), tc.s.Parallel(), tc.name, tc.family, tc.parallel)
 		}
 	}
+	if NumStrategies != 4 {
+		t.Errorf("NumStrategies = %d, want 4", NumStrategies)
+	}
 	if got := Strategy(NumStrategies).String(); !strings.HasPrefix(got, "strategy(") {
-		t.Errorf("NumStrategies (%d) is smaller than the enum: Strategy(NumStrategies) = %q", NumStrategies, got)
+		t.Errorf("Strategy(NumStrategies) = %q, want the out-of-range form", got)
 	}
 }
 

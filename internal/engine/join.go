@@ -35,27 +35,42 @@ const (
 	// output order.
 	StrategyPTA
 
-	// NumStrategies is the number of defined strategies. Keep it in sync
-	// with the enum above (TestStrategyString guards this): per-strategy
-	// metrics arrays are sized by it, so a strategy beyond it would be
-	// silently dropped from \metrics.
+	// NumStrategies is the number of defined strategies; per-strategy
+	// arrays (costs, \metrics counters) are sized by it.
 	NumStrategies = iota
 )
 
+// strategies is the one description of every strategy: its name, the
+// sequential family it parallelizes (itself for NJ and TA) and whether it
+// is a partitioned-parallel executor.
+var strategies = [...]struct {
+	name     string
+	family   Strategy
+	parallel bool
+}{
+	StrategyNJ:  {"NJ", StrategyNJ, false},
+	StrategyTA:  {"TA", StrategyTA, false},
+	StrategyPNJ: {"PNJ", StrategyNJ, true},
+	StrategyPTA: {"PTA", StrategyTA, true},
+}
+
+// A row missing from (or extra in) the table overflows one of these
+// unsigned constants and fails the build.
+const _, _ = uint(NumStrategies - len(strategies)), uint(len(strategies) - NumStrategies)
+
 func (s Strategy) String() string {
-	switch s {
-	case StrategyNJ:
-		return "NJ"
-	case StrategyTA:
-		return "TA"
-	case StrategyPNJ:
-		return "PNJ"
-	case StrategyPTA:
-		return "PTA"
-	default:
+	if s >= NumStrategies {
 		return fmt.Sprintf("strategy(%d)", uint8(s))
 	}
+	return strategies[s].name
 }
+
+// Family returns the sequential strategy s runs per partition: NJ for NJ
+// and PNJ, TA for TA and PTA.
+func (s Strategy) Family() Strategy { return strategies[s].family }
+
+// Parallel reports whether s is a partitioned-parallel executor (PNJ, PTA).
+func (s Strategy) Parallel() bool { return strategies[s].parallel }
 
 // TPJoin is the executor node for temporal-probabilistic joins with
 // negation. Under StrategyNJ the result streams tuple-by-tuple out of the

@@ -1,9 +1,9 @@
 // Package lint is tplint's analysis framework: a vet-style static
 // checker that mechanically enforces the engine's hand-maintained
-// invariants — cancellation checkpoints in drain loops (ctxcheck),
-// pooled-buffer hygiene (poolhygiene), strategy-enum/array
-// synchronization (enumsync) and the wire error-class vocabulary
-// (errclass).
+// invariants — cancellation checkpoints in drain loops (ctxcheck) and
+// pooled-buffer hygiene (poolhygiene): control-flow contracts no type can
+// express. Vocabularies (strategies, wire error classes) are closed types
+// and tables the compiler checks, not analyzers.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the suite can be ported to the upstream framework
@@ -104,7 +104,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers is the full tplint suite in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CtxCheck, PoolHygiene, EnumSync, ErrClass}
+	return []*Analyzer{CtxCheck, PoolHygiene}
 }
 
 // ignoreRe matches the suppression comment syntax. The analyzer name and

@@ -27,8 +27,8 @@ func TestAnalyzerMetadata(t *testing.T) {
 			t.Errorf("analyzer name %q collides with the suppression machinery's pseudo-analyzer", a.Name)
 		}
 	}
-	if len(seen) != 4 {
-		t.Errorf("expected the 4-analyzer suite, got %d", len(seen))
+	if len(seen) != 2 {
+		t.Errorf("expected the 2-analyzer suite, got %d", len(seen))
 	}
 }
 

@@ -3,7 +3,9 @@
 // exposition (one Render path shared by the \metrics builtin and the HTTP
 // /metrics endpoint, so the surfaces cannot drift), and the slog-based
 // structured query log that gives every statement a joinable identity
-// (query ID, session, strategy, latency, error class).
+// (query ID, session, strategy, latency, error class). ErrClass is the
+// closed failure-class vocabulary the wire, the query log and clients
+// share.
 package obs
 
 import (

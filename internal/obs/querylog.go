@@ -56,11 +56,9 @@ type QueryRecord struct {
 	// immediate). It is logged as its own attribute and never feeds the
 	// slow-query promotion.
 	QueueWait time.Duration
-	// ErrClass classifies the failure: "" (success), "timeout",
-	// "canceled", "usage", "panic", "overloaded" (rejected by admission
-	// control before planning — retryable), "budget" (aborted by the
-	// per-query memory budget) or "error". Err carries the message.
-	ErrClass string
+	// ErrClass classifies the failure (zero on success); Err carries the
+	// message.
+	ErrClass ErrClass
 	Err      string
 }
 
@@ -73,7 +71,7 @@ func (l *QueryLog) Record(r QueryRecord) {
 	level := slog.LevelInfo
 	// Usage mistakes are client noise, not service degradation; every
 	// other failure class — and every slow query — is operator-relevant.
-	if slow || (r.ErrClass != "" && r.ErrClass != "usage") {
+	if slow || (r.ErrClass != (ErrClass{}) && r.ErrClass != ErrClassUsage) {
 		level = slog.LevelWarn
 	}
 	attrs := []slog.Attr{
@@ -91,8 +89,8 @@ func (l *QueryLog) Record(r QueryRecord) {
 	if slow {
 		attrs = append(attrs, slog.Bool("slow", true))
 	}
-	if r.ErrClass != "" {
-		attrs = append(attrs, slog.String("err_class", r.ErrClass), slog.String("err", r.Err))
+	if r.ErrClass != (ErrClass{}) {
+		attrs = append(attrs, slog.String("err_class", r.ErrClass.String()), slog.String("err", r.Err))
 	}
 	l.logger.LogAttrs(context.Background(), level, "query", attrs...)
 }

@@ -31,9 +31,9 @@ func TestQueryLogLevels(t *testing.T) {
 	recs := logRecords(t, 100*time.Millisecond, func(l *QueryLog) {
 		l.Record(QueryRecord{ID: 1, Session: "127.0.0.1:9", Statement: "SELECT 1", Strategy: "NJ", Rows: 1, Elapsed: time.Millisecond})
 		l.Record(QueryRecord{ID: 2, Statement: "slow", Strategy: "TA", Elapsed: 200 * time.Millisecond})
-		l.Record(QueryRecord{ID: 3, Statement: "boom", ErrClass: "error", Err: "boom", Elapsed: time.Millisecond})
-		l.Record(QueryRecord{ID: 4, Statement: "\\nope", ErrClass: "usage", Err: "unknown command", Elapsed: time.Millisecond})
-		l.Record(QueryRecord{ID: 5, Statement: "late", ErrClass: "timeout", Err: "context deadline exceeded", Elapsed: time.Millisecond})
+		l.Record(QueryRecord{ID: 3, Statement: "boom", ErrClass: ErrClassError, Err: "boom", Elapsed: time.Millisecond})
+		l.Record(QueryRecord{ID: 4, Statement: "\\nope", ErrClass: ErrClassUsage, Err: "unknown command", Elapsed: time.Millisecond})
+		l.Record(QueryRecord{ID: 5, Statement: "late", ErrClass: ErrClassTimeout, Err: "context deadline exceeded", Elapsed: time.Millisecond})
 	})
 	if len(recs) != 5 {
 		t.Fatalf("got %d records, want 5", len(recs))

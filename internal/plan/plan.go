@@ -35,54 +35,36 @@ import (
 // clamps to the same bound, so the two layers cannot drift apart.
 const MaxJoinWorkers = par.MaxWorkers
 
-// Strategy is the session's join-strategy setting: one of the engine's
-// physical strategies, forced for every join, or StrategyAuto (the zero
+// Strategy is the session's join-strategy setting: StrategyAuto (the zero
 // value and therefore every surface's default), under which the cost
 // model (EstimateJoin) picks the cheapest physical strategy per join from
-// catalog statistics.
+// catalog statistics, or Strategy(e)+1, which forces engine strategy e
+// for every join.
 type Strategy uint8
 
 // The SET strategy values.
 const (
-	StrategyAuto Strategy = iota
-	StrategyNJ
-	StrategyTA
-	StrategyPNJ
-	StrategyPTA
+	StrategyAuto Strategy = 0
+	StrategyNJ            = Strategy(engine.StrategyNJ) + 1
+	StrategyTA            = Strategy(engine.StrategyTA) + 1
+	StrategyPNJ           = Strategy(engine.StrategyPNJ) + 1
+	StrategyPTA           = Strategy(engine.StrategyPTA) + 1
 )
 
 func (s Strategy) String() string {
-	switch s {
-	case StrategyAuto:
+	if s == StrategyAuto {
 		return "auto"
-	case StrategyNJ:
-		return "NJ"
-	case StrategyTA:
-		return "TA"
-	case StrategyPNJ:
-		return "PNJ"
-	case StrategyPTA:
-		return "PTA"
-	default:
-		return fmt.Sprintf("strategy(%d)", uint8(s))
 	}
+	return engine.Strategy(s - 1).String()
 }
 
 // Physical returns the forced engine strategy; forced is false for
 // StrategyAuto (the returned strategy is then the nominal NJ default).
 func (s Strategy) Physical() (strat engine.Strategy, forced bool) {
-	switch s {
-	case StrategyNJ:
-		return engine.StrategyNJ, true
-	case StrategyTA:
-		return engine.StrategyTA, true
-	case StrategyPNJ:
-		return engine.StrategyPNJ, true
-	case StrategyPTA:
-		return engine.StrategyPTA, true
-	default:
+	if s == StrategyAuto {
 		return engine.StrategyNJ, false
 	}
+	return engine.Strategy(s - 1), true
 }
 
 // Session carries the per-connection settings that influence planning.
@@ -159,20 +141,13 @@ func (s *Session) ApplySet(st *sql.Set) error {
 	value := strings.ToLower(st.Value)
 	switch name {
 	case "strategy":
-		switch value {
-		case "auto":
-			s.Strategy = StrategyAuto
-		case "nj":
-			s.Strategy = StrategyNJ
-		case "ta":
-			s.Strategy = StrategyTA
-		case "pnj":
-			s.Strategy = StrategyPNJ
-		case "pta":
-			s.Strategy = StrategyPTA
-		default:
-			return fmt.Errorf("plan: unknown strategy %q (want auto, nj, ta, pnj or pta)", value)
+		for v := StrategyAuto; v <= Strategy(engine.NumStrategies); v++ {
+			if strings.EqualFold(st.Value, v.String()) {
+				s.Strategy = v
+				return nil
+			}
 		}
+		return fmt.Errorf("plan: unknown strategy %q (want auto, nj, ta, pnj or pta)", value)
 	case "join_workers":
 		n, err := strconv.Atoi(st.Value)
 		if err != nil || n < 0 || n > MaxJoinWorkers {
@@ -855,7 +830,7 @@ func buildNode(op engine.Operator, analyze bool) *Node {
 		n.Desc = "Sort"
 	case *engine.TPJoin:
 		n.Desc = fmt.Sprintf("TPJoin [%s] strategy=%s", joinName(o), o.Strategy())
-		if o.Strategy() == engine.StrategyPNJ || o.Strategy() == engine.StrategyPTA {
+		if o.Strategy().Parallel() {
 			if w := o.Workers(); w > 0 {
 				n.Desc += fmt.Sprintf(" workers=%d", w)
 			} else {

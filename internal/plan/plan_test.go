@@ -200,6 +200,34 @@ func TestAliasResolution(t *testing.T) {
 	}
 }
 
+// TestStrategySetRoundTrip: every session strategy, auto through PTA,
+// is reachable by SET in any case, maps to the engine strategy it names,
+// and keeps its plan-cache key spelling.
+func TestStrategySetRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		set, key string
+		want     Strategy
+		phys     engine.Strategy
+	}{
+		{"aUtO", "auto", StrategyAuto, engine.StrategyNJ},
+		{"Nj", "NJ", StrategyNJ, engine.StrategyNJ},
+		{"tA", "TA", StrategyTA, engine.StrategyTA},
+		{"pNj", "PNJ", StrategyPNJ, engine.StrategyPNJ},
+		{"PtA", "PTA", StrategyPTA, engine.StrategyPTA},
+	} {
+		var s Session
+		if err := s.ApplySet(&sql.Set{Name: "strategy", Value: tc.set}); err != nil || s.Strategy != tc.want {
+			t.Errorf("SET strategy = %s: got %v, %v; want %v", tc.set, s.Strategy, err, tc.want)
+		}
+		if phys, forced := s.Strategy.Physical(); phys != tc.phys || forced != (tc.want != StrategyAuto) {
+			t.Errorf("%v.Physical() = %v, %t", s.Strategy, phys, forced)
+		}
+		if key, want := cacheKey("q", &s), "q\x00strategy="+tc.key+" nl=false workers=0 calib=0x0"; key != want {
+			t.Errorf("cacheKey = %q, want %q", key, want)
+		}
+	}
+}
+
 func TestApplySet(t *testing.T) {
 	var s Session
 	if s.Strategy != StrategyAuto {

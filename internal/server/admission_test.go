@@ -12,6 +12,7 @@ import (
 	"tpjoin/internal/client"
 	"tpjoin/internal/dataset"
 	"tpjoin/internal/fault"
+	"tpjoin/internal/obs"
 	"tpjoin/internal/server"
 	"tpjoin/internal/tp"
 )
@@ -116,7 +117,7 @@ func TestOverloadSheddingE2E(t *testing.T) {
 			if r.resp == nil || r.resp.QueryID == 0 {
 				t.Errorf("rejected statement carries no query ID: %+v", r.resp)
 			}
-			if r.resp.ErrClass != "overloaded" {
+			if r.resp.ErrClass != obs.ErrClassOverloaded {
 				t.Errorf("rejected ErrClass = %q", r.resp.ErrClass)
 			}
 		default:
@@ -232,7 +233,7 @@ func TestMemoryBudgetE2E(t *testing.T) {
 	if !ok {
 		t.Fatalf("want ServerError, got %T: %v", err, err)
 	}
-	if se.ErrClass != "budget" || resp.ErrClass != "budget" {
+	if se.ErrClass != obs.ErrClassBudget || resp.ErrClass != obs.ErrClassBudget {
 		t.Errorf("ErrClass = %q / %q, want budget", se.ErrClass, resp.ErrClass)
 	}
 	if !strings.Contains(se.Msg, "memory budget exceeded") {
@@ -265,7 +266,7 @@ func TestMemoryBudgetServerDefault(t *testing.T) {
 	}
 	_, err = c.Query(ctx, joinQueries[5])
 	se, ok := err.(*client.ServerError)
-	if !ok || se.ErrClass != "budget" {
+	if !ok || se.ErrClass != obs.ErrClassBudget {
 		t.Fatalf("default-budget join: err = %v, want budget class", err)
 	}
 	if _, err := c.Query(ctx, "SET memory_budget = 1gb"); err != nil {
@@ -312,7 +313,7 @@ func TestMemoryBudgetOrderByLimit(t *testing.T) {
 	} {
 		resp, err := c.Query(ctx, q)
 		se, ok := err.(*client.ServerError)
-		if !ok || se.ErrClass != "budget" || resp.ErrClass != "budget" {
+		if !ok || se.ErrClass != obs.ErrClassBudget || resp.ErrClass != obs.ErrClassBudget {
 			t.Errorf("%s: err = %v, want ErrClass budget", q, err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"tpjoin/internal/client"
 	"tpjoin/internal/fault"
+	"tpjoin/internal/obs"
 	"tpjoin/internal/server"
 )
 
@@ -162,7 +163,7 @@ func TestChaosWorkerPanic(t *testing.T) {
 	if !ok {
 		t.Fatalf("worker panic surfaced as %T (%v), want ServerError", err, err)
 	}
-	if se.ErrClass != "panic" || !strings.Contains(se.Msg, "chaos in worker") {
+	if se.ErrClass != obs.ErrClassPanic || !strings.Contains(se.Msg, "chaos in worker") {
 		t.Errorf("worker panic error = class %q msg %q", se.ErrClass, se.Msg)
 	}
 	if resp == nil || resp.QueryID == 0 {

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"tpjoin/internal/interval"
+	"tpjoin/internal/obs"
 	"tpjoin/internal/plan"
 	"tpjoin/internal/shell"
 	"tpjoin/internal/tp"
@@ -67,34 +68,6 @@ type Row struct {
 	Prob    float64  `json:"p"`
 }
 
-// The canonical Response.ErrClass vocabulary. Clients dispatch retry
-// behavior on these strings (client.IsOverloaded), the query log and
-// dashboards key alerts off them, so the set only ever grows — never
-// rename a member. tplint's errclass analyzer rejects any other string
-// flowing into an ErrClass field; packages below server in the import
-// graph (internal/obs) repeat the literals and rely on that analyzer
-// plus TestErrClassVocabularySync to stay in step.
-const (
-	// ErrClassOverloaded: rejected by admission control before any
-	// planning — the statement never ran, safe to retry with backoff.
-	ErrClassOverloaded = "overloaded"
-	// ErrClassBudget: the query exceeded its SET memory_budget.
-	ErrClassBudget = "budget"
-	// ErrClassTimeout: the statement's deadline expired mid-run.
-	ErrClassTimeout = "timeout"
-	// ErrClassCanceled: the query context was canceled (client gone,
-	// server draining).
-	ErrClassCanceled = "canceled"
-	// ErrClassUsage: malformed statement or unknown command; the message
-	// is a usage line, not an error.
-	ErrClassUsage = "usage"
-	// ErrClassPanic: the engine panicked and containment converted it to
-	// this query's error.
-	ErrClassPanic = "panic"
-	// ErrClassError: every other evaluation failure.
-	ErrClassError = "error"
-)
-
 // Response is one server → client message.
 type Response struct {
 	ID    uint64 `json:"id"`
@@ -105,15 +78,13 @@ type Response struct {
 	// the same.
 	Usage bool `json:"usage,omitempty"`
 	// ErrClass classifies Error so clients can react without parsing the
-	// message: "overloaded" (rejected by admission control before any
-	// planning — safe to retry with backoff; tpcli does), "budget" (the
-	// query exceeded its SET memory_budget and was aborted), "timeout",
-	// "canceled", "usage", "panic" or "error". Empty on success.
-	ErrClass string   `json:"err_class,omitempty"`
-	Kind     string   `json:"kind"`
-	Message  string   `json:"message,omitempty"`
-	Columns  []string `json:"columns,omitempty"`
-	Rows     []Row    `json:"rows,omitempty"`
+	// message (obs.ErrClassOverloaded is safe to retry with backoff;
+	// tpcli does). Omitted on success.
+	ErrClass obs.ErrClass `json:"err_class,omitzero"`
+	Kind     string       `json:"kind"`
+	Message  string       `json:"message,omitempty"`
+	Columns  []string     `json:"columns,omitempty"`
+	Rows     []Row        `json:"rows,omitempty"`
 	// Plan carries the structured EXPLAIN [ANALYZE] tree for KindExplain
 	// responses: per-operator rows, wall-time and stage counters under
 	// ANALYZE, plus the abort reason when a timeout interrupted the run.

@@ -568,26 +568,26 @@ func (s *Server) reject(core *shell.Core, req *Request, remote string, qid uint6
 	return resp
 }
 
-// errClass maps an evaluation error to its query-log class.
-func errClass(err error) string {
+// errClass maps an evaluation error to its wire and query-log class.
+func errClass(err error) obs.ErrClass {
 	switch {
 	case err == nil:
-		return ""
+		return obs.ErrClass{}
 	case isOverload(err):
 		// Retryable: the statement never ran; tpcli backs off and resends.
-		return ErrClassOverloaded
+		return obs.ErrClassOverloaded
 	case mem.IsBudget(err):
-		return ErrClassBudget
+		return obs.ErrClassBudget
 	case errors.Is(err, context.DeadlineExceeded):
-		return ErrClassTimeout
+		return obs.ErrClassTimeout
 	case errors.Is(err, context.Canceled):
-		return ErrClassCanceled
+		return obs.ErrClassCanceled
 	case shell.IsUsageError(err):
-		return ErrClassUsage
+		return obs.ErrClassUsage
 	case shell.IsPanicError(err):
-		return ErrClassPanic
+		return obs.ErrClassPanic
 	default:
-		return ErrClassError
+		return obs.ErrClassError
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"tpjoin/internal/catalog"
 	"tpjoin/internal/client"
 	"tpjoin/internal/dataset"
+	"tpjoin/internal/obs"
 	"tpjoin/internal/server"
 	"tpjoin/internal/shell"
 )
@@ -363,8 +364,8 @@ func TestLoadbCraftedFile(t *testing.T) {
 	ctx := context.Background()
 	_, err = c.Query(ctx, `\loadb evil `+path)
 	var se *client.ServerError
-	if !errors.As(err, &se) || se.ErrClass != server.ErrClassError {
-		t.Fatalf("want a classified %q error, got %v (%+v)", server.ErrClassError, err, se)
+	if !errors.As(err, &se) || se.ErrClass != obs.ErrClassError {
+		t.Fatalf("want a classified %q error, got %v (%+v)", obs.ErrClassError, err, se)
 	}
 	if resp, err := c.Query(ctx, "SELECT * FROM a"); err != nil || resp.RowCount != 2 {
 		t.Fatalf("session dead after the failed \\loadb: %v", err)

@@ -65,6 +65,24 @@ func TestPreparedBuiltinLists(t *testing.T) {
 	}
 }
 
+// TestPreparedTextReparses: the statement text \prepared lists can be
+// pasted back as a statement — small and very large numeric literals
+// print in plain decimal, not exponent form the lexer cannot read.
+func TestPreparedTextReparses(t *testing.T) {
+	sh := newShell()
+	run(t, sh, "PREPARE q AS SELECT * FROM a WHERE P >= 0.00001")
+	run(t, sh, "PREPARE r AS SELECT * FROM a WHERE P <= 123456789012345678901234567890")
+	for _, line := range strings.Split(strings.TrimSpace(run(t, sh, `\prepared`)), "\n") {
+		_, text, ok := strings.Cut(line, " — ")
+		if !ok {
+			t.Fatalf("unexpected \\prepared line %q", line)
+		}
+		if _, err := sh.Core.Eval(context.Background(), text); err != nil {
+			t.Errorf("listed text %q does not re-run: %v", text, err)
+		}
+	}
+}
+
 func TestExplainExecuteReportsPlanSource(t *testing.T) {
 	sh := newShell()
 	run(t, sh, "PREPARE q AS SELECT * FROM a TP JOIN b ON a.Loc = b.Loc")

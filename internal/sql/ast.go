@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"tpjoin/internal/tp"
@@ -238,7 +239,9 @@ func (l Literal) String() string {
 	if l.IsString {
 		return "'" + strings.ReplaceAll(l.Str, "'", "''") + "'"
 	}
-	return fmt.Sprintf("%g", l.Num)
+	// Plain decimal, never exponent form: the lexer reads only digits and
+	// '.', and this text is the plan-cache key and what \prepared lists.
+	return strconv.FormatFloat(l.Num, 'f', -1, 64)
 }
 
 // Value converts the literal to a tp.Value.

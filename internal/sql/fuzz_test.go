@@ -4,7 +4,8 @@ import "testing"
 
 // FuzzParse asserts the lexer/parser never panic on arbitrary input —
 // with tpserverd the dialect is exposed to untrusted network clients, so
-// any input must either parse or return an error, never crash. Run with
+// any input must either parse or return an error, never crash — and that
+// an accepted statement's canonical text round-trips. Run with
 //
 //	go test -fuzz=FuzzParse ./internal/sql
 //
@@ -34,6 +35,8 @@ func FuzzParse(f *testing.F) {
 		"'''",
 		`"Name" FROM`,
 		"SELECT (((",
+		"PREPARE q AS SELECT * FROM a WHERE P >= 0.00001",
+		"SELECT * FROM a WHERE x = 123456789012345678901234567890",
 	} {
 		f.Add(seed)
 	}
@@ -49,8 +52,15 @@ func FuzzParse(f *testing.F) {
 			t.Errorf("Parse(%q) returned nil statement without error", src)
 			return
 		}
-		// The String round-trip must not panic either; it is what EXPLAIN
-		// and error paths render.
-		_ = st.String()
+		// The canonical text is what EXPLAIN and \prepared print and what
+		// keys the plan cache: it must parse again, to the same text.
+		text := st.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q).String() = %q does not parse: %v", src, text, err)
+		}
+		if got := again.String(); got != text {
+			t.Errorf("String() is not a fixpoint: %q → %q", text, got)
+		}
 	})
 }
