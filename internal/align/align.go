@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"unsafe"
 
 	"tpjoin/internal/interval"
@@ -140,15 +139,13 @@ type emitFunc func(ri int, t interval.Interval, cover []int32) error
 
 // aligner runs the two conventional joins of one alignment direction,
 // streaming every fragment to emit in outer-tuple order. A non-nil error
-// from emit (or from the query context) aborts the drain. release returns
-// pooled buffers; the aligner must not be used afterwards. cheapCount
+// from emit (or from the query context) aborts the drain. cheapCount
 // reports whether an extra counting drain is nearly free (the indexed
 // pipeline) or re-runs the full conventional joins (the scalar aligner,
 // where an extra pass would inflate the measured plan by half).
 type aligner interface {
 	drain(ctx context.Context, r *tp.Relation, emit emitFunc) error
 	cheapCount() bool
-	release()
 }
 
 // newAligner builds the probe-side access path for one join direction:
@@ -166,7 +163,6 @@ func newAligner(ctx context.Context, s *tp.Relation, theta tp.Theta, cfg Config)
 	if err == nil && fits {
 		return ix, nil
 	}
-	ix.release()
 	if err != nil {
 		return nil, err
 	}
@@ -225,26 +221,8 @@ type indexedAligner struct {
 // fallback cheaply.
 var maxCoverArena = int64(1) << 26
 
-// alignerPool recycles indexedAligner arenas across joins (a query's
-// outer join builds one per direction; the pool makes repeated queries
-// against catalog relations allocation-lean). Oversized arenas are
-// dropped on release so a one-off huge join does not pin its memory.
-var alignerPool = sync.Pool{New: func() any {
-	return &indexedAligner{groups: tp.NewKeyGroups[int32]()}
-}}
-
-// poolArenaCap bounds the cover-arena capacity (entries) an aligner may
-// carry back into the pool.
-const poolArenaCap = 1 << 20
-
 func newIndexedAligner(s *tp.Relation, eq tp.EquiTheta) *indexedAligner {
-	ix := alignerPool.Get().(*indexedAligner)
-	ix.s, ix.eq = s, eq
-	ix.groups.Reset()
-	ix.gmeta = ix.gmeta[:0]
-	ix.bounds = ix.bounds[:0]
-	ix.segOff = ix.segOff[:0]
-	ix.cover = ix.cover[:0]
+	ix := &indexedAligner{s: s, eq: eq, groups: tp.NewKeyGroups[int32]()}
 
 	// Hash-group the inner relation by its interned equi key. Tuples with
 	// NULL key columns match nothing and never cover anything; empty
@@ -268,18 +246,10 @@ func newIndexedAligner(s *tp.Relation, eq tp.EquiTheta) *indexedAligner {
 
 func (ix *indexedAligner) cheapCount() bool { return true }
 
-func (ix *indexedAligner) release() {
-	ix.s = nil
-	if cap(ix.cover) > poolArenaCap {
-		return // drop oversized arenas instead of pinning them in the pool
-	}
-	alignerPool.Put(ix)
-}
-
 // build compiles every key group's endpoint event list, observing the
 // query context and charging its memory budget. fits is false when the
 // cover arena would exceed maxCoverArena; the aligner must then be
-// released unused.
+// dropped unused.
 func (ix *indexedAligner) build(ctx context.Context) (fits bool, err error) {
 	groups := ix.groups.Groups()
 	ix.gmeta = slices.Grow(ix.gmeta, len(groups))
@@ -468,9 +438,7 @@ func materializeFragments(al aligner, r *tp.Relation) []Fragment {
 // partition its validity interval. Align materializes the fragments for
 // inspection; the join paths stream them instead.
 func Align(r, s *tp.Relation, theta tp.Theta, cfg Config) []Fragment {
-	al := mustAligner(s, theta, cfg)
-	defer al.release()
-	return materializeFragments(al, r)
+	return materializeFragments(mustAligner(s, theta, cfg), r)
 }
 
 // InnerJoin computes r ⋈Tp s with the alignment strategy: only the
@@ -508,10 +476,8 @@ func FullOuterJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
 // benchmark: TA pays both conventional joins of the alignment step where
 // NJ pays one.
 func CountWUO(r, s *tp.Relation, theta tp.Theta, cfg Config) int {
-	al := mustAligner(s, theta, cfg)
-	defer al.release()
 	n := 0
-	_ = al.drain(context.Background(), r, func(ri int, t interval.Interval, cover []int32) error {
+	_ = mustAligner(s, theta, cfg).drain(context.Background(), r, func(ri int, t interval.Interval, cover []int32) error {
 		if len(cover) == 0 {
 			n++
 		} else {
@@ -527,10 +493,8 @@ func CountWUO(r, s *tp.Relation, theta tp.Theta, cfg Config) int {
 // of the LAWAN sweep, used by the Fig. 6 benchmark: TA re-enumerates the
 // aligned fragments to derive the negated part.
 func CountNegating(r, s *tp.Relation, theta tp.Theta, cfg Config) int {
-	al := mustAligner(s, theta, cfg)
-	defer al.release()
 	n := 0
-	_ = al.drain(context.Background(), r, func(ri int, t interval.Interval, cover []int32) error {
+	_ = mustAligner(s, theta, cfg).drain(context.Background(), r, func(ri int, t interval.Interval, cover []int32) error {
 		n++
 		return nil
 	})
@@ -562,20 +526,15 @@ func JoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, theta tp.Thet
 	if !ok {
 		panic(fmt.Sprintf("align: unknown operator %v", op))
 	}
-	// One alignment pass, or two for the full outer join; each pooled
-	// aligner stays in a local with its own deferred release.
-	fwd, err := red.passes[0].aligner(ctx, r, s, theta, cfg)
-	if err != nil {
-		return nil, err
+	// One aligner per alignment pass: one pass, or two for the full outer
+	// join.
+	als := make([]aligner, len(red.passes))
+	for i, p := range red.passes {
+		al, err := p.aligner(ctx, r, s, theta, cfg)
+		if err != nil {
+			return nil, err
+		}
+		als[i] = al
 	}
-	defer fwd.release()
-	if len(red.passes) == 1 {
-		return red.stream(ctx, r, s, stats, fwd)
-	}
-	mir, err := red.passes[1].aligner(ctx, r, s, theta, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer mir.release()
-	return red.stream(ctx, r, s, stats, fwd, mir)
+	return red.stream(ctx, r, s, stats, als...)
 }

@@ -6,7 +6,6 @@ import (
 
 	"tpjoin/internal/dataset"
 	"tpjoin/internal/interval"
-	"tpjoin/internal/tp"
 )
 
 // Allocation-regression pins for the refactored alignment path, the TA
@@ -23,7 +22,6 @@ func TestAlignPassAllocsPinned(t *testing.T) {
 		r, s := dataset.Meteo(n, 11)
 		theta := dataset.MeteoTheta()
 		al := mustAligner(s, theta, Config{})
-		defer al.release()
 		count := 0
 		emit := func(ri int, iv interval.Interval, cover []int32) error {
 			count += len(cover) + 1
@@ -64,26 +62,5 @@ func TestCountPathAllocsFlat(t *testing.T) {
 		}); allocs > ceiling {
 			t.Errorf("n=%d: CountNegating allocates %v per run, want ≤ %d (flat in n)", n, allocs, ceiling)
 		}
-	}
-}
-
-// TestKeyGroupsResetKeepsStorage guards the pooling contract the aligner
-// relies on: a Reset grouping accepts new groups without leaking the old
-// ones.
-func TestKeyGroupsResetKeepsStorage(t *testing.T) {
-	g := tp.NewKeyGroups[int32]()
-	f1 := tp.Strings("a")
-	g.Group(1, f1, func(a, b tp.Fact) bool { return true }).Vals = append(g.Group(1, f1, func(a, b tp.Fact) bool { return true }).Vals, 7)
-	g.Reset()
-	if len(g.Groups()) != 0 {
-		t.Fatalf("Reset left %d groups", len(g.Groups()))
-	}
-	f2 := tp.Strings("b")
-	grp := g.Group(2, f2, func(a, b tp.Fact) bool { return true })
-	if len(grp.Vals) != 0 {
-		t.Fatalf("new group after Reset carries stale values: %v", grp.Vals)
-	}
-	if g.Find(1, f1, func(a, b tp.Fact) bool { return true }) >= 0 {
-		t.Fatal("Reset did not clear the hash buckets")
 	}
 }

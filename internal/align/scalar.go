@@ -95,8 +95,6 @@ func newScalarAligner(s *tp.Relation, theta tp.Theta, cfg Config) *scalarAligner
 
 func (a *scalarAligner) cheapCount() bool { return false }
 
-func (a *scalarAligner) release() {}
-
 func (a *scalarAligner) drain(ctx context.Context, r *tp.Relation, emit emitFunc) error {
 	work := 0
 	for ri := range r.Tuples {

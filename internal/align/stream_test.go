@@ -31,7 +31,6 @@ func (p *probeAligner) drain(context.Context, *tp.Relation, emitFunc) error {
 	return nil
 }
 func (p *probeAligner) cheapCount() bool { return false }
-func (p *probeAligner) release()         {}
 
 // TestCountDrainSkipsExpensiveAligners pins the presize gate: a plan whose
 // aligner cannot count cheaply (the nested-loop reference) must not pay a
@@ -65,9 +64,7 @@ func streamPresize(t *testing.T, op tp.Op, r, s *tp.Relation, theta tp.Theta) in
 	t.Helper()
 	ctx := context.Background()
 	count := func(inner, outer *tp.Relation, th tp.Theta) drainCounts {
-		al := mustAligner(inner, th, Config{})
-		defer al.release()
-		c, ok, err := countDrain(ctx, al, outer)
+		c, ok, err := countDrain(ctx, mustAligner(inner, th, Config{}), outer)
 		if err != nil || !ok {
 			t.Fatalf("countDrain(%v): ok=%v err=%v", op, ok, err)
 		}

@@ -189,7 +189,11 @@ func ReadBinary(r io.Reader) (*tp.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel.Probs[lineage.Var{Rel: relName, ID: int(id)}] = p
+		v := lineage.Var{Rel: relName, ID: int(id)}
+		if !tp.IsProb(p) {
+			return nil, fmt.Errorf("catalog: base event %v has probability %g outside [0,1]", v, p)
+		}
+		rel.Probs[v] = p
 	}
 	nTuples, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -217,6 +221,9 @@ func ReadBinary(r io.Reader) (*tp.Relation, error) {
 		p, err := readFloat(r)
 		if err != nil {
 			return nil, err
+		}
+		if !tp.IsProb(p) {
+			return nil, fmt.Errorf("catalog: tuple %d has probability %g outside [0,1]", i, p)
 		}
 		lam, err := dec.Decode()
 		if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -257,9 +259,46 @@ func TestReadBinaryRejectsCraftedCounts(t *testing.T) {
 	}
 }
 
-// FuzzReadBinary: any input either decodes into a relation that
-// re-encodes and decodes again, or is an error — never a panic or an
-// allocation the input cannot back.
+// badProbFrames are well-formed .tpr frames of a one-tuple relation with
+// NaN, −0.1 or 1.5 as the tuple's probability or as its base event's.
+// Loaded, such a row prints p = NaN and fails the server's JSON encoder.
+func badProbFrames(tb testing.TB) map[string][]byte {
+	out := make(map[string][]byte)
+	for _, p := range []float64{math.NaN(), -0.1, 1.5} {
+		for _, onTuple := range []bool{false, true} {
+			ev, tupleP := lineage.Var{Rel: "r", ID: 1}, 0.5
+			r := &tp.Relation{Name: "r", Attrs: []string{"K"}, Probs: map[lineage.Var]float64{ev: 0.5}}
+			name := fmt.Sprintf("base event p=%g", p)
+			if onTuple {
+				tupleP, name = p, fmt.Sprintf("tuple p=%g", p)
+			} else {
+				r.Probs[ev] = p
+			}
+			r.AppendDerived(tp.Strings("x"), lineage.VarExpr(ev), interval.New(0, 1), tupleP)
+			var buf bytes.Buffer
+			if err := WriteBinary(&buf, r); err != nil {
+				tb.Fatal(err)
+			}
+			out[name] = buf.Bytes()
+		}
+	}
+	return out
+}
+
+// TestReadBinaryRejectsBadProbabilities: a probability outside [0, 1],
+// NaN included, is a decode error wherever the frame carries it.
+func TestReadBinaryRejectsBadProbabilities(t *testing.T) {
+	for name, data := range badProbFrames(t) {
+		_, err := ReadBinary(bufio.NewReader(bytes.NewReader(data)))
+		if err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+			t.Errorf("%s: ReadBinary err = %v, want a probability range error", name, err)
+		}
+	}
+}
+
+// FuzzReadBinary: any input either decodes into a relation whose
+// probabilities all lie in [0, 1] and that re-encodes and decodes again,
+// or is an error — never a panic or an allocation the input cannot back.
 func FuzzReadBinary(f *testing.F) {
 	a, b := paperRelations()
 	for _, rel := range []*tp.Relation{a, core.LeftOuterJoin(a, b, tp.Equi(1, 1))} {
@@ -272,10 +311,23 @@ func FuzzReadBinary(f *testing.F) {
 	for _, data := range craftedHeaders() {
 		f.Add(data)
 	}
+	for _, data := range badProbFrames(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rel, err := ReadBinary(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			return
+		}
+		for v, p := range rel.Probs {
+			if !tp.IsProb(p) {
+				t.Fatalf("accepted base event %v with probability %g", v, p)
+			}
+		}
+		for i, tu := range rel.Tuples {
+			if !tp.IsProb(tu.Prob) {
+				t.Fatalf("accepted tuple %d with probability %g", i, tu.Prob)
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, rel); err != nil {

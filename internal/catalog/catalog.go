@@ -170,7 +170,7 @@ func ReadCSV(rd io.Reader, name string) (*tp.Relation, error) {
 			return nil, fmt.Errorf("catalog: line %d: empty interval [%d,%d)", line, start, end)
 		}
 		p, err := strconv.ParseFloat(rec[n+2], 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !tp.IsProb(p) {
 			return nil, fmt.Errorf("catalog: line %d: bad probability %q", line, rec[n+2])
 		}
 		fact := make(tp.Fact, n)

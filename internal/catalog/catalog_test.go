@@ -101,6 +101,7 @@ func TestReadCSVErrors(t *testing.T) {
 		"K,Tstart,Tend,P\nx,1,b,0.5\n",     // bad end
 		"K,Tstart,Tend,P\nx,5,5,0.5\n",     // empty interval
 		"K,Tstart,Tend,P\nx,1,5,1.5\n",     // bad prob
+		"K,Tstart,Tend,P\nx,1,5,NaN\n",     // NaN is no probability either
 		"K,Tstart,Tend,P\nx,1,5,0.5,zzz\n", // wrong arity
 	}
 	for _, src := range cases {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -92,5 +93,42 @@ func TestBatchedLAWANAllocsPinned(t *testing.T) {
 	}); n > ceiling {
 		t.Errorf("batched LAWAN sweep allocates %v per run for %d windows, want ≤ %d",
 			n, windows, ceiling)
+	}
+}
+
+// TestSmallJoinFootprint pins the bytes a join over a handful of tuples
+// allocates: Fig. 1a's a ⟕ b through JoinContext. Its window hops are
+// sized from the inputs (hopSize); BatchSize-window buffers for its three
+// stages would add ≈ 78 KB and fail the ceiling.
+func TestSmallJoinFootprint(t *testing.T) {
+	a, b := paperA(), paperB()
+	const ceiling = 72 << 10 // ≈ 2× the measured 36 KB, most of it the BatchSize tuple tail
+	res := testing.Benchmark(func(bb *testing.B) {
+		bb.ReportAllocs()
+		for i := 0; i < bb.N; i++ {
+			if _, err := JoinContext(context.Background(), tp.OpLeft, a, b, theta); err != nil {
+				bb.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > ceiling {
+		t.Errorf("Fig. 1a left outer join allocates %d B per run, want ≤ %d", got, ceiling)
+	}
+}
+
+// TestSmallJoinStageBatches: a hop sized below BatchSize still holds all
+// a stage can emit, so every stage of a Fig. 1a join hands its windows
+// over in one batch — the counts EXPLAIN ANALYZE prints with BatchSize
+// hops.
+func TestSmallJoinStageBatches(t *testing.T) {
+	for _, op := range []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull} {
+		it, _, instr := JoinStreamInstrumented(op, paperA(), paperB(), theta)
+		for _, ok := it.Next(); ok; _, ok = it.Next() {
+		}
+		for _, st := range instr.Stages {
+			if st.Windows > 0 && st.Batches != 1 {
+				t.Errorf("%v: stage %s moved %d windows in %d batches, want 1", op, st.Name, st.Windows, st.Batches)
+			}
+		}
 	}
 }

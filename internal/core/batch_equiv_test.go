@@ -124,8 +124,9 @@ func requireSameWindows(t *testing.T, label string, got, want []window.Window) {
 // TestWindowBatchEquivalence pins buffer-size invariance stage by stage:
 // OverlapJoin, LAWAU∘OverlapJoin and LAWAN∘LAWAU∘OverlapJoin yield the
 // window sequence Drain yields when the consumer and every hop between
-// stages move at most 1, 2, 3, 7, 17 or 1000 windows at a time (the
-// stages' own pooled input buffers cap a hop at BatchSize).
+// stages move at most 1, 2, 3, 7, 17 or 1000 windows at a time (a stage
+// sizes its own input buffer like its consumer's, so every hop is that
+// size).
 func TestWindowBatchEquivalence(t *testing.T) {
 	plain := func(it Iterator) Iterator { return it }
 	for _, in := range equivInputs(t) {

@@ -22,8 +22,6 @@
 package core
 
 import (
-	"sync"
-
 	"tpjoin/internal/window"
 )
 
@@ -38,50 +36,31 @@ type Iterator interface {
 	NextBatch(buf []window.Window) int
 }
 
-// BatchSize is the number of windows that move per NextBatch hop between
-// pipeline stages. 256 windows ≈ 26 KiB: large enough to amortize call
-// overhead, small enough to stay cache-resident.
+// BatchSize is the largest number of windows that move per NextBatch hop
+// between pipeline stages. 256 windows ≈ 26 KiB: large enough to amortize
+// call overhead, small enough to stay cache-resident.
 const BatchSize = 256
-
-// batchPool recycles transfer buffers across pipeline instantiations, so
-// repeated joins (REPL statements, server queries, benchmark iterations)
-// do not allocate a fresh BatchSize buffer per operator.
-var batchPool = sync.Pool{
-	New: func() any {
-		s := make([]window.Window, BatchSize)
-		return &s
-	},
-}
-
-func getBatchBuf() *[]window.Window { return batchPool.Get().(*[]window.Window) }
-
-func putBatchBuf(b *[]window.Window) {
-	clear(*b) // drop fact/lineage references so the pool does not pin them
-	batchPool.Put(b)
-}
 
 // Drain materializes the remainder of an iterator into a slice.
 func Drain(it Iterator) []window.Window {
-	buf := getBatchBuf()
-	defer putBatchBuf(buf)
+	buf := make([]window.Window, BatchSize)
 	var out []window.Window
 	for {
-		n := it.NextBatch(*buf)
+		n := it.NextBatch(buf)
 		if n == 0 {
 			return out
 		}
-		out = append(out, (*buf)[:n]...)
+		out = append(out, buf[:n]...)
 	}
 }
 
 // Count consumes the iterator and returns the number of windows; used by
 // benchmarks to force full evaluation without retaining memory.
 func Count(it Iterator) int {
-	buf := getBatchBuf()
-	defer putBatchBuf(buf)
+	buf := make([]window.Window, BatchSize)
 	n := 0
 	for {
-		c := it.NextBatch(*buf)
+		c := it.NextBatch(buf)
 		if c == 0 {
 			return n
 		}

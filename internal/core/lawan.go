@@ -39,7 +39,7 @@ func LAWAN(in Iterator) Iterator { return &lawan{sweepIO: sweepIO{in: in}} }
 func (l *lawan) NextBatch(buf []window.Window) int {
 	n := l.out.popInto(buf)
 	for n < len(buf) && !l.done {
-		in := l.pull()
+		in := l.pull(len(buf))
 		for i := range in {
 			n = l.consume(&in[i], buf, n)
 		}

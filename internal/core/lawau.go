@@ -34,26 +34,27 @@ type lawau struct {
 func LAWAU(in Iterator) Iterator { return &lawau{sweepIO: sweepIO{in: in}} }
 
 // sweepIO is the window transport LAWAU and LAWAN share: input arrives in
-// pooled batches, so windows hop the whole pipeline BatchSize at a time,
-// and output is written straight into the consumer's buffer with the
-// overflow queue behind it.
+// batches through a buffer the stage owns, sized on the first pull like
+// its consumer's, so every hop of a pipeline moves as many windows as its
+// tail asks for; output is written straight into the consumer's buffer
+// with the overflow queue behind it.
 type sweepIO struct {
 	in    Iterator
 	out   queue
-	inBuf *[]window.Window
+	inBuf []window.Window
 	done  bool
 }
 
 // pull returns the next input batch, or nil — marking the stage done and
-// handing its buffer back to the pool — once the input is exhausted.
-func (s *sweepIO) pull() []window.Window {
+// dropping its buffer — once the input is exhausted. size is the length of
+// the consumer's buffer; the first pull allocates that many windows.
+func (s *sweepIO) pull(size int) []window.Window {
 	if s.inBuf == nil {
-		s.inBuf = getBatchBuf()
+		s.inBuf = make([]window.Window, size)
 	}
-	if n := s.in.NextBatch(*s.inBuf); n > 0 {
-		return (*s.inBuf)[:n]
+	if n := s.in.NextBatch(s.inBuf); n > 0 {
+		return s.inBuf[:n]
 	}
-	putBatchBuf(s.inBuf)
 	s.inBuf = nil
 	s.done = true
 	return nil
@@ -76,7 +77,7 @@ func (s *sweepIO) emit(w *window.Window, buf []window.Window, n int) int {
 func (l *lawau) NextBatch(buf []window.Window) int {
 	n := l.out.popInto(buf)
 	for n < len(buf) && !l.done {
-		in := l.pull()
+		in := l.pull(len(buf))
 		for i := range in {
 			n = l.consume(&in[i], buf, n)
 		}

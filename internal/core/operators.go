@@ -94,10 +94,10 @@ func lookup(op tp.Op) operator {
 	return o
 }
 
-// pipelineBytes reports the fixed buffer bytes a stream of o owns: one
-// BatchSize window transfer buffer from the batch pool for the tail plus
-// one input buffer per sweep stage, plus the probability tail's
-// tuple/lineage/probability arenas. The buffers are checked out or
+// pipelineBytes reports the fixed buffer bytes a stream of o owns at
+// most: one window transfer buffer for the tail plus one input buffer per
+// sweep stage, each at most BatchSize windows (see hopSize), plus the
+// probability tail's tuple/lineage/probability arenas. The buffers are
 // allocated lazily, but budget-wise the query owns them for its lifetime,
 // so a per-query memory gauge charges this amount at stream construction.
 func (o operator) pipelineBytes() int64 {
@@ -118,8 +118,8 @@ func PipelineBytes(op tp.Op) int64 { return lookup(op).pipelineBytes() }
 // JoinStream returns the pipelined result stream of the TP join `op` and
 // the output attribute names. The input relations must satisfy the
 // sequenced-TP constraint (see Relation.ValidateSequenced); output tuple
-// probabilities are exact. Windows move through the pipeline in pooled
-// batches (BatchSize at a time).
+// probabilities are exact. Windows move through the pipeline in batches
+// of at most BatchSize (see hopSize).
 func JoinStream(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []string) {
 	o := lookup(op)
 	return o.stream(r, s, theta, tp.MergeProbs(r, s), nil), o.attrs(r, s)
@@ -149,7 +149,7 @@ func (o operator) attrs(r, s *tp.Relation) []string {
 // wrappers between the pipeline stages (EXPLAIN ANALYZE).
 func (o operator) stream(r, s *tp.Relation, theta tp.Theta, probs prob.Probs, instr *JoinInstr) *joinStream {
 	js := &joinStream{
-		op: o, pipes: make([]pipeline, len(o.phases)),
+		op: o, pipes: make([]pipeline, len(o.phases)), hop: hopSize(r, s),
 		bev: prob.NewBatchEvaluator(probs), instr: instr,
 	}
 	for i, ph := range o.phases {
@@ -205,7 +205,7 @@ func Intersect(ctx context.Context, r, s *tp.Relation, theta tp.Theta) (*tp.Rela
 // loop shared by the sequential joins, the set operations and the PNJ
 // partition workers; a non-nil st additionally accounts the produced
 // tuples. A memory budget on ctx (mem.WithGauge) is charged for the
-// pooled pipeline buffers up front and for the materialized tuples at
+// pipeline buffers up front and for the materialized tuples at
 // every checkpoint — the PNJ partition workers all charge the one
 // per-query gauge, so the whole parallel join shares one budget.
 func (o operator) drain(ctx context.Context, r, s *tp.Relation, theta tp.Theta, probs prob.Probs, st *ParallelStats) (*tp.Relation, error) {
@@ -279,10 +279,28 @@ type pipeline struct {
 	nullArity int // arity of the NULL-extended side
 }
 
+// hopSize is the window count of the tail's transfer buffer over (r, s),
+// and through sweepIO of every hop upstream of it: BatchSize, or fewer
+// when no stage can emit that many windows. An r tuple with k matching s
+// tuples yields at most 4k windows at any stage (k overlapping, k+1 gaps,
+// 2k−1 negating) and one when k = 0, so 4·|r|·|s| + |r| + |s| bounds every
+// phase, the mirrored one included. A stream never waits on a larger hop
+// than it can fill, so a join over a handful of tuples does not allocate
+// BatchSize-window buffers, and no stage returns in more batches than a
+// BatchSize hop would (the EXPLAIN ANALYZE batch counts).
+func hopSize(r, s *tp.Relation) int {
+	nr, ns := len(r.Tuples), len(s.Tuples)
+	if nr >= BatchSize || ns >= BatchSize {
+		return BatchSize
+	}
+	return min(BatchSize, 4*nr*ns+nr+ns+1)
+}
+
 // joinStream converts window streams into output tuples lazily: windows
-// are pulled from each phase's pipeline through the pooled transport and
-// probabilities are evaluated in BatchSize batches through
-// prob.BatchEvaluator (one memo across the join).
+// are pulled from each phase's pipeline through a hop-window buffer the
+// stream allocates on its first batch, and probabilities are evaluated in
+// BatchSize batches through prob.BatchEvaluator (one memo across the
+// join).
 type joinStream struct {
 	op    operator
 	pipes []pipeline
@@ -290,7 +308,8 @@ type joinStream struct {
 	bev   *prob.BatchEvaluator
 	instr *JoinInstr // nil unless EXPLAIN ANALYZE instrumented
 
-	buf          *[]window.Window
+	hop          int // window transfer buffer length; see hopSize
+	buf          []window.Window
 	bufPos, bufN int
 	// The probability tail: tuples of the current batch with their
 	// lineages collected, awaiting one EvalBatch call. Allocated on the
@@ -328,9 +347,9 @@ func (j *joinStream) fillBatch() bool {
 	for j.cur < len(j.pipes) && j.tn < BatchSize {
 		if j.bufPos == j.bufN {
 			if j.buf == nil {
-				j.buf = getBatchBuf()
+				j.buf = make([]window.Window, j.hop)
 			}
-			j.bufN = j.pipes[j.cur].it.NextBatch(*j.buf)
+			j.bufN = j.pipes[j.cur].it.NextBatch(j.buf)
 			j.bufPos = 0
 			if j.bufN == 0 {
 				j.cur++
@@ -339,7 +358,7 @@ func (j *joinStream) fillBatch() bool {
 		}
 		ph := &j.pipes[j.cur]
 		for j.bufPos < j.bufN && j.tn < BatchSize {
-			w := &(*j.buf)[j.bufPos]
+			w := &j.buf[j.bufPos]
 			j.bufPos++
 			if class := w.Class(); ph.keep&(1<<class) != 0 {
 				t := j.tuple(ph, w, class)
@@ -350,11 +369,8 @@ func (j *joinStream) fillBatch() bool {
 		}
 	}
 	if j.tn == 0 {
-		if j.buf != nil {
-			putBatchBuf(j.buf)
-			j.buf = nil
-		}
-		clear(j.tbuf) // drop fact/lineage references past end of stream
+		j.buf = nil   // drop the window buffer past end of stream
+		clear(j.tbuf) // and the tail's fact/lineage references
 		clear(j.lams)
 		return false
 	}

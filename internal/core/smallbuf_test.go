@@ -9,8 +9,8 @@ import (
 
 // Tiny transfer buffers at the consumer force every overflow/ordering
 // corner of direct emission (bursts larger than the buffer, queue
-// spill-then-drain, group flushes at buffer boundaries) while the stages
-// upstream keep exchanging full batches.
+// spill-then-drain, group flushes at buffer boundaries); the stages
+// upstream size their hops like the consumer's buffer.
 func TestNextBatchTinyBuffers(t *testing.T) {
 	r, s := dataset.Meteo(600, 5)
 	theta := dataset.MeteoTheta()

@@ -178,9 +178,9 @@ func (j *TPJoin) Open() error {
 	var out *tp.Relation
 	switch j.strategy {
 	case StrategyNJ:
-		// The NJ stream's pooled batch buffers are the strategy's only
-		// allocation beyond whatever buffers its rows downstream (drain
-		// charges those); budget them up front at checkout size.
+		// The NJ stream's batch buffers are the strategy's only allocation
+		// beyond whatever buffers its rows downstream (drain charges
+		// those); budget them up front at their largest size.
 		if err := mem.FromContext(ctx).Charge(core.PipelineBytes(j.op)); err != nil {
 			return err
 		}

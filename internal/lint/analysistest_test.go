@@ -17,14 +17,13 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 )
 
 // fixtureLoader is shared across every fixture test: the source
-// importer's std-library type-checking (sync, context, errors) is paid
-// once per `go test` process instead of once per fixture.
+// importer's std-library type-checking (context) is paid once per
+// `go test` process instead of once per fixture.
 var (
 	fixtureLoader     *Loader
 	fixtureLoaderOnce sync.Once
@@ -114,25 +113,4 @@ func collectWants(t *testing.T, pkg *Package) map[string][]*wantExpectation {
 		}
 	}
 	return wants
-}
-
-// diagsByMessage renders diagnostics for the direct-assertion tests
-// (suppression machinery) that check output without want comments.
-func diagsByMessage(diags []Diagnostic) []string {
-	var out []string
-	for _, d := range diags {
-		out = append(out, fmt.Sprintf("%s:%d: %s: %s",
-			filepath.Base(d.Pos.Filename), d.Pos.Line, d.Analyzer, d.Message))
-	}
-	return out
-}
-
-// containsDiag reports whether some rendered diagnostic contains substr.
-func containsDiag(diags []string, substr string) bool {
-	for _, d := range diags {
-		if strings.Contains(d, substr) {
-			return true
-		}
-	}
-	return false
 }

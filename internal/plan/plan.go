@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -376,8 +377,9 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 		op = engine.NewFilter(op, pred)
 	}
 
+	var cols []int // the projection's binding indexes; nil when SELECT *
 	if !sel.Star {
-		cols := make([]int, len(sel.Projs))
+		cols = make([]int, len(sel.Projs))
 		names := make([]string, len(sel.Projs))
 		for i, c := range sel.Projs {
 			idx, err := b.resolve(c)
@@ -407,11 +409,7 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 	}
 
 	if len(sel.OrderBy) > 0 {
-		// ORDER BY is resolved against the pre-projection binding when the
-		// projection keeps the referenced columns, else against the
-		// projected schema. For simplicity (and matching the dialect docs)
-		// it resolves against the *output* schema of the preceding stage.
-		less, err := buildOrder(sel.OrderBy, op.Attrs())
+		less, err := buildOrder(sel.OrderBy, op.Attrs(), b, cols)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -424,9 +422,12 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 	return op, entry, nil
 }
 
-// buildOrder compiles ORDER BY keys against the output attribute names,
-// supporting the Tstart/Tend/P pseudo-columns.
-func buildOrder(keys []sql.OrderKey, attrs []string) (engine.TupleLess, error) {
+// buildOrder compiles ORDER BY keys over the sorted stage's output. An
+// unqualified key names an output attribute or one of the Tstart/Tend/P
+// pseudo-columns; a qualified key (a.Loc) resolves through the
+// statement's binding b, as WHERE does, and then through the
+// projection's column list cols when there is one.
+func buildOrder(keys []sql.OrderKey, attrs []string, b *binding, cols []int) (engine.TupleLess, error) {
 	type cKey struct {
 		idx    int
 		pseudo int
@@ -434,11 +435,21 @@ func buildOrder(keys []sql.OrderKey, attrs []string) (engine.TupleLess, error) {
 	}
 	cks := make([]cKey, len(keys))
 	for i, k := range keys {
-		ck := cKey{idx: -1, desc: k.Desc}
-		if k.Col.Table == "" {
-			ck.pseudo = pseudoColumn(k.Col)
-		}
-		if ck.pseudo == pseudoNone {
+		ck := cKey{idx: -1, desc: k.Desc, pseudo: pseudoColumn(k.Col)}
+		switch {
+		case k.Col.Table != "":
+			idx, err := b.resolve(k.Col)
+			if err != nil {
+				return nil, err
+			}
+			if cols != nil {
+				idx = slices.Index(cols, idx)
+			}
+			if idx < 0 {
+				return nil, fmt.Errorf("plan: ORDER BY column %q is not in the select list", k.Col)
+			}
+			ck.idx = idx
+		case ck.pseudo == pseudoNone:
 			for j, a := range attrs {
 				if strings.EqualFold(a, k.Col.Column) {
 					if ck.idx >= 0 {

@@ -541,6 +541,46 @@ func TestOrderByViaSQL(t *testing.T) {
 	if _, err := Build(st.(*sql.Select), cat, &Session{}); err == nil {
 		t.Errorf("unknown ORDER BY column must fail")
 	}
+
+	// A qualified key resolves through its table, like WHERE: a.Loc and
+	// b.Loc are distinct columns of the join, not one ambiguous name.
+	sortedBy := func(src string, col int, desc bool) {
+		t.Helper()
+		out := mustRun(t, src, &Session{}, cat)
+		if out.Len() < 2 {
+			t.Fatalf("%s: %d rows", src, out.Len())
+		}
+		for i := 1; i < out.Len(); i++ {
+			c := out.Tuples[i-1].Fact[col].Compare(out.Tuples[i].Fact[col])
+			if desc {
+				c = -c
+			}
+			if c > 0 {
+				t.Fatalf("%s: rows %d and %d out of order on column %d:\n%v", src, i-1, i, col, out)
+			}
+		}
+	}
+	sortedBy("SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc ORDER BY a.Loc", 1, false)
+	sortedBy("SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc ORDER BY b.Loc DESC", 3, true)
+	// Through a projection, the key maps to its position in the select list.
+	sortedBy("SELECT b.Loc, a.Name FROM a TP LEFT JOIN b ON a.Loc = b.Loc ORDER BY a.Name DESC", 1, true)
+	for src, want := range map[string]string{
+		// The anti join's output has no b columns: as in WHERE, b.Loc is unknown
+		// (it used to sort by a.Loc silently).
+		"SELECT * FROM a TP ANTI JOIN b ON a.Loc = b.Loc ORDER BY b.Loc":                    `unknown column "b.Loc"`,
+		"SELECT a.Name FROM a TP LEFT JOIN b ON a.Loc = b.Loc ORDER BY b.Loc":               `"b.Loc" is not in the select list`,
+		"SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc ORDER BY Loc":                      `ambiguous ORDER BY column "Loc"`,
+		"SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc ORDER BY c.Loc":                    `unknown column "c.Loc"`,
+		"SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc WHERE a.Loc = 'x' ORDER BY a.Nope": `unknown column "a.Nope"`,
+	} {
+		st, err := sql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Build(st.(*sql.Select), cat, &Session{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one containing %s", src, err, want)
+		}
+	}
 }
 
 // TestExplainAnalyzeShannonSteps: the probability tail's Shannon-step

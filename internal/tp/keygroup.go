@@ -54,10 +54,3 @@ func (g *KeyGroups[V]) Group(h uint64, f Fact, eq func(group, probe Fact) bool) 
 // Groups returns all groups in first-seen order. The slice aliases the
 // internal storage and is invalidated by further Group calls.
 func (g *KeyGroups[V]) Groups() []KeyGroup[V] { return g.groups }
-
-// Reset empties the grouping for reuse, keeping the hash buckets' backing
-// storage (pooled callers rebuild similar-sized groupings repeatedly).
-func (g *KeyGroups[V]) Reset() {
-	clear(g.byHash)
-	g.groups = g.groups[:0]
-}

@@ -101,6 +101,10 @@ func NewRelation(name string, attrs ...string) *Relation {
 	return &Relation{Name: name, Attrs: attrs, Probs: make(prob.Probs)}
 }
 
+// IsProb reports whether p is a probability: in [0, 1], which NaN is not.
+// Every decoder of untrusted probabilities checks it.
+func IsProb(p float64) bool { return p >= 0 && p <= 1 }
+
 // Append adds a base tuple with the next base-event variable (name,
 // len(Tuples)+1), registering its probability. It returns the assigned
 // variable for convenience.
@@ -108,7 +112,7 @@ func (r *Relation) Append(f Fact, t interval.Interval, p float64) lineage.Var {
 	if len(f) != len(r.Attrs) {
 		panic(fmt.Sprintf("tp: fact arity %d does not match schema %v", len(f), r.Attrs))
 	}
-	if p < 0 || p > 1 {
+	if !IsProb(p) {
 		panic(fmt.Sprintf("tp: probability %g out of [0,1]", p))
 	}
 	if t.Empty() {

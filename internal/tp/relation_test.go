@@ -1,6 +1,7 @@
 package tp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -48,9 +49,10 @@ func TestAppendAssignsVariables(t *testing.T) {
 func TestAppendValidation(t *testing.T) {
 	r := NewRelation("r", "X")
 	cases := []func(){
-		func() { r.Append(Strings("a", "b"), interval.New(0, 1), 0.5) }, // arity
-		func() { r.Append(Strings("a"), interval.New(0, 1), 1.5) },      // prob
-		func() { r.Append(Strings("a"), interval.New(3, 3), 0.5) },      // empty interval
+		func() { r.Append(Strings("a", "b"), interval.New(0, 1), 0.5) },   // arity
+		func() { r.Append(Strings("a"), interval.New(0, 1), 1.5) },        // prob
+		func() { r.Append(Strings("a"), interval.New(0, 1), math.NaN()) }, // NaN prob
+		func() { r.Append(Strings("a"), interval.New(3, 3), 0.5) },        // empty interval
 	}
 	for i, f := range cases {
 		func() {
