@@ -7,9 +7,9 @@
 //	SELECT ... FROM r TP UNION|INTERSECT|EXCEPT s
 //	CREATE TABLE name AS SELECT ...
 //	EXPLAIN [ANALYZE] SELECT ...
-//	SET strategy = auto|nj|ta|pnj
+//	SET strategy = auto|nj|ta|pnj|pta
 //	SET ta_nested_loop = on|off
-//	\load <name> <file.csv>    load a relation from CSV
+//	\load <name> <file.csv>    load a relation from CSV (\N is NULL)
 //	\save <name> <file.csv>    save a relation to CSV
 //	\loadb <name> <file.tpr>   load the binary format (full lineage)
 //	\saveb <name> <file.tpr>   save the binary format
@@ -27,7 +27,9 @@
 // interrupted node.
 //
 // WHERE clauses may reference the pseudo-columns P (tuple probability),
-// Tstart and Tend besides the fact attributes. Example session:
+// Tstart and Tend besides the fact attributes. Fact attributes are text
+// and compare to quoted strings; numbers compare only to P, Tstart and
+// Tend. Example session:
 //
 //	tp> SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc;
 //	tp> SET strategy = ta;

@@ -351,7 +351,7 @@ func (ix *indexedAligner) drain(ctx context.Context, r *tp.Relation, emit emitFu
 		found := false
 		if h, ok := ix.eq.RKeyHash(rt.Fact); ok {
 			gi := ix.groups.Find(h, rt.Fact, func(group, probe tp.Fact) bool {
-				return ix.eq.KeyMatch(probe, group)
+				return ix.eq.Match(probe, group)
 			})
 			if gi >= 0 {
 				m = ix.gmeta[gi]

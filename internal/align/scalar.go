@@ -65,7 +65,7 @@ func (ix *scalarInner) candidates(f tp.Fact) []int32 {
 		// Group facts are s facts; compare s key columns against the
 		// probe's r key columns.
 		gi := ix.buckets.Find(h, f, func(group, probe tp.Fact) bool {
-			return ix.eq.KeyMatch(probe, group)
+			return ix.eq.Match(probe, group)
 		})
 		if gi < 0 {
 			return nil

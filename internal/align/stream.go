@@ -425,16 +425,13 @@ func (su *streamUnion) union(ctx context.Context, stats *Stats) ([]srow, error) 
 			slices.SortFunc(b, cmpWithinRank)
 		}
 	}
-	// Collapse adjacent equal rows in place. Equal-comparing facts can
-	// carry unequal fids (fact.Compare treats NULL like a value,
-	// fact.Equal does not necessarily — the rank check keeps the
-	// reference's exact collapse condition).
+	// Collapse adjacent equal rows in place. Facts share a rank exactly
+	// when they are Equal, so the rank stands in for the fact.
 	out := sorted[:1]
 	for n := 1; n < len(sorted); n++ {
 		rw := &sorted[n]
 		prev := &out[len(out)-1]
-		if (prev.fid == rw.fid || su.facts[prev.fid].Equal(su.facts[rw.fid])) &&
-			prev.t.Equal(rw.t) && prev.lam.Equal(rw.lam) {
+		if rank[prev.fid] == rank[rw.fid] && prev.t.Equal(rw.t) && prev.lam.Equal(rw.lam) {
 			continue
 		}
 		out = append(out, *rw)
@@ -460,10 +457,9 @@ func cmpWithinRank(a, b srow) int {
 }
 
 // rankFacts orders the interned fact table once by fact.Compare and
-// assigns each fact its equivalence-class rank (facts comparing equal
-// share a rank; the union still verifies Equal before collapsing, like
-// the reference). It returns the per-fid rank table and the number of
-// rank classes.
+// assigns each fact its equivalence-class rank (Equal facts share a
+// rank). It returns the per-fid rank table and the number of rank
+// classes.
 func (su *streamUnion) rankFacts() ([]int32, int) {
 	n := len(su.facts)
 	perm := make([]int32, n)

@@ -17,7 +17,7 @@ import (
 )
 
 // Binary relation format (.tpr): unlike CSV, it round-trips *derived*
-// relations — full lineage expressions, typed attribute values and the
+// relations — full lineage expressions, NULL attribute values and the
 // base-event probability map.
 //
 // Layout (integers little-endian fixed or uvarint as noted):
@@ -28,7 +28,9 @@ import (
 //	probs    uvarint count, each: rel name (uvarint len + bytes),
 //	         uvarint id, float64 bits
 //	tuples   uvarint count, each:
-//	           fact values (typed; tag byte + payload)
+//	           fact values, each a tag byte: 0 = NULL, or
+//	             3 = text, then uvarint len + bytes
+//	             (any other tag, 1 and 2 included, is an error)
 //	           int64 start, int64 end (varint, zig-zag)
 //	           float64 prob bits
 //	           lineage (lineage.Encoder framing, shared dictionary)
@@ -240,31 +242,19 @@ func ReadBinary(r io.Reader) (*tp.Relation, error) {
 // --- value encoding: tag byte + payload ---
 
 func writeValue(w io.Writer, v tp.Value) error {
-	switch v.Kind() {
-	case tp.KindNull:
+	if v.IsNull() {
 		_, err := w.Write([]byte{0})
 		return err
-	case tp.KindInt:
-		if _, err := w.Write([]byte{1}); err != nil {
-			return err
-		}
-		return writeVarint(w, v.AsInt())
-	case tp.KindFloat:
-		if _, err := w.Write([]byte{2}); err != nil {
-			return err
-		}
-		return writeFloat(w, v.AsFloat())
-	default:
-		if _, err := w.Write([]byte{3}); err != nil {
-			return err
-		}
-		s := v.AsString()
-		if err := writeUvarint(w, uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, s)
+	}
+	if _, err := w.Write([]byte{3}); err != nil {
 		return err
 	}
+	s := v.AsString()
+	if err := writeUvarint(w, uint64(len(s))); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, s)
+	return err
 }
 
 func readValue(r io.Reader, br io.ByteReader) (tp.Value, error) {
@@ -275,18 +265,6 @@ func readValue(r io.Reader, br io.ByteReader) (tp.Value, error) {
 	switch tag {
 	case 0:
 		return tp.Null(), nil
-	case 1:
-		i, err := binary.ReadVarint(br)
-		if err != nil {
-			return tp.Value{}, err
-		}
-		return tp.Int(i), nil
-	case 2:
-		f, err := readFloat(r)
-		if err != nil {
-			return tp.Value{}, err
-		}
-		return tp.Float(f), nil
 	case 3:
 		s, err := readString(r, br, 1<<24)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -103,7 +104,7 @@ func TestBinaryRoundTripTypedValues(t *testing.T) {
 	r := &tp.Relation{Name: "typed", Attrs: []string{"A", "B", "C", "D"}}
 	r.Probs = map[lineage.Var]float64{{Rel: "e", ID: 1}: 0.5}
 	r.AppendDerived(
-		tp.Fact{tp.Int(-42), tp.Float(2.75), tp.String_("héllo"), tp.Null()},
+		tp.Fact{tp.String_(""), tp.String_(strings.Repeat("x", 300)), tp.String_("héllo"), tp.Null()},
 		lineage.NewVar("e", 1), interval.New(-5, 5), 0.5)
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, r); err != nil {
@@ -114,11 +115,73 @@ func TestBinaryRoundTripTypedValues(t *testing.T) {
 		t.Fatalf("%v", err)
 	}
 	assertRelationsEqual(t, got, r)
-	if got.Tuples[0].Fact[0].AsInt() != -42 || got.Tuples[0].Fact[1].AsFloat() != 2.75 {
-		t.Errorf("typed values corrupted: %v", got.Tuples[0].Fact)
+	if f := got.Tuples[0].Fact; f[0].IsNull() || !f[3].IsNull() {
+		t.Errorf(`"" and NULL must stay apart: %q`, f)
 	}
-	if !got.Tuples[0].Fact[3].IsNull() {
-		t.Errorf("NULL lost")
+}
+
+// goldenFullJoinTPR is what SaveBinary wrote for the Fig. 1a FULL JOIN
+// (core.FullOuterJoin(a, b, a.Loc = b.Loc)) under the four-kind value
+// model: NULL-padded facts and derived lineage, values tagged 0 and 3.
+const goldenFullJoinTPR = "545052310a615f666f757465725f6204044e616d65034c6f6305486f74656c03" +
+	"4c6f6305016101666666666666e63f0161029a9999999999e93f016201cdcccc" +
+	"ccccccec3f016202333333333333e33f016203666666666666e63f0a0303416e" +
+	"6e03035a414b00000408666666666666e63f06ff01610200010303416e6e0303" +
+	"5a414b0306686f74656c3103035a414b080c5b8fc2f5285cdf3f0b020001ff01" +
+	"6202010304020303416e6e03035a414b0000080ae27a14ae47e1ca3f09020001" +
+	"0201030304020303416e6e03035a414b0306686f74656c3203035a414b0a10e1" +
+	"7a14ae47e1da3f0802000102010204020303416e6e03035a414b00000a0c1a2f" +
+	"dd240681b53f0e02000102010302010205020304020303416e6e03035a414b00" +
+	"000c10eb51b81e85ebd13f0902000102010203040203034a696d030357454e00" +
+	"000e149a9999999999e93f0302000200000306686f74656c330303534f520208" +
+	"cdccccccccccec3f0302010100000306686f74656c3203035a414b0a100bd7a3" +
+	"703d0ac73f0902010202000103040200000306686f74656c3103035a414b080c" +
+	"e27a14ae47e1ca3f09020103020001030402"
+
+// TestReadBinaryGoldenFullJoin: a file written before values became
+// text-or-NULL loads to the relation the join computes now, and writing
+// that relation reproduces the file byte for byte.
+func TestReadBinaryGoldenFullJoin(t *testing.T) {
+	golden, err := hex.DecodeString(goldenFullJoinTPR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBinary(bufio.NewReader(bytes.NewReader(golden)))
+	if err != nil {
+		t.Fatalf("ReadBinary: %v", err)
+	}
+	a, b := paperRelations()
+	assertRelationsEqual(t, got, core.FullOuterJoin(a, b, tp.Equi(1, 1)))
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Errorf("re-encoding changed the bytes:\n got %x\nwant %x", buf.Bytes(), golden)
+	}
+}
+
+// TestReadBinaryRejectsNumericTags: value tags 1 (integer) and 2 (float)
+// name no value any more and fail like any other unknown tag.
+func TestReadBinaryRejectsNumericTags(t *testing.T) {
+	// Name "r", attrs ["K"], no base events, one tuple; then its value.
+	head := append([]byte(binaryMagic), 1, 'r', 1, 1, 'K', 0, 1)
+	var lam bytes.Buffer
+	if err := lineage.NewEncoder(&lam).Encode(lineage.NewVar("r", 1)); err != nil {
+		t.Fatal(err)
+	}
+	for tag, payload := range map[byte][]byte{
+		1: binary.AppendVarint(nil, 2),
+		2: binary.LittleEndian.AppendUint64(nil, math.Float64bits(2)),
+	} {
+		frame := append(append(append([]byte(nil), head...), tag), payload...)
+		frame = binary.AppendVarint(binary.AppendVarint(frame, 0), 1)          // [0,1)
+		frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(0.5)) // p
+		frame = append(frame, lam.Bytes()...)
+		_, err := ReadBinary(bufio.NewReader(bytes.NewReader(frame)))
+		if err == nil || !strings.Contains(err.Error(), "unknown value tag") {
+			t.Errorf("value tag %d: err = %v, want unknown value tag", tag, err)
+		}
 	}
 }
 

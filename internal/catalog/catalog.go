@@ -7,8 +7,9 @@
 //	attr1,...,attrN,tstart,tend,prob
 //
 // with a header row naming the fact attributes followed by the fixed
-// columns Tstart, Tend, P. Loading assigns fresh base-event variables in
-// file order, exactly like Relation.Append.
+// columns Tstart, Tend, P. A NULL attribute is written as \N, PostgreSQL's
+// text-format marker. Loading assigns fresh base-event variables in file
+// order, exactly like Relation.Append.
 package catalog
 
 import (
@@ -18,6 +19,7 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"tpjoin/internal/interval"
@@ -92,7 +94,11 @@ func (c *Catalog) Drop(name string) bool {
 	return ok
 }
 
-// WriteCSV writes rel to w.
+// nullCSV is the CSV field that stands for NULL.
+const nullCSV = `\N`
+
+// WriteCSV writes rel to w. It fails on the one text value it could not
+// read back as written: the NULL marker itself.
 func WriteCSV(w io.Writer, rel *tp.Relation) error {
 	cw := csv.NewWriter(w)
 	header := append(append([]string(nil), rel.Attrs...), "Tstart", "Tend", "P")
@@ -102,7 +108,16 @@ func WriteCSV(w io.Writer, rel *tp.Relation) error {
 	row := make([]string, len(header))
 	for _, t := range rel.Tuples {
 		for i, v := range t.Fact {
-			row[i] = v.String()
+			switch {
+			case v.IsNull():
+				row[i] = nullCSV
+			case v.AsString() == nullCSV:
+				return fmt.Errorf("catalog: text value %s would read back as NULL", nullCSV)
+			default:
+				// The reader folds every CRLF line end to LF, inside
+				// quoted fields too; a doubled CR folds back to CRLF.
+				row[i] = strings.ReplaceAll(v.AsString(), "\r\n", "\r\r\n")
+			}
 		}
 		n := len(rel.Attrs)
 		row[n] = strconv.FormatInt(t.T.Start, 10)
@@ -129,9 +144,9 @@ func SaveCSV(path string, rel *tp.Relation) error {
 	return f.Close()
 }
 
-// ReadCSV reads a relation named name from r. All fact attributes are
-// loaded as strings; the trailing three columns are start, end and
-// probability.
+// ReadCSV reads a relation named name from r. Fact attributes are text,
+// except that a \N field is NULL; the trailing three columns are start,
+// end and probability.
 func ReadCSV(rd io.Reader, name string) (*tp.Relation, error) {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1
@@ -175,7 +190,9 @@ func ReadCSV(rd io.Reader, name string) (*tp.Relation, error) {
 		}
 		fact := make(tp.Fact, n)
 		for i := 0; i < n; i++ {
-			fact[i] = tp.String_(rec[i])
+			if rec[i] != nullCSV {
+				fact[i] = tp.String_(rec[i])
+			}
 		}
 		rel.Append(fact, interval.New(start, end), p)
 	}

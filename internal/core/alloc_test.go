@@ -37,9 +37,9 @@ func TestKeyHashZeroAlloc(t *testing.T) {
 	}
 	g := tp.Strings("some-file-name.cpp", "rev-other")
 	if n := testing.AllocsPerRun(100, func() {
-		_ = eq.KeyMatch(f, g)
+		_ = eq.Match(f, g)
 	}); n != 0 {
-		t.Errorf("KeyMatch allocates %v per call, want 0", n)
+		t.Errorf("Match allocates %v per call, want 0", n)
 	}
 }
 

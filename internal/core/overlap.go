@@ -63,8 +63,8 @@ func buildKeyTable(s *tp.Relation, eq tp.EquiTheta) *keyTable {
 	// Pass 1: claim one slot per distinct key, counting members and
 	// remembering each tuple's slot so later passes probe nothing. Like
 	// the probe side, consecutive tuples usually share their key (chain
-	// order), so one strict key comparison frequently replaces the hash +
-	// table probe.
+	// order), so one key comparison frequently replaces the hash + table
+	// probe.
 	slotOf := make([]int32, len(s.Tuples))
 	valid := 0
 	var lastFact tp.Fact
@@ -150,7 +150,7 @@ func (t *keyTable) lookup(s *tp.Relation, eq tp.EquiTheta, h uint64, f tp.Fact) 
 		if sl.rep1 == 0 {
 			return nil
 		}
-		if sl.hash == h && eq.KeyMatch(f, s.Tuples[sl.rep1-1].Fact) {
+		if sl.hash == h && eq.Match(f, s.Tuples[sl.rep1-1].Fact) {
 			return t.order[sl.lo : sl.lo+sl.n]
 		}
 	}
@@ -165,8 +165,8 @@ type hashOverlapJoin struct {
 	out   queue
 
 	// Last-probe memo: relations are commonly ordered by fact chains
-	// (consecutive r tuples share their equi key), so one strict key
-	// comparison frequently replaces the hash + table probe.
+	// (consecutive r tuples share their equi key), so one key comparison
+	// frequently replaces the hash + table probe.
 	lastFact   tp.Fact
 	lastBucket []int32
 }

@@ -56,7 +56,7 @@ func ProjectLineage(ctx context.Context, rel *tp.Relation, cols []int, names []s
 		for i, c := range cols {
 			f[i] = tu.Fact[c]
 		}
-		g := byFact.Group(f.KeyHash(), f, tp.Fact.KeyEqual)
+		g := byFact.Group(f.KeyHash(), f, tp.Fact.Equal)
 		g.Vals = append(g.Vals, entry{t: tu.T, lam: tu.Lineage})
 	}
 

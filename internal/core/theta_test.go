@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"tpjoin/internal/interval"
@@ -14,17 +15,21 @@ import (
 // exercise inequality and band conditions against the reference
 // semantics and the Table I spec.
 
+// digit reads a one-digit key ("0" … "9") as its number.
+func digit(v tp.Value) int { return int(v.AsString()[0] - '0') }
+
 // bandTheta matches when the numeric keys differ by at most 1.
 var bandTheta = tp.FuncTheta(func(r, s tp.Fact) bool {
-	d := r[0].AsInt() - s[0].AsInt()
+	d := digit(r[0]) - digit(s[0])
 	return d >= -1 && d <= 1
 })
 
 // lessTheta matches when r's key is strictly smaller.
 var lessTheta = tp.FuncTheta(func(r, s tp.Fact) bool {
-	return r[0].AsInt() < s[0].AsInt()
+	return digit(r[0]) < digit(s[0])
 })
 
+// randIntRelation draws tuples whose one-digit keys lie in [0, maxKey).
 func randIntRelation(rng *rand.Rand, name string, maxKey int64) *tp.Relation {
 	rel := tp.NewRelation(name, "K")
 	type span struct{ s, e interval.Time }
@@ -45,7 +50,7 @@ func randIntRelation(rng *rand.Rand, name string, maxKey int64) *tp.Relation {
 			continue
 		}
 		used[k] = append(used[k], span{st, e})
-		rel.Append(tp.Fact{tp.Int(k)}, interval.New(st, e), 0.1+0.8*rng.Float64())
+		rel.Append(tp.Strings(strconv.FormatInt(k, 10)), interval.New(st, e), 0.1+0.8*rng.Float64())
 	}
 	return rel
 }

@@ -21,6 +21,7 @@ import (
 
 	"tpjoin/internal/align"
 	"tpjoin/internal/dataset"
+	"tpjoin/internal/interval"
 	"tpjoin/internal/lineage"
 	"tpjoin/internal/tp"
 )
@@ -129,5 +130,51 @@ func TestDifferentialStrategies(t *testing.T) {
 				align.Config{NestedLoop: true}))
 			diffLines(t, fmt.Sprintf("%s %v TA/nl-vs-NJ", in.name, op), ref, nl)
 		}
+	}
+}
+
+// TestStrategiesAgreeOnEmptyAndNullKeys: the empty string is a key like
+// any other and NULL is no key at all. Every strategy — NJ, TA, TA under
+// the nested-loop plan, PNJ and PTA — must agree point-wise with the
+// tp.RefJoin oracle on keys that are "" or NULL, for all five operators.
+func TestStrategiesAgreeOnEmptyAndNullKeys(t *testing.T) {
+	r := tp.NewRelation("r", "Name", "K")
+	r.Append(tp.Strings("r1", ""), interval.New(0, 6), 0.6)
+	r.Append(tp.Fact{tp.String_("r2"), tp.Null()}, interval.New(1, 7), 0.7)
+	r.Append(tp.Strings("r3", "x"), interval.New(2, 9), 0.8)
+	s := tp.NewRelation("s", "Hotel", "K")
+	s.Append(tp.Strings("s1", ""), interval.New(3, 8), 0.5)
+	s.Append(tp.Fact{tp.String_("s2"), tp.Null()}, interval.New(0, 9), 0.9)
+	s.Append(tp.Strings("s3", "x"), interval.New(4, 5), 0.4)
+	theta := tp.Equi(1, 1)
+
+	ops := []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull}
+	for _, op := range ops {
+		ref := tp.RefJoin(op, r, s, theta)
+		for _, strat := range []Strategy{StrategyNJ, StrategyTA, StrategyPNJ, StrategyPTA} {
+			for _, nl := range []bool{false, true} {
+				if nl && strat != StrategyTA {
+					continue
+				}
+				out := runStrategyCfg(t, strat, op, r, s, theta, align.Config{NestedLoop: nl})
+				pm, err := tp.Expand(out)
+				if err != nil {
+					t.Fatalf("%v %v nl=%t: %v", op, strat, nl, err)
+				}
+				if err := pm.EqualProb(ref, 1e-9); err != nil {
+					t.Errorf("%v %v nl=%t disagrees with RefJoin: %v", op, strat, nl, err)
+				}
+			}
+		}
+	}
+
+	// The inner join pairs "" with "" and x with x, and NULL with nothing.
+	var pairs []string
+	for _, tu := range runStrategy(t, StrategyNJ, tp.OpInner, r, s, theta).Tuples {
+		pairs = append(pairs, tu.Fact[0].String()+"-"+tu.Fact[2].String())
+	}
+	sort.Strings(pairs)
+	if got := strings.Join(pairs, " "); got != "r1-s1 r3-s3" {
+		t.Errorf("inner join pairs %q, want %q", got, "r1-s1 r3-s3")
 	}
 }

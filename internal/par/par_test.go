@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,7 +126,7 @@ func TestPartitionByKey(t *testing.T) {
 		if i%10 == 0 {
 			key = tp.Null()
 		}
-		rel.Append(tp.Fact{key, tp.Int(int64(i))}, interval.New(interval.Time(i), interval.Time(i+1)), 0.5)
+		rel.Append(tp.Fact{key, tp.String_(strconv.Itoa(i))}, interval.New(interval.Time(i), interval.Time(i+1)), 0.5)
 	}
 	const parts = 5
 	got := par.PartitionByKey(rel, []int{0}, parts)
@@ -140,7 +141,7 @@ func TestPartitionByKey(t *testing.T) {
 		}
 		total += part.Len()
 		for _, tu := range part.Tuples {
-			id := int(tu.Fact[1].AsInt())
+			id, _ := strconv.Atoi(tu.Fact[1].AsString())
 			if tu.Fact[0].IsNull() {
 				if p != id%parts {
 					t.Errorf("NULL-key tuple %d in partition %d, want round-robin slot %d", id, p, id%parts)

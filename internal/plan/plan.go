@@ -564,7 +564,6 @@ func buildPredicate(conds []sql.Condition, b *binding, params []sql.Literal) (en
 		idx    int
 		pseudo int
 		cond   sql.Condition
-		litVal tp.Value
 	}
 	cs := make([]compiled, len(conds))
 	for i, c := range conds {
@@ -593,7 +592,10 @@ func buildPredicate(conds []sql.Condition, b *binding, params []sql.Literal) (en
 			}
 			return nil, err
 		}
-		cs[i] = compiled{idx: idx, cond: c, litVal: c.Lit.Value()}
+		if !c.IsNull && !c.Lit.IsString {
+			return nil, fmt.Errorf("plan: %s holds text; compare it to a quoted string, got %s", c.Col, c.Lit)
+		}
+		cs[i] = compiled{idx: idx, cond: c}
 	}
 	cmpOK := func(op string, cmp int) bool {
 		switch op {
@@ -644,16 +646,8 @@ func buildPredicate(conds []sql.Condition, b *binding, params []sql.Literal) (en
 				}
 				continue
 			}
-			if v.IsNull() {
-				return false // SQL: NULL compares to nothing
-			}
-			if c.cond.Op == "=" && !v.Equal(c.litVal) {
-				return false
-			}
-			if c.cond.Op == "<>" && v.Equal(c.litVal) {
-				return false
-			}
-			if c.cond.Op != "=" && c.cond.Op != "<>" && !cmpOK(c.cond.Op, v.Compare(c.litVal)) {
+			// SQL: NULL compares to nothing.
+			if v.IsNull() || !cmpOK(c.cond.Op, strings.Compare(v.AsString(), c.cond.Lit.Str)) {
 				return false
 			}
 		}

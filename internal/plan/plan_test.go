@@ -168,6 +168,32 @@ func TestNumericComparisons(t *testing.T) {
 	}
 }
 
+// TestFactColumnsCompareToText: a fact attribute holds text, so comparing
+// it to a number is a planning error — inline or as a bound parameter —
+// not a comparison that orders every string after every number.
+func TestFactColumnsCompareToText(t *testing.T) {
+	cat := demoCatalog(t)
+	const want = "plan: Loc holds text; compare it to a quoted string, got 5"
+	for _, src := range []string{"SELECT * FROM a WHERE Loc > 5", "SELECT * FROM a WHERE Loc = 5"} {
+		st, err := sql.Parse(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		if _, err := Build(st.(*sql.Select), cat, &Session{}); err == nil || err.Error() != want {
+			t.Errorf("Build(%q) err = %v, want %q", src, err, want)
+		}
+	}
+	p := mustPrepare(t, "PREPARE q AS SELECT * FROM a TP JOIN b ON a.Loc = b.Loc WHERE a.Loc = ?")
+	_, _, err := PlanPrepared(NewCache(8), cat, &Session{}, p, []sql.Literal{{Num: 5}})
+	if want := strings.Replace(want, "Loc", "a.Loc", 1); err == nil || err.Error() != want {
+		t.Errorf("EXECUTE q (5) err = %v, want %q", err, want)
+	}
+	// A quoted string still compares, and the prepared plan still runs.
+	if out, _ := runPrepared(t, NewCache(8), cat, &Session{}, p, sql.Literal{IsString: true, Str: "ZAK"}); out.Len() != 2 {
+		t.Errorf("EXECUTE q ('ZAK') returned %d rows, want 2", out.Len())
+	}
+}
+
 func TestBuildErrors(t *testing.T) {
 	cat := demoCatalog(t)
 	sess := &Session{}

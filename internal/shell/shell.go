@@ -95,6 +95,9 @@ func (sh *Shell) observe(res Result, err error, elapsed time.Duration) {
 const helpText = `statements:
   SELECT ... FROM r TP [LEFT|RIGHT|FULL|ANTI|INNER] JOIN s ON ...
          [WHERE ...] [ORDER BY ...] [LIMIT n]
+                                fact attributes are text and compare to
+                                quoted strings; numbers compare only to
+                                the pseudo-columns P, Tstart and Tend
   SELECT ... FROM r TP UNION|INTERSECT|EXCEPT s
   CREATE TABLE name AS SELECT ...
   PREPARE name AS SELECT ...    parse and pin a statement for repeated
@@ -138,8 +141,8 @@ commands:
   \stats <name>           relation statistics (tuples, per-column distinct
                           values and group sizes, temporal span/overlap) —
                           what the auto strategy picker uses
-  \load <name> <file>     load CSV (base relations)
-  \save <name> <file>     save CSV
+  \load <name> <file>     load CSV (base relations; a \N field is NULL)
+  \save <name> <file>     save CSV (NULL as \N)
   \loadb <name> <file>    load binary .tpr (derived relations, full lineage)
   \saveb <name> <file>    save binary .tpr
   \gen webkit|meteo <n>   generate synthetic workload

@@ -244,17 +244,6 @@ func (l Literal) String() string {
 	return strconv.FormatFloat(l.Num, 'f', -1, 64)
 }
 
-// Value converts the literal to a tp.Value.
-func (l Literal) Value() tp.Value {
-	if l.IsString {
-		return tp.String_(l.Str)
-	}
-	if l.Num == float64(int64(l.Num)) {
-		return tp.Int(int64(l.Num))
-	}
-	return tp.Float(l.Num)
-}
-
 // Explain wraps a SELECT — or an EXECUTE of a prepared statement — for
 // plan display. Analyze additionally executes the query and reports
 // per-operator row counts. Exactly one of Query and Exec is set.

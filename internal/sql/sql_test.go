@@ -250,18 +250,6 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLiteralValue(t *testing.T) {
-	if v := (Literal{IsString: true, Str: "x"}).Value(); v.AsString() != "x" {
-		t.Errorf("string literal value wrong")
-	}
-	if v := (Literal{Num: 3}).Value(); v.Kind() != tp.KindInt || v.AsInt() != 3 {
-		t.Errorf("integer literal must be int, got %v", v)
-	}
-	if v := (Literal{Num: 2.5}).Value(); v.Kind() != tp.KindFloat {
-		t.Errorf("fractional literal must be float")
-	}
-}
-
 func TestParseSetOps(t *testing.T) {
 	cases := map[string]SetOpKind{
 		"SELECT * FROM r TP UNION s":     SetUnion,

@@ -10,7 +10,7 @@ import (
 	"tpjoin/internal/tp"
 )
 
-// randomRelation builds a relation with mixed value kinds, NULLs and
+// randomRelation builds a relation with NULLs, empty strings and
 // arbitrary (not necessarily sequenced) intervals — stats must not depend
 // on the sequenced constraint.
 func randomRelation(rng *rand.Rand, name string) *tp.Relation {
@@ -28,9 +28,9 @@ func randomRelation(rng *rand.Rand, name string) *tp.Relation {
 			case 0:
 				f[c] = tp.Null()
 			case 1:
-				f[c] = tp.Int(int64(rng.Intn(8)))
+				f[c] = tp.String_("") // distinct from NULL
 			case 2:
-				f[c] = tp.Float(float64(rng.Intn(5)) / 2)
+				f[c] = tp.String_(fmt.Sprint(rng.Intn(8)))
 			default:
 				f[c] = tp.String_(fmt.Sprintf("v%d", rng.Intn(10)))
 			}
@@ -53,7 +53,7 @@ func bruteForce(rel *tp.Relation) *Stats {
 				st.Cols[c].Nulls++
 				continue
 			}
-			counts[fmt.Sprintf("%v|%v", v.Kind(), v)]++
+			counts[v.AsString()]++
 		}
 		st.Cols[c].Distinct = len(counts)
 		for _, n := range counts {

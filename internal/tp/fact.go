@@ -31,30 +31,15 @@ func (f Fact) Key() string {
 }
 
 // KeyHash returns a 64-bit FNV-1a hash of the fact's canonical key
-// encoding without allocating. Two facts with equal Key() strings always
-// hash equal; hash collisions between distinct keys are possible, so
-// grouping by KeyHash must resolve buckets with KeyEqual.
+// encoding without allocating. Equal facts always hash equal; hash
+// collisions between distinct facts are possible, so grouping by KeyHash
+// must resolve buckets with Equal.
 func (f Fact) KeyHash() uint64 {
 	h := uint64(fnvOffset64)
 	for _, v := range f {
 		h = v.hashKey(h)
 	}
 	return h
-}
-
-// KeyEqual reports whether f and o have identical canonical keys — the
-// exact relation Key() string equality encodes. It is stricter than Equal:
-// Int(2) and Float(2) compare Equal but not KeyEqual.
-func (f Fact) KeyEqual(o Fact) bool {
-	if len(f) != len(o) {
-		return false
-	}
-	for i := range f {
-		if !f[i].keyEqual(o[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports attribute-wise equality (NULLs compare equal, as grouping

@@ -3,8 +3,8 @@ package tp
 // KeyGroups groups values under hashed fact keys with exact-equality
 // collision resolution: a 64-bit key hash addresses a bucket, and the
 // group inside the bucket is resolved by comparing against the group's
-// first fact with a caller-supplied equality (Fact.KeyEqual for whole
-// facts, EquiTheta.SKeyEqual/KeyMatch for equi-key columns). Groups keep
+// first fact with a caller-supplied equality (Fact.Equal for whole facts,
+// EquiTheta.SKeyEqual/Match for equi-key columns). Groups keep
 // first-seen order. It is the shared building block for the simple
 // grouping call sites (validation, projection, the TA baseline's build
 // side); the hash join's hot path uses its own flat keyTable instead.

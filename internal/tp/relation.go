@@ -180,7 +180,7 @@ func (r *Relation) ValidateSequenced() error {
 		if t.Lineage == nil {
 			return fmt.Errorf("tp: %s tuple %d has null lineage", r.Name, i)
 		}
-		g := byFact.Group(t.Fact.KeyHash(), t.Fact, Fact.KeyEqual)
+		g := byFact.Group(t.Fact.KeyHash(), t.Fact, Fact.Equal)
 		for _, iv := range g.Vals {
 			if iv.Overlaps(t.T) {
 				return fmt.Errorf("tp: %s fact '%s' has overlapping intervals %v and %v",

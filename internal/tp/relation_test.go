@@ -168,14 +168,14 @@ func TestThetaEqui(t *testing.T) {
 	}
 	k1, ok1 := theta.RKeyHash(ann)
 	k2, ok2 := theta.SKeyHash(h1)
-	if !ok1 || !ok2 || k1 != k2 || !theta.KeyMatch(ann, h1) {
+	if !ok1 || !ok2 || k1 != k2 || !theta.Match(ann, h1) {
 		t.Errorf("equal keys expected: %x vs %x", k1, k2)
 	}
 	if _, ok := theta.RKeyHash(Fact{String_("x"), Null()}); ok {
 		t.Errorf("NULL key must be reported unmatchable")
 	}
 	k3, _ := theta.SKeyHash(h3)
-	if k1 == k3 || theta.KeyMatch(ann, h3) {
+	if k1 == k3 || theta.Match(ann, h3) {
 		t.Errorf("different join values must produce different keys")
 	}
 }

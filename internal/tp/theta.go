@@ -23,11 +23,7 @@ func Equi(rCol, sCol int) EquiTheta {
 // Match implements Theta.
 func (e EquiTheta) Match(r, s Fact) bool {
 	for i := range e.RCols {
-		rv, sv := r[e.RCols[i]], s[e.SCols[i]]
-		if rv.IsNull() || sv.IsNull() {
-			return false
-		}
-		if !rv.Equal(sv) {
+		if rv := r[e.RCols[i]]; rv.IsNull() || !rv.Equal(s[e.SCols[i]]) {
 			return false
 		}
 	}
@@ -39,7 +35,7 @@ func (e EquiTheta) Match(r, s Fact) bool {
 // allocating. Facts whose key differs from an s fact's can never satisfy
 // θ; the bool is false when the key involves a NULL (such facts match
 // nothing). Equal keys always hash equal; distinct keys may collide, so
-// hash buckets must be resolved with KeyMatch (probe vs. build side) or
+// hash buckets must be resolved with Match (probe vs. build side) or
 // RKeyEqual/SKeyEqual (same side) before tuples are paired.
 func (e EquiTheta) RKeyHash(f Fact) (uint64, bool) { return equiKeyHash(f, e.RCols) }
 
@@ -57,31 +53,17 @@ func equiKeyHash(f Fact, cols []int) (uint64, bool) {
 	return h, true
 }
 
-// KeyMatch reports whether an r fact and an s fact have identical equi
-// keys under the strict (kind-exact) equality that the canonical key
-// encoding discriminates by. Note this is deliberately NOT Match:
-// hash-partitioned equi joins pair tuples by key identity, under which
-// Int(2) and Float(2) differ even though Match widens numeric kinds.
-func (e EquiTheta) KeyMatch(r, s Fact) bool {
-	for i := range e.RCols {
-		if !r[e.RCols[i]].keyEqual(s[e.SCols[i]]) {
-			return false
-		}
-	}
-	return true
-}
-
-// RKeyEqual reports strict key equality of the equi-key columns of two r
-// facts (used to resolve hash collisions when grouping one relation).
+// RKeyEqual reports equality of the equi-key columns of two r facts (used
+// to resolve hash collisions when grouping one relation).
 func (e EquiTheta) RKeyEqual(a, b Fact) bool { return colsKeyEqual(a, b, e.RCols) }
 
-// SKeyEqual reports strict key equality of the equi-key columns of two s
-// facts; see RKeyEqual.
+// SKeyEqual reports equality of the equi-key columns of two s facts; see
+// RKeyEqual.
 func (e EquiTheta) SKeyEqual(a, b Fact) bool { return colsKeyEqual(a, b, e.SCols) }
 
 func colsKeyEqual(a, b Fact, cols []int) bool {
 	for _, c := range cols {
-		if !a[c].keyEqual(b[c]) {
+		if !a[c].Equal(b[c]) {
 			return false
 		}
 	}

@@ -1,161 +1,66 @@
-// Package tp defines the temporal-probabilistic data model: typed values,
-// facts (the non-temporal attributes of a tuple), TP tuples (F, λ, T, p)
-// and TP relations, together with validation and the point-wise expansion
-// used as a semantic oracle in tests.
+// Package tp defines the temporal-probabilistic data model: text-or-NULL
+// values, facts (the non-temporal attributes of a tuple), TP tuples
+// (F, λ, T, p) and TP relations, together with validation and the
+// point-wise expansion used as a semantic oracle in tests.
 package tp
 
 import (
-	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
 
-// ValueKind discriminates the attribute value types.
-type ValueKind uint8
-
-// The supported attribute value kinds.
-const (
-	KindNull ValueKind = iota
-	KindInt
-	KindFloat
-	KindString
-)
-
-func (k ValueKind) String() string {
-	switch k {
-	case KindNull:
-		return "null"
-	case KindInt:
-		return "int"
-	case KindFloat:
-		return "float"
-	case KindString:
-		return "string"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
-
-// Value is a single attribute value. The zero value is SQL NULL, which is
-// what outer joins emit for the attributes of the non-matching side (the
-// "-" of the paper's Fig. 1b).
+// Value is a single attribute value: a text string or SQL NULL. Every fact
+// of the paper is text (Fig. 1a's Name/Loc/Hotel, the Webkit files, the
+// Meteo metrics and stations), so there is one equality, one order and one
+// hash for joins, grouping, DISTINCT and WHERE alike. The zero value is
+// NULL, which is what outer joins emit for the attributes of the
+// non-matching side (the "-" of the paper's Fig. 1b).
 type Value struct {
-	kind ValueKind
-	i    int64
-	f    float64
-	s    string
+	s     string
+	valid bool
 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
-// Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
-
-// Float returns a floating-point value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
-
 // String_ returns a string value. (The name avoids colliding with the
 // fmt.Stringer method.)
-func String_(s string) Value { return Value{kind: KindString, s: s} }
-
-// Kind returns the kind of v.
-func (v Value) Kind() ValueKind { return v.kind }
+func String_(s string) Value { return Value{s: s, valid: true} }
 
 // IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return !v.valid }
 
-// AsInt returns the integer payload; it panics for other kinds.
-func (v Value) AsInt() int64 {
-	if v.kind != KindInt {
-		panic("tp: AsInt on " + v.kind.String())
-	}
-	return v.i
-}
-
-// AsFloat returns the float payload (ints widen); it panics for other kinds.
-func (v Value) AsFloat() float64 {
-	switch v.kind {
-	case KindFloat:
-		return v.f
-	case KindInt:
-		return float64(v.i)
-	}
-	panic("tp: AsFloat on " + v.kind.String())
-}
-
-// AsString returns the string payload; it panics for other kinds.
+// AsString returns the string payload; it panics for NULL.
 func (v Value) AsString() string {
-	if v.kind != KindString {
-		panic("tp: AsString on " + v.kind.String())
+	if !v.valid {
+		panic("tp: AsString on NULL")
 	}
 	return v.s
 }
 
-// Equal implements SQL-style equality except that NULL = NULL is true,
-// which is what fact identity (grouping) requires. Numeric values compare
-// across int/float kinds.
-func (v Value) Equal(o Value) bool {
-	if v.kind == KindNull || o.kind == KindNull {
-		return v.kind == o.kind
-	}
-	if (v.kind == KindInt || v.kind == KindFloat) && (o.kind == KindInt || o.kind == KindFloat) {
-		if v.kind == KindInt && o.kind == KindInt {
-			return v.i == o.i
-		}
-		return v.AsFloat() == o.AsFloat()
-	}
-	if v.kind != o.kind {
-		return false
-	}
-	return v.s == o.s
-}
+// Equal reports whether v and o are the same value. NULL = NULL is true,
+// which is what fact identity (grouping) requires; join conditions reject
+// NULL keys before comparing (EquiTheta.Match).
+func (v Value) Equal(o Value) bool { return v == o }
 
-// Compare returns -1, 0, +1 with NULL first, then by kind, then by payload.
+// Compare returns -1, 0, +1 with NULL first, then by string order. It is
+// 0 exactly when Equal holds.
 func (v Value) Compare(o Value) int {
-	if v.kind == KindNull || o.kind == KindNull {
-		switch {
-		case v.kind == KindNull && o.kind == KindNull:
-			return 0
-		case v.kind == KindNull:
-			return -1
-		default:
+	if v.valid != o.valid {
+		if v.valid {
 			return 1
 		}
-	}
-	if (v.kind == KindInt || v.kind == KindFloat) && (o.kind == KindInt || o.kind == KindFloat) {
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if v.kind != o.kind {
-		if v.kind < o.kind {
-			return -1
-		}
-		return 1
+		return -1
 	}
 	return strings.Compare(v.s, o.s)
 }
 
 // String renders the value; NULL renders as "-" following Fig. 1b.
 func (v Value) String() string {
-	switch v.kind {
-	case KindNull:
+	if !v.valid {
 		return "-"
-	case KindInt:
-		return strconv.FormatInt(v.i, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
-	default:
-		return v.s
 	}
+	return v.s
 }
 
 // FNV-1a 64-bit parameters, used by the allocation-free hashed keys.
@@ -164,71 +69,36 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// hashKey folds a canonical encoding of v into the running FNV-1a hash h.
-// The encoding mirrors appendKey: it starts with the kind tag and, for
-// strings, includes the length before the bytes, so that the hash of a
-// value sequence is prefix-free. Unlike appendKey it allocates nothing.
+// hashKey folds a canonical encoding of v into the running FNV-1a hash h:
+// tag 0 for NULL; tag 3, the length and the bytes for a string, so that
+// the hash of a value sequence is prefix-free. The tags match the .tpr
+// value tags and keep KeyHash values stable (TestKeyHashGolden), so hash
+// partitioning and PNJ/PTA output order do not move. It allocates nothing.
 func (v Value) hashKey(h uint64) uint64 {
-	h = (h ^ uint64(v.kind)) * fnvPrime64
-	switch v.kind {
-	case KindInt:
-		h = hashUint64(h, uint64(v.i))
-	case KindFloat:
-		h = hashUint64(h, math.Float64bits(v.f))
-	case KindString:
-		h = hashUint64(h, uint64(len(v.s)))
-		for i := 0; i < len(v.s); i++ {
-			h = (h ^ uint64(v.s[i])) * fnvPrime64
-		}
+	if !v.valid {
+		return h * fnvPrime64
 	}
-	return h
-}
-
-func hashUint64(h, u uint64) uint64 {
-	for i := 0; i < 8; i++ {
+	h = (h ^ 3) * fnvPrime64
+	for u, i := uint64(len(v.s)), 0; i < 8; i++ {
 		h = (h ^ (u & 0xff)) * fnvPrime64
 		u >>= 8
 	}
+	for i := 0; i < len(v.s); i++ {
+		h = (h ^ uint64(v.s[i])) * fnvPrime64
+	}
 	return h
-}
-
-// keyEqual reports whether v and o have identical key encodings: the exact
-// equality hashKey (and appendKey) discriminate by. It is stricter than
-// Equal — Int(2) and Float(2) compare Equal but have distinct keys, and
-// NULLs (which compare Equal) are keyEqual too.
-func (v Value) keyEqual(o Value) bool {
-	if v.kind != o.kind {
-		return false
-	}
-	switch v.kind {
-	case KindInt:
-		return v.i == o.i
-	case KindFloat:
-		return math.Float64bits(v.f) == math.Float64bits(o.f)
-	case KindString:
-		return v.s == o.s
-	default:
-		return true
-	}
 }
 
 // appendKey writes a canonical, injective encoding of v to b, used to build
 // hashable fact keys.
 func (v Value) appendKey(b *strings.Builder) {
-	switch v.kind {
-	case KindNull:
-		b.WriteByte('N')
-	case KindInt:
-		b.WriteByte('I')
-		b.WriteString(strconv.FormatInt(v.i, 10))
-	case KindFloat:
-		b.WriteByte('F')
-		b.WriteString(strconv.FormatFloat(v.f, 'b', -1, 64))
-	case KindString:
-		b.WriteByte('S')
-		b.WriteString(strconv.Itoa(len(v.s)))
-		b.WriteByte(':')
-		b.WriteString(v.s)
+	if !v.valid {
+		b.WriteString("N;")
+		return
 	}
+	b.WriteByte('S')
+	b.WriteString(strconv.Itoa(len(v.s)))
+	b.WriteByte(':')
+	b.WriteString(v.s)
 	b.WriteByte(';')
 }
