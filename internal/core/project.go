@@ -27,7 +27,8 @@ import (
 // so maximal intervals come out (e.g. a projection that drops a column
 // distinguishing two adjacent chunks yields one merged tuple).
 //
-// ctx is observed while grouping, once per projected fact and at every
+// ctx is observed while grouping, once per projected fact, every
+// projectCancelWork entries scanned inside one fact, and at every
 // probability batch, where a memory budget on it (mem.WithGauge) is also
 // charged for the emitted rows; on either failure the result is nil.
 func ProjectLineage(ctx context.Context, rel *tp.Relation, cols []int, names []string) (*tp.Relation, error) {
@@ -90,7 +91,7 @@ func ProjectLineage(ctx context.Context, rel *tp.Relation, cols []int, names []s
 		pend = pend[:0]
 		return nil
 	}
-	list := byFact.Groups()
+	list, work := byFact.Groups(), 0
 	for gi := range list {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -110,6 +111,12 @@ func ProjectLineage(ctx context.Context, rel *tp.Relation, cols []int, names []s
 		}
 		chunks := make([]chunk, 0, len(elem))
 		for _, el := range elem {
+			if work += len(es) + 1; work >= projectCancelWork {
+				work = 0
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			var parts []*lineage.Expr
 			for _, e := range es {
 				if e.t.ContainsInterval(el) {
@@ -140,3 +147,7 @@ func ProjectLineage(ctx context.Context, rel *tp.Relation, cols []int, names []s
 	}
 	return out, nil
 }
+
+// projectCancelWork bounds the entries ProjectLineage scans between
+// context checks inside one projected fact, like align's drainCancelWork.
+const projectCancelWork = 4096

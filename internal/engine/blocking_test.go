@@ -11,6 +11,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -20,13 +21,14 @@ import (
 	"tpjoin/internal/tp"
 )
 
-// countdownCtx reports context.Canceled from its (k+1)-th Err call on: a
-// deterministic stand-in for a deadline that fires while Open is working,
-// where a wall-clock bound would be too loose to tell mid-Open from
-// after-Open.
+// countdownCtx counts its Err calls and reports context.Canceled from the
+// (k+1)-th on: a deterministic stand-in for a deadline that fires while
+// an operator is working, where a wall-clock bound would be too loose to
+// tell one checkpoint from the next.
 type countdownCtx struct {
 	context.Context
-	left atomic.Int64
+	left  atomic.Int64
+	calls atomic.Int64
 }
 
 func cancelAfterChecks(k int64) *countdownCtx {
@@ -35,7 +37,11 @@ func cancelAfterChecks(k int64) *countdownCtx {
 	return c
 }
 
+// neverCancel counts the checkpoints of a run that is not cancelled.
+func neverCancel() *countdownCtx { return cancelAfterChecks(math.MaxInt64) }
+
 func (c *countdownCtx) Err() error {
+	c.calls.Add(1)
 	if c.left.Add(-1) < 0 {
 		return context.Canceled
 	}
