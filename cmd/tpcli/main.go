@@ -8,11 +8,11 @@
 // With -e the single statement is executed and tpcli exits with a
 // non-zero status on error; otherwise a REPL starts. The whole dialect of
 // cmd/tpquery is available, plus the server builtin \metrics. SET
-// statements — and PREPARE/EXECUTE prepared statements, whose planning
-// the server memoizes in its shared plan cache — affect only this
-// session. With -v each response is followed by a stderr line carrying
-// the server-assigned query ID, wall time and (for EXECUTE) the plan
-// cache outcome —
+// statements — and PREPARE/EXECUTE prepared statements, each of which
+// memoizes its planning for this session — affect only this session.
+// With -v each response is followed by a stderr line carrying the
+// server-assigned query ID, wall time and (for EXECUTE) whether the plan
+// came from the statement's memo (plan=hit|miss) —
 // the same ID the server's structured query log and the EXPLAIN ANALYZE
 // trailer carry, so a slow statement seen here can be joined to its
 // server-side records.

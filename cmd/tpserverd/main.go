@@ -6,7 +6,7 @@
 //	tpserverd [-addr localhost:7654] [-http ""] [-timeout 30s]
 //	          [-max-timeout 5m] [-slow-query 1s]
 //	          [-max-inflight 0] [-queue-depth 0] [-queue-wait 1s]
-//	          [-memory-budget 0] [-drain-timeout 30s] [-plan-cache 256]
+//	          [-memory-budget 0] [-drain-timeout 30s]
 //	          [-gen webkit:1000] [-gen meteo:1000] [-no-preload] [-quiet]
 //
 // The default bind is loopback-only: the dialect includes \load, \save,
@@ -20,15 +20,13 @@
 // session never affects another, while CREATE TABLE ... AS, \load and
 // \drop act on the shared catalog and are immediately visible to all
 // sessions. `PREPARE name AS SELECT ...` / `EXECUTE name [(v, ...)]` /
-// `DEALLOCATE name` manage session-local prepared statements whose
-// planning (statistics profiling, cost-model strategy pick) is memoized
-// in a server-wide plan cache of -plan-cache entries (0 = default size,
-// negative disables), shared across sessions and invalidated when a
-// referenced relation changes; the tpserverd_plan_cache_* metric families
-// report hits, misses, evictions and invalidations. Each query runs under
-// a context deadline (-timeout,
-// overridable per request up to -max-timeout) that also interrupts the
-// blocking TA/PNJ join strategies mid-Open; `\metrics` returns
+// `DEALLOCATE name` manage session-local prepared statements, each of
+// which memoizes its planning (statistics profiling, cost-model strategy
+// pick) for its session until a referenced relation or a plan-relevant
+// SET setting changes; tpserverd_plan_cache_{hits,misses}_total count the
+// outcomes across all sessions. Each query runs under a context deadline
+// (-timeout, overridable per request up to -max-timeout) that also
+// interrupts the blocking TA/PNJ join strategies mid-Open; `\metrics` returns
 // Prometheus-style counters (queries served, rows returned, timeouts,
 // active sessions, per-strategy throughput, latency histograms, runtime
 // gauges and per-operator EXPLAIN ANALYZE aggregates).
@@ -106,7 +104,6 @@ func main() {
 		queueWait    = flag.Duration("queue-wait", time.Second, "admission control: max time a queued statement waits for a slot")
 		memBudget    = flag.String("memory-budget", "", "default per-query memory budget, e.g. 256mb or 256MB (empty = unlimited; sessions override with SET memory_budget)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget: how long the first SIGTERM lets in-flight statements finish")
-		planCache    = flag.Int("plan-cache", 0, "server-wide plan cache capacity for PREPARE/EXECUTE (0 = default size, negative = disabled)")
 		gens         genFlags
 	)
 	flag.Var(&gens, "gen", "preload a synthetic workload, e.g. webkit:1000 or meteo:500 (repeatable)")
@@ -128,7 +125,6 @@ func main() {
 		MaxInflight:    *maxInflight,
 		QueueDepth:     *queueDepth,
 		QueueWait:      *queueWait,
-		PlanCacheSize:  *planCache,
 	}
 	if *memBudget != "" {
 		b, err := plan.ParseByteSize(*memBudget)

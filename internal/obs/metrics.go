@@ -86,8 +86,7 @@ type Metrics struct {
 
 	// planCache, when set (SetPlanCache), supplies the plan-cache counters
 	// at snapshot time — the cache keeps its own atomics; the collector
-	// only reads a point-in-time copy. Nil omits the families entirely
-	// (surfaces without a cache).
+	// only reads a point-in-time copy. Unset, the families read zero.
 	planCache atomic.Pointer[func() plan.CacheStats]
 }
 
@@ -307,11 +306,9 @@ type MetricsSnapshot struct {
 	QueryRows   HistogramSnapshot
 	PerOperator map[string]OperatorSnapshot
 
-	// PlanCache carries the shared plan cache's counters when the surface
-	// wired one (SetPlanCache); HasPlanCache gates the families so
-	// collectors without a cache render unchanged.
-	PlanCache    plan.CacheStats
-	HasPlanCache bool
+	// PlanCache carries the EXECUTE plan hit and miss counters
+	// (SetPlanCache).
+	PlanCache plan.CacheStats
 }
 
 // OperatorSnapshot is the per-operator-kind slice of the ANALYZE
@@ -351,7 +348,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	if f := m.planCache.Load(); f != nil {
 		s.PlanCache = (*f)()
-		s.HasPlanCache = true
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -429,13 +425,8 @@ func (s MetricsSnapshot) Render() string {
 	renderHistogram(&b, "tpserverd_admission_queue_wait_seconds", "", s.QueueWait)
 	gauge("tpserverd_last_query_seconds", "Wall time of the most recent row-producing query.", fnum(float64(s.LastQueryMicros)/1e6))
 	gauge("tpserverd_last_query_rows", "Row count of the most recent row-producing query.", fmt.Sprint(s.LastQueryRows))
-	if s.HasPlanCache {
-		counter("tpserverd_plan_cache_hits_total", "EXECUTE statements planned from the shared plan cache (stats profiling and strategy pick skipped).", fmt.Sprint(s.PlanCache.Hits))
-		counter("tpserverd_plan_cache_misses_total", "EXECUTE statements planned fresh (no valid cache entry).", fmt.Sprint(s.PlanCache.Misses))
-		counter("tpserverd_plan_cache_evictions_total", "Plan-cache entries evicted by the LRU capacity bound.", fmt.Sprint(s.PlanCache.Evictions))
-		counter("tpserverd_plan_cache_invalidations_total", "Plan-cache entries dropped because a referenced relation changed (length/Version/identity).", fmt.Sprint(s.PlanCache.Invalidations))
-		gauge("tpserverd_plan_cache_entries", "Plan-cache entries currently resident.", fmt.Sprint(s.PlanCache.Entries))
-	}
+	counter("tpserverd_plan_cache_hits_total", "EXECUTE statements planned from the prepared statement's memo (stats profiling and strategy pick skipped).", fmt.Sprint(s.PlanCache.Hits))
+	counter("tpserverd_plan_cache_misses_total", "EXECUTE statements planned fresh (no matching memo).", fmt.Sprint(s.PlanCache.Misses))
 
 	labels := make([]string, strategyCount)
 	for i := range labels {

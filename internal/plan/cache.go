@@ -1,18 +1,16 @@
-// Plan cache: PREPARE/EXECUTE and the server-wide memoization of
-// planning work. A Prepared statement pins the parsed AST (no re-lex, no
-// re-parse per EXECUTE); the Cache additionally memoizes the expensive
-// half of Build — the statistics profiling and cost-model estimation
-// behind the auto strategy picker — keyed by the normalized statement
-// text plus every plan-relevant session setting, and invalidated by each
-// referenced relation's identity and tp.Stamp — the Stamp the statistics
-// memo checks — so a catalog mutation of any referenced relation forces a
-// re-plan while untouched shapes keep their pick.
+// Prepared statements: PREPARE/EXECUTE and the memoization of planning
+// work. A Prepared statement pins the parsed AST (no re-lex, no re-parse
+// per EXECUTE) and memoizes the expensive half of Build — the statistics
+// profiling and cost-model estimation behind the auto strategy picker —
+// for the next EXECUTE, keyed by every plan-relevant session setting and
+// checked against each referenced relation's identity and tp.Stamp — the
+// Stamp the statistics memo checks — so a catalog mutation of any
+// referenced relation forces a re-plan.
 package plan
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"weak"
 
@@ -22,28 +20,24 @@ import (
 	"tpjoin/internal/tp"
 )
 
-// DefaultCacheSize is the plan-cache capacity surfaces use unless
-// configured otherwise (tpserverd -plan-cache). Entries are a few hundred
-// bytes each — the cap bounds pinned weak references and LRU bookkeeping,
-// not result data.
-const DefaultCacheSize = 256
-
 // Prepared is one prepared statement: the parsed SELECT body of a
-// PREPARE, pinned for repeated EXECUTE. Sessions own their prepared maps
-// (names are session-local, like PostgreSQL's); the planning work is
-// shared across sessions through the Cache.
+// PREPARE, pinned for repeated EXECUTE, plus the planning memo of its
+// last EXECUTE. A Prepared belongs to one session (names are
+// session-local, like PostgreSQL's) and is not safe for concurrent use:
+// the memo is read and replaced without a lock.
 type Prepared struct {
 	// Name is the session-local statement name.
 	Name string
 	// Text is the canonical rendering of the SELECT (sql.Select.String),
-	// which normalizes whitespace, keyword case and placeholder style —
-	// the statement-text component of the cache key.
+	// which normalizes whitespace, keyword case and placeholder style.
 	Text string
 	// Query is the parsed body; placeholder literals carry their 1-based
 	// parameter index.
 	Query *sql.Select
 	// NumParams is how many parameters an EXECUTE must supply.
 	NumParams int
+
+	memo *memo
 }
 
 // NewPrepared pins a parsed PREPARE statement for execution.
@@ -60,189 +54,95 @@ func (p *Prepared) bindCheck(params []sql.Literal) error {
 	return nil
 }
 
-// relSnap records the identity and Stamp of one relation a cached plan
-// was built against. The pointer is weak — the cache must not keep
-// replaced relations alive — and identity is checked against a fresh
-// catalog lookup, so a same-name re-registration invalidates even if the
-// new relation happens to match the old Stamp.
+// relSnap records the identity and Stamp of one relation a plan was
+// built against, in lookup order; a prepared statement looks up the same
+// names every time, so the names need no recording. The pointer is weak —
+// the memo must not keep replaced relations alive — and weak pointers
+// compare equal only when made from the same relation, so a same-name
+// re-registration misses even if the new relation matches the old Stamp.
 type relSnap struct {
-	name  string
 	rel   weak.Pointer[tp.Relation]
 	stamp tp.Stamp
 }
 
-// Entry is one cached plan: the memoized strategy estimate of the
-// statement's TP join (nil when it plans none) plus the snapshots of
-// every relation the plan referenced. Entries are immutable once
-// published.
-type Entry struct {
-	est  *Estimate
-	rels []relSnap
+// settings are the session settings that change a plan: the forced
+// strategy, the TA plan form, the worker count the estimates were priced
+// for, and the calibration that priced them. The calibration is held by
+// pointer, which keeps it alive, so a later calibration cannot reuse its
+// address and pass for it. Parameter values are deliberately absent: they
+// bind per EXECUTE and do not move the strategy pick. MemBudget is absent
+// too — it gates execution, not planning.
+type settings struct {
+	strategy   Strategy
+	nestedLoop bool
+	workers    int
+	calib      *Calibration
 }
 
-// snapshot appends rel's snapshot to the entry under its catalog name.
-func (e *Entry) snapshot(name string, rel *tp.Relation) {
-	e.rels = append(e.rels, relSnap{
-		name: name, rel: weak.Make(rel), stamp: rel.Stamp(),
-	})
+// memo is what one build planned against and produced: the session
+// settings, a snapshot of every relation it looked up, and the strategy
+// estimate of the statement's TP join (nil when it plans none).
+type memo struct {
+	under settings
+	rels  []relSnap
+	est   *Estimate
 }
 
-// valid reports whether every referenced relation is still the one the
-// plan was built against, at the same Stamp.
-func (e *Entry) valid(cat *catalog.Catalog) bool {
-	for _, sn := range e.rels {
-		cur, err := cat.Lookup(sn.name)
-		if err != nil || cur != sn.rel.Value() || cur.Stamp() != sn.stamp {
-			return false
-		}
-	}
-	return true
+// snapshot appends rel's snapshot.
+func (m *memo) snapshot(rel *tp.Relation) {
+	m.rels = append(m.rels, relSnap{weak.Make(rel), rel.Stamp()})
 }
 
-// Cache is the shared plan cache: a bounded LRU from (normalized
-// statement text, plan-relevant session settings) to memoized planning
-// results, validated per hit against the referenced relations' current
-// catalog state. Safe for concurrent use; tpserverd attaches one Cache to
-// every session, the REPL keeps a process-local one.
+// matches reports whether m, the memo of an earlier build, was planned
+// under the same settings against the same relations at the same Stamps
+// as cur. A nil m matches nothing.
+func (m *memo) matches(cur *memo) bool {
+	return m != nil && m.under == cur.under && slices.Equal(m.rels, cur.rels)
+}
+
+// Cache counts how EXECUTE statements got their plans, as the
+// tpserverd_plan_cache_{hits,misses}_total families. The memo itself
+// lives on each Prepared; one Cache is shared by every session of a
+// surface. Safe for concurrent use; the zero value is ready.
 type Cache struct {
-	mu    sync.Mutex
-	cap   int
-	lru   *list.List // front = most recently used; values are *cacheItem
-	items map[string]*list.Element
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	evictions     atomic.Int64
-	invalidations atomic.Int64
+	hits, misses atomic.Int64
 }
 
-type cacheItem struct {
-	key   string
-	entry *Entry
-}
+// NewCache returns an empty Cache. The argument is ignored; it remains so
+// that e2ebench, which compiles against NewCache(int), keeps building.
+func NewCache(int) *Cache { return new(Cache) }
 
-// NewCache returns a plan cache holding up to capacity entries
-// (DefaultCacheSize when capacity <= 0).
-func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCacheSize
-	}
-	return &Cache{cap: capacity, lru: list.New(), items: make(map[string]*list.Element)}
-}
-
-// cacheKey composes the lookup key: the normalized statement text plus
-// every session setting that changes the plan shape — forced strategy,
-// the TA plan form, the worker count the estimates were priced for, and
-// the calibration identity. Parameter values are deliberately absent:
-// they bind per EXECUTE and do not move the strategy pick. MemBudget is
-// absent too — it gates execution, not planning.
-func cacheKey(text string, sess *Session) string {
-	return fmt.Sprintf("%s\x00strategy=%s nl=%t workers=%d calib=%p",
-		text, sess.Strategy, sess.TANestedLoop, sess.Workers, sess.Calib)
-}
-
-// get returns the entry under key if present and still valid. An entry
-// whose referenced relations changed is removed and counted as an
-// invalidation (plus the miss the caller experiences).
-func (c *Cache) get(key string, cat *catalog.Catalog) (*Entry, bool) {
-	c.mu.Lock()
-	el, ok := c.items[key]
-	var e *Entry
-	if ok {
-		c.lru.MoveToFront(el)
-		e = el.Value.(*cacheItem).entry
-	}
-	c.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	// Validate outside the cache lock — catalog lookups take their own.
-	if !e.valid(cat) {
-		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
-			c.lru.Remove(el)
-			delete(c.items, key)
-		}
-		c.mu.Unlock()
-		c.invalidations.Add(1)
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return e, true
-}
-
-// put publishes an entry, evicting the least recently used one beyond
-// capacity.
-func (c *Cache) put(key string, e *Entry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheItem).entry = e
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.lru.PushFront(&cacheItem{key: key, entry: e})
-	if c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.items, back.Value.(*cacheItem).key)
-		c.evictions.Add(1)
-	}
-}
-
-// Len returns the current entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// CacheStats is a point-in-time copy of the cache counters, exposed as
-// the tpserverd_plan_cache_* metric families.
+// CacheStats is a point-in-time copy of the cache counters.
 type CacheStats struct {
-	Hits          int64
-	Misses        int64
-	Evictions     int64
-	Invalidations int64
-	Entries       int
+	Hits, Misses int64
 }
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
-		Entries:       c.Len(),
-	}
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
-// PlanPrepared compiles a prepared statement with params bound,
-// consulting cache (nil disables caching — every EXECUTE then plans
-// fresh). It reports whether the plan came from the cache: a hit skips
-// statistics profiling and cost-model estimation entirely and re-binds
-// only the cheap operator construction; parse was already skipped by
-// PREPARE.
+// PlanPrepared compiles a prepared statement with params bound and counts
+// the outcome in cache (nil counts nothing). It reports whether the plan
+// reused p's memo: a hit skips statistics profiling and cost-model
+// estimation entirely and re-binds only the cheap operator construction;
+// parse was already skipped by PREPARE. A miss replaces the memo.
 func PlanPrepared(cache *Cache, cat *catalog.Catalog, sess *Session, p *Prepared, params []sql.Literal) (op engine.Operator, cached bool, err error) {
 	if err := p.bindCheck(params); err != nil {
 		return nil, false, err
 	}
-	if cache == nil {
-		op, _, err := build(p.Query, cat, sess, params, nil)
-		return op, false, err
-	}
-	key := cacheKey(p.Text, sess)
-	if e, ok := cache.get(key, cat); ok {
-		op, _, err := build(p.Query, cat, sess, params, e)
-		return op, true, err
-	}
-	op, e, err := build(p.Query, cat, sess, params, nil)
+	op, m, err := build(p.Query, cat, sess, params, p.memo)
 	if err != nil {
 		return nil, false, err
 	}
-	cache.put(key, e)
-	return op, false, nil
+	cached = p.memo.matches(m)
+	p.memo = m
+	if cache != nil {
+		if cached {
+			cache.hits.Add(1)
+		} else {
+			cache.misses.Add(1)
+		}
+	}
+	return op, cached, nil
 }

@@ -1,7 +1,10 @@
 package plan
 
 import (
+	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -43,13 +46,13 @@ func runPrepared(t *testing.T, cache *Cache, cat *catalog.Catalog, sess *Session
 
 func TestPlanCacheHitOnRepeatedExecute(t *testing.T) {
 	cat := demoCatalog(t)
-	cache := NewCache(8)
+	cache := NewCache(0)
 	sess := &Session{}
 	p := mustPrepare(t, "PREPARE q AS SELECT * FROM a TP JOIN b ON a.Loc = b.Loc")
 
 	first, cached := runPrepared(t, cache, cat, sess, p)
 	if cached {
-		t.Fatal("first EXECUTE must miss the empty cache")
+		t.Fatal("first EXECUTE must plan fresh")
 	}
 	second, cached := runPrepared(t, cache, cat, sess, p)
 	if !cached {
@@ -57,11 +60,22 @@ func TestPlanCacheHitOnRepeatedExecute(t *testing.T) {
 	}
 	f, s := canonical(first), canonical(second)
 	if len(f) == 0 || fmt.Sprint(f) != fmt.Sprint(s) {
-		t.Errorf("cached plan changed the result:\n  fresh  %v\n  cached %v", f, s)
+		t.Errorf("memoized plan changed the result:\n  fresh  %v\n  cached %v", f, s)
 	}
-	st := cache.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Invalidations != 0 {
-		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 entry", st)
+	if st := cache.Stats(); st != (CacheStats{Hits: 1, Misses: 1}) {
+		t.Errorf("stats = %+v, want 1 hit / 1 miss", st)
+	}
+}
+
+// wantMissThenHit runs p twice and fails unless the first EXECUTE plans
+// fresh and the second reuses its memo.
+func wantMissThenHit(t *testing.T, cat *catalog.Catalog, sess *Session, p *Prepared, after string) {
+	t.Helper()
+	if _, cached := runPrepared(t, nil, cat, sess, p); cached {
+		t.Errorf("EXECUTE after %s must re-plan", after)
+	}
+	if _, cached := runPrepared(t, nil, cat, sess, p); !cached {
+		t.Errorf("second EXECUTE after %s must hit the fresh memo", after)
 	}
 }
 
@@ -70,13 +84,10 @@ func TestPlanCacheHitOnRepeatedExecute(t *testing.T) {
 // length (an in-place sort) must force a re-plan.
 func TestPlanCacheVersionBumpInvalidates(t *testing.T) {
 	cat := demoCatalog(t)
-	cache := NewCache(8)
 	sess := &Session{}
 	p := mustPrepare(t, "PREPARE q AS SELECT * FROM a TP JOIN b ON a.Loc = b.Loc")
+	runPrepared(t, nil, cat, sess, p)
 
-	if _, cached := runPrepared(t, cache, cat, sess, p); cached {
-		t.Fatal("first EXECUTE must miss")
-	}
 	b, err := cat.Lookup("b")
 	if err != nil {
 		t.Fatal(err)
@@ -87,31 +98,18 @@ func TestPlanCacheVersionBumpInvalidates(t *testing.T) {
 		t.Fatalf("test premise broken: len %d→%d stamp %v→%v",
 			lenBefore, b.Len(), stampBefore, b.Stamp())
 	}
-	if _, cached := runPrepared(t, cache, cat, sess, p); cached {
-		t.Fatal("EXECUTE after a version-only bump must re-plan")
-	}
-	st := cache.Stats()
-	if st.Invalidations != 1 {
-		t.Errorf("invalidations = %d, want 1", st.Invalidations)
-	}
-	// The re-published entry is valid again for the mutated relation.
-	if _, cached := runPrepared(t, cache, cat, sess, p); !cached {
-		t.Error("EXECUTE after the re-plan must hit the fresh entry")
-	}
+	wantMissThenHit(t, cat, sess, p, "a version-only bump")
 }
 
 // TestPlanCacheReRegisterInvalidates pins the identity half of the
-// contract: replacing a relation under the same name invalidates even
-// when the replacement happens to match the old Stamp —
-// the weak pointer no longer resolves to the catalog's current relation.
+// contract: replacing a relation under the same name forces a re-plan
+// even when the replacement happens to match the old Stamp — the weak
+// pointer no longer matches the catalog's current relation.
 func TestPlanCacheReRegisterInvalidates(t *testing.T) {
 	cat := demoCatalog(t)
-	cache := NewCache(8)
 	sess := &Session{}
 	p := mustPrepare(t, "PREPARE q AS SELECT * FROM a TP JOIN b ON a.Loc = b.Loc")
-	if _, cached := runPrepared(t, cache, cat, sess, p); cached {
-		t.Fatal("first EXECUTE must miss")
-	}
+	runPrepared(t, nil, cat, sess, p)
 
 	old, err := cat.Lookup("b")
 	if err != nil {
@@ -129,70 +127,120 @@ func TestPlanCacheReRegisterInvalidates(t *testing.T) {
 	if err := cat.Register(repl); err != nil {
 		t.Fatal(err)
 	}
-	if _, cached := runPrepared(t, cache, cat, sess, p); cached {
-		t.Fatal("EXECUTE after a same-name re-registration must re-plan")
-	}
-	if st := cache.Stats(); st.Invalidations != 1 {
-		t.Errorf("invalidations = %d, want 1", st.Invalidations)
-	}
+	wantMissThenHit(t, cat, sess, p, "a same-name re-registration")
 }
 
 func TestPlanCacheDropInvalidates(t *testing.T) {
 	cat := demoCatalog(t)
-	cache := NewCache(8)
 	sess := &Session{}
 	p := mustPrepare(t, "PREPARE q AS SELECT * FROM a")
-	runPrepared(t, cache, cat, sess, p)
+	runPrepared(t, nil, cat, sess, p)
 	cat.Drop("a")
-	if _, _, err := PlanPrepared(cache, cat, sess, p, nil); err == nil {
+	if _, _, err := PlanPrepared(nil, cat, sess, p, nil); err == nil {
 		t.Fatal("EXECUTE over a dropped relation must fail, not serve the stale plan")
 	}
-	if st := cache.Stats(); st.Invalidations != 1 {
-		t.Errorf("invalidations = %d, want 1", st.Invalidations)
+	// A relation registered under the dropped name is planned afresh.
+	fresh := demoCatalog(t)
+	a, err := fresh.Lookup("a")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := cat.Register(a); err != nil {
+		t.Fatal(err)
+	}
+	wantMissThenHit(t, cat, sess, p, "a drop and re-creation")
 }
 
-// TestPlanCacheKeyIncludesSessionSettings: two sessions differing in a
-// plan-relevant setting must not share an entry.
+// TestPlanCacheKeyIncludesSessionSettings: changing any plan-relevant
+// setting — strategy, ta_nested_loop, join_workers or calibration —
+// makes the next EXECUTE re-plan, and the one after it hit. After a
+// calibration switch the EXPLAIN EXECUTE cost line is the new file's, not
+// a memo priced under the old one.
 func TestPlanCacheKeyIncludesSessionSettings(t *testing.T) {
 	cat := demoCatalog(t)
-	cache := NewCache(8)
-	p := mustPrepare(t, "PREPARE q AS SELECT * FROM a TP JOIN b ON a.Loc = b.Loc")
+	const query = "SELECT * FROM a TP JOIN b ON a.Loc = b.Loc"
+	p := mustPrepare(t, "PREPARE q AS "+query)
+	calib := func(njTuple float64) string {
+		cal := *DefaultCalibration()
+		cal.NJTuple = njTuple
+		data, err := cal.MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "cal.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	sess := &Session{}
+	wantMissThenHit(t, cat, sess, p, "PREPARE")
+	for _, set := range []sql.Set{
+		{Name: "strategy", Value: "ta"},
+		{Name: "ta_nested_loop", Value: "on"},
+		{Name: "join_workers", Value: "2"},
+		{Name: "calibration", Value: calib(1e3)},
+	} {
+		if err := sess.ApplySet(&set); err != nil {
+			t.Fatal(err)
+		}
+		wantMissThenHit(t, cat, sess, p, "SET "+set.Name)
+	}
 
-	runPrepared(t, cache, cat, &Session{Strategy: StrategyNJ}, p)
-	if _, cached := runPrepared(t, cache, cat, &Session{Strategy: StrategyTA}, p); cached {
-		t.Error("a different forced strategy must plan its own entry")
+	costLine := func(tree *Tree) string {
+		for _, l := range strings.Split(tree.Render(), "\n") {
+			if strings.Contains(l, "cost:") {
+				return strings.TrimSpace(l)
+			}
+		}
+		t.Fatalf("no cost line in\n%s", tree.Render())
+		return ""
 	}
-	if _, cached := runPrepared(t, cache, cat, &Session{Strategy: StrategyNJ}, p); !cached {
-		t.Error("the NJ entry must survive the TA plan alongside it")
+	explain := func() string {
+		tree, err := ExplainPrepared(context.Background(), nil, cat, sess, p, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return costLine(tree)
 	}
-	if cache.Len() != 2 {
-		t.Errorf("entries = %d, want 2 (one per strategy)", cache.Len())
+	old := explain()
+	if err := sess.ApplySet(&sql.Set{Name: "calibration", Value: calib(1e6)}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sql.Parse(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshTree, err := ExplainTree(context.Background(), st.(*sql.Select), cat, sess, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := costLine(freshTree)
+	if fresh == old {
+		t.Fatalf("test premise broken: both calibrations price %q", fresh)
+	}
+	for run := range 2 {
+		if got := explain(); got != fresh {
+			t.Errorf("EXPLAIN EXECUTE %d under the new calibration: %q, want %q", run, got, fresh)
+		}
 	}
 }
 
-func TestPlanCacheLRUEviction(t *testing.T) {
+// TestPlanCacheReprepareAfterDeallocate: DEALLOCATE drops the session's
+// Prepared and with it the memo, so a PREPARE of the same name and text
+// pins a new statement whose first EXECUTE plans fresh.
+func TestPlanCacheReprepareAfterDeallocate(t *testing.T) {
 	cat := demoCatalog(t)
-	cache := NewCache(2)
+	cache := NewCache(0)
 	sess := &Session{}
-	ps := []*Prepared{
-		mustPrepare(t, "PREPARE q1 AS SELECT * FROM a"),
-		mustPrepare(t, "PREPARE q2 AS SELECT * FROM b"),
-		mustPrepare(t, "PREPARE q3 AS SELECT * FROM a WHERE Loc = 'ZAK'"),
+	const src = "PREPARE q AS SELECT * FROM a TP JOIN b ON a.Loc = b.Loc"
+	wantMissThenHit(t, cat, sess, mustPrepare(t, src), "PREPARE")
+	p := mustPrepare(t, src)
+	if _, cached := runPrepared(t, cache, cat, sess, p); cached {
+		t.Error("first EXECUTE of a re-PREPARE'd statement must plan fresh")
 	}
-	for _, p := range ps {
-		runPrepared(t, cache, cat, sess, p)
-	}
-	st := cache.Stats()
-	if st.Evictions != 1 || st.Entries != 2 {
-		t.Fatalf("stats = %+v, want 1 eviction / 2 entries", st)
-	}
-	// q1 was the least recently used: it re-plans, q3 still hits.
-	if _, cached := runPrepared(t, cache, cat, sess, ps[2]); !cached {
-		t.Error("most recent entry must have survived eviction")
-	}
-	if _, cached := runPrepared(t, cache, cat, sess, ps[0]); cached {
-		t.Error("least recently used entry must have been evicted")
+	if _, cached := runPrepared(t, cache, cat, sess, p); !cached {
+		t.Error("second EXECUTE of a re-PREPARE'd statement must hit")
 	}
 }
 
@@ -209,22 +257,6 @@ func TestPlanPreparedBindErrors(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "wants 1 parameter(s), got 2") {
 		t.Errorf("over-bound EXECUTE: %v, want parameter-count error", err)
-	}
-}
-
-func TestPlanPreparedNilCachePlansFresh(t *testing.T) {
-	cat := demoCatalog(t)
-	sess := &Session{}
-	p := mustPrepare(t, "PREPARE q AS SELECT * FROM a WHERE Loc = $1")
-	for i := 0; i < 2; i++ {
-		op, cached, err := PlanPrepared(nil, cat, sess, p, []sql.Literal{{IsString: true, Str: "ZAK"}})
-		if err != nil || cached {
-			t.Fatalf("nil cache run %d: cached=%t err=%v, want fresh plan", i, cached, err)
-		}
-		out, err := engine.Run(op, "r")
-		if err != nil || out.Len() != 1 {
-			t.Fatalf("nil cache run %d: %v (rows %d)", i, err, out.Len())
-		}
 	}
 }
 
@@ -264,7 +296,7 @@ func TestDifferentialExecuteVsInlineSelect(t *testing.T) {
 		if err := cat.Register(in.s); err != nil {
 			t.Fatal(err)
 		}
-		cache := NewCache(8)
+		cache := NewCache(0)
 		for name, strat := range strategies {
 			sess := &Session{Strategy: strat, Workers: 2}
 			ref := canonical(runSQLJoin(t, cat, sess, inline))

@@ -283,19 +283,19 @@ func Build(sel *sql.Select, cat *catalog.Catalog, sess *Session) (engine.Operato
 }
 
 // build is Build plus the prepared-statement machinery: params binds
-// placeholder literals (EXECUTE), and a non-nil cached entry short-cuts
-// the statistics profiling and cost-model estimation with the memoized
-// pick — the expensive half of planning. The returned entry describes
-// what this build planned against (relation snapshots, join estimate) so
-// PlanPrepared can publish it to the cache.
-func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Literal, cached *Entry) (engine.Operator, *Entry, error) {
+// placeholder literals (EXECUTE), and prev, the memo of the statement's
+// last build, supplies the memoized estimate in place of the statistics
+// profiling and cost-model estimation — the expensive half of planning —
+// when the relations build looks up and the session settings match it.
+// The returned memo describes what this build planned against.
+func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Literal, prev *memo) (engine.Operator, *memo, error) {
 	sess.ResetPlanned()
-	entry := &Entry{}
+	m := &memo{under: settings{sess.Strategy, sess.TANestedLoop, sess.Workers, sess.Calib}}
 	left, err := cat.Lookup(sel.From.Name)
 	if err != nil {
 		return nil, nil, err
 	}
-	entry.snapshot(sel.From.Name, left)
+	m.snapshot(left)
 	b := &binding{parts: []boundTable{{name: sel.From.Binding(), attrs: left.Attrs}}}
 	var op engine.Operator = engine.NewScan(left)
 
@@ -304,7 +304,7 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 		if err != nil {
 			return nil, nil, err
 		}
-		entry.snapshot(sel.SetOp.Right.Name, right)
+		m.snapshot(right)
 		if right.Arity() != left.Arity() {
 			return nil, nil, fmt.Errorf("plan: %s and %s are not union-compatible (%d vs %d attributes)",
 				sel.From.Name, sel.SetOp.Right.Name, left.Arity(), right.Arity())
@@ -326,7 +326,7 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 		if err != nil {
 			return nil, nil, err
 		}
-		entry.snapshot(sel.Join.Right.Name, right)
+		m.snapshot(right)
 		lb := &binding{parts: []boundTable{{name: sel.From.Binding(), attrs: left.Attrs}}}
 		rb := &binding{parts: []boundTable{{name: sel.Join.Right.Binding(), attrs: right.Attrs}}}
 		theta, err := buildTheta(sel.Join.On, lb, rb)
@@ -338,18 +338,17 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 		// set operation precedes the join, the left statistics describe
 		// its base relation rather than the set-op output — an accepted
 		// approximation (set ops only fragment time, they do not change
-		// the key distribution materially). A cache hit replays the
-		// memoized estimate instead: its validity against the inputs'
-		// Stamps was just checked by Cache.get.
+		// the key distribution materially). A memo that matches the
+		// relations just looked up replays its estimate instead.
 		strategy, forced := sess.Strategy.Physical()
 		var est Estimate
-		if cached != nil && cached.est != nil {
-			est = *cached.est
+		if prev.matches(m) {
+			est = *prev.est
 		} else {
 			est = EstimateJoin(sel.From.Binding(), stats.Of(left),
 				sel.Join.Right.Binding(), stats.Of(right), theta, sess.Workers, sess.TANestedLoop, sess.Calib)
 		}
-		entry.est = &est
+		m.est = &est
 		if !forced {
 			strategy = est.Chosen
 		}
@@ -419,7 +418,7 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 	if sel.Limit >= 0 {
 		op = engine.NewLimit(op, sel.Limit)
 	}
-	return op, entry, nil
+	return op, m, nil
 }
 
 // buildOrder compiles ORDER BY keys over the sorted stage's output. An
@@ -728,9 +727,9 @@ type Tree struct {
 	// rendering.
 	QueryID uint64 `json:"query_id,omitempty"`
 	// PlanSource reports where an EXPLAIN [ANALYZE] EXECUTE got its plan:
-	// "cached" (the plan cache supplied the memoized stats/pick) or
-	// "fresh" (planned from scratch, entry published). Empty for plain
-	// EXPLAIN SELECT, which never consults the cache.
+	// "cached" (the prepared statement's memo supplied the stats/pick) or
+	// "fresh" (planned from scratch, memo replaced). Empty for plain
+	// EXPLAIN SELECT, which has no memo.
 	PlanSource string `json:"plan_source,omitempty"`
 }
 
@@ -768,7 +767,7 @@ func ExplainTree(ctx context.Context, sel *sql.Select, cat *catalog.Catalog, ses
 }
 
 // ExplainPrepared is ExplainTree for EXECUTE: the prepared statement is
-// planned through the cache (PlanPrepared), the tree is annotated with
+// planned through its memo (PlanPrepared), the tree is annotated with
 // the plan source ("cached" or "fresh"), and under ANALYZE the bound
 // query is executed like any other.
 func ExplainPrepared(ctx context.Context, cache *Cache, cat *catalog.Catalog, sess *Session, p *Prepared, params []sql.Literal, analyze bool) (*Tree, error) {

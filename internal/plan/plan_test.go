@@ -184,12 +184,12 @@ func TestFactColumnsCompareToText(t *testing.T) {
 		}
 	}
 	p := mustPrepare(t, "PREPARE q AS SELECT * FROM a TP JOIN b ON a.Loc = b.Loc WHERE a.Loc = ?")
-	_, _, err := PlanPrepared(NewCache(8), cat, &Session{}, p, []sql.Literal{{Num: 5}})
+	_, _, err := PlanPrepared(NewCache(0), cat, &Session{}, p, []sql.Literal{{Num: 5}})
 	if want := strings.Replace(want, "Loc", "a.Loc", 1); err == nil || err.Error() != want {
 		t.Errorf("EXECUTE q (5) err = %v, want %q", err, want)
 	}
 	// A quoted string still compares, and the prepared plan still runs.
-	if out, _ := runPrepared(t, NewCache(8), cat, &Session{}, p, sql.Literal{IsString: true, Str: "ZAK"}); out.Len() != 2 {
+	if out, _ := runPrepared(t, NewCache(0), cat, &Session{}, p, sql.Literal{IsString: true, Str: "ZAK"}); out.Len() != 2 {
 		t.Errorf("EXECUTE q ('ZAK') returned %d rows, want 2", out.Len())
 	}
 }
@@ -228,7 +228,7 @@ func TestAliasResolution(t *testing.T) {
 
 // TestStrategySetRoundTrip: every session strategy, auto through PTA,
 // is reachable by SET in any case, maps to the engine strategy it names,
-// and keeps its plan-cache key spelling.
+// and keeps its String spelling.
 func TestStrategySetRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		set, key string
@@ -248,8 +248,8 @@ func TestStrategySetRoundTrip(t *testing.T) {
 		if phys, forced := s.Strategy.Physical(); phys != tc.phys || forced != (tc.want != StrategyAuto) {
 			t.Errorf("%v.Physical() = %v, %t", s.Strategy, phys, forced)
 		}
-		if key, want := cacheKey("q", &s), "q\x00strategy="+tc.key+" nl=false workers=0 calib=0x0"; key != want {
-			t.Errorf("cacheKey = %q, want %q", key, want)
+		if got := s.Strategy.String(); got != tc.key {
+			t.Errorf("%v.String() = %q, want %q", s.Strategy, got, tc.key)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package server_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"tpjoin/internal/client"
+	"tpjoin/internal/plan"
 	"tpjoin/internal/server"
 )
 
@@ -74,75 +76,43 @@ func TestPrepareExecuteOverTheWire(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSharedAcrossSessions: prepared-statement names are
-// session-local, the planning behind them is not — a second session
-// EXECUTE-ing the same shape hits the entry the first session planned.
-func TestPlanCacheSharedAcrossSessions(t *testing.T) {
+// TestPlanMemoPerSession: prepared-statement names are session-local,
+// and so is the planning memo behind them — two sessions preparing the
+// same text each plan fresh once and then hit their own memo, while the
+// hit and miss counters are shared by the whole server.
+func TestPlanMemoPerSession(t *testing.T) {
 	cat := testCatalog(t)
 	srv, addr := startServer(t, cat, server.Config{})
 	ctx := context.Background()
 
 	const prep = "PREPARE mine AS SELECT * FROM w_r TP JOIN w_s ON w_r.Key = w_s.Key"
-	c1, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	if _, err := c1.Query(ctx, prep); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := c1.Query(ctx, "EXECUTE mine"); err != nil || resp.PlanCache != "miss" {
-		t.Fatalf("session 1 first EXECUTE: %v / %q", err, resp.PlanCache)
-	}
-
-	c2, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	// The name is session-local: session 2 cannot EXECUTE session 1's.
-	if _, err := c2.Query(ctx, "EXECUTE mine"); err == nil {
-		t.Error("prepared names must be session-local")
-	}
-	if _, err := c2.Query(ctx, prep); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := c2.Query(ctx, "EXECUTE mine"); err != nil || resp.PlanCache != "hit" {
-		t.Fatalf("session 2 EXECUTE must hit session 1's cached plan: %v / %q", err, resp.PlanCache)
-	}
-	if st := srv.PlanCache().Stats(); st.Hits < 1 || st.Misses < 1 {
-		t.Errorf("server cache stats = %+v, want at least one hit and one miss", st)
-	}
-}
-
-// TestPlanCacheDisabled: a negative PlanCacheSize turns the cache off;
-// EXECUTE still works, always planning fresh.
-func TestPlanCacheDisabled(t *testing.T) {
-	cat := testCatalog(t)
-	srv, addr := startServer(t, cat, server.Config{PlanCacheSize: -1})
-	if srv.PlanCache() != nil {
-		t.Fatal("negative PlanCacheSize must disable the cache")
-	}
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	if _, err := c.Query(ctx, "PREPARE q AS SELECT * FROM a"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		resp, err := c.Query(ctx, "EXECUTE q")
-		if err != nil || resp.PlanCache != "miss" {
-			t.Fatalf("EXECUTE %d without a cache: %v / %q, want miss", i, err, resp.PlanCache)
+	for i := 1; i <= 2; i++ {
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		// The name is session-local: session 2 cannot EXECUTE session 1's.
+		if _, err := c.Query(ctx, "EXECUTE mine"); err == nil {
+			t.Errorf("session %d: prepared names must be session-local", i)
+		}
+		if _, err := c.Query(ctx, prep); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"miss", "hit"} {
+			if resp, err := c.Query(ctx, "EXECUTE mine"); err != nil || resp.PlanCache != want {
+				t.Fatalf("session %d EXECUTE: %v / %q, want %s", i, err, resp.PlanCache, want)
+			}
 		}
 	}
+	if st := srv.Metrics().PlanCache; st != (plan.CacheStats{Hits: 2, Misses: 2}) {
+		t.Errorf("server plan counters = %+v, want 2 hits / 2 misses", st)
+	}
 }
 
-// TestPlanCacheMetricsOverHTTP: the plan-cache counters reach the
-// \metrics builtin (and therefore GET /metrics, which renders the same
-// snapshot).
+// TestPlanCacheMetricsExposition: the plan counters reach the \metrics
+// builtin (and therefore GET /metrics, which renders the same snapshot),
+// and they are the only tpserverd_plan_cache_* families.
 func TestPlanCacheMetricsExposition(t *testing.T) {
 	cat := testCatalog(t)
 	_, addr := startServer(t, cat, server.Config{})
@@ -164,10 +134,18 @@ func TestPlanCacheMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"tpserverd_plan_cache_hits_total 1",
 		"tpserverd_plan_cache_misses_total 1",
-		"tpserverd_plan_cache_entries 1",
 	} {
 		if !strings.Contains(resp.Message, want) {
 			t.Errorf("\\metrics lacks %q:\n%s", want, resp.Message)
 		}
+	}
+	var families []string
+	for _, line := range strings.Split(resp.Message, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE tpserverd_plan_cache_"); ok {
+			families = append(families, name)
+		}
+	}
+	if want := []string{"hits_total counter", "misses_total counter"}; !slices.Equal(families, want) {
+		t.Errorf("plan-cache families = %q, want only %q", families, want)
 	}
 }

@@ -22,11 +22,11 @@ import (
 // auto picker prices with — and shares the server's catalog with every
 // other session. `PREPARE name AS SELECT ...` (with `?` or `$1`
 // placeholders), `EXECUTE name [(v, ...)]` and `DEALLOCATE name` manage
-// session-local prepared statements; the planning behind EXECUTE (stats
-// profiling, cost-model strategy pick) is memoized in a server-wide plan
-// cache shared by all sessions, invalidated when a referenced relation is
-// replaced or its tp.Stamp moves — Response.PlanCache reports "hit" or
-// "miss" per EXECUTE. The `\metrics` builtin reports per-strategy throughput
+// session-local prepared statements; each memoizes the planning behind
+// its EXECUTE (stats profiling, cost-model strategy pick) for its
+// session, re-planning when a referenced relation is replaced, its
+// tp.Stamp moves or a plan-relevant setting changes — Response.PlanCache
+// reports "hit" or "miss" per EXECUTE. The `\metrics` builtin reports per-strategy throughput
 // (queries/rows/exec-seconds per NJ, TA, PNJ and PTA) plus the last
 // query's wall time and row count, so strategy comparisons need no
 // profiler.
@@ -92,9 +92,9 @@ type Response struct {
 	Plan     *plan.Tree `json:"plan,omitempty"`
 	RowCount int        `json:"row_count"`
 	// PlanCache reports how an EXECUTE (or EXPLAIN EXECUTE) statement got
-	// its plan: "hit" — the server-wide plan cache supplied the memoized
-	// statistics and strategy pick — or "miss" — planned fresh, entry
-	// published for the next EXECUTE of the same shape (any session).
+	// its plan: "hit" — the prepared statement's memo supplied the
+	// statistics and strategy pick — or "miss" — planned fresh, memo
+	// replaced for the session's next EXECUTE of the statement.
 	// Empty for every other statement kind. tpcli prints it in verbose
 	// mode.
 	PlanCache string `json:"plan_cache,omitempty"`

@@ -74,13 +74,6 @@ type Config struct {
 	// (including `off`). Budget-exceeded queries abort with ErrClass
 	// "budget".
 	MemoryBudget int64
-
-	// PlanCacheSize bounds the server-wide plan cache shared by every
-	// session's PREPARE/EXECUTE path: 0 uses plan.DefaultCacheSize,
-	// negative disables the cache (every EXECUTE plans fresh). The cache
-	// is consulted only after admission, so shed statements cost no
-	// planning either way.
-	PlanCacheSize int
 }
 
 // Server serves TP-SQL sessions over a shared catalog.
@@ -89,11 +82,9 @@ type Server struct {
 	cfg     Config
 	metrics *obs.Metrics
 
-	// planCache is the server-wide plan cache (nil when disabled): one
-	// instance attached to every session Core, so a statement shape one
-	// session prepared and planned is a cache hit for every other session
-	// preparing the same text under the same settings.
-	planCache *plan.Cache
+	// planCache counts every session's EXECUTE plan hits and misses; the
+	// memo behind them lives on each session's prepared statements.
+	planCache plan.Cache
 
 	// nextQueryID hands out the monotonic per-process query identity
 	// attached to every evaluated statement (Response.QueryID, the query
@@ -142,15 +133,9 @@ func New(cat *catalog.Catalog, cfg Config) *Server {
 	s := &Server{cat: cat, cfg: cfg, metrics: m,
 		adm:   newAdmission(m, cfg.MaxInflight, cfg.QueueDepth, cfg.QueueWait),
 		conns: make(map[net.Conn]*sessState), baseCtx: ctx, baseCancel: cancel}
-	if cfg.PlanCacheSize >= 0 {
-		s.planCache = plan.NewCache(cfg.PlanCacheSize)
-		m.SetPlanCache(s.planCache.Stats)
-	}
+	m.SetPlanCache(s.planCache.Stats)
 	return s
 }
-
-// PlanCache returns the server-wide plan cache (nil when disabled).
-func (s *Server) PlanCache() *plan.Cache { return s.planCache }
 
 // Metrics returns a snapshot of the server counters.
 func (s *Server) Metrics() obs.MetricsSnapshot { return s.metrics.Snapshot() }
@@ -392,10 +377,11 @@ func (s *Server) session(conn net.Conn, st *sessState) {
 	}
 
 	core := shell.NewCore(s.cat)
-	// Every session shares the server-wide plan cache. The lookup runs
-	// inside Core.Eval, i.e. after handle()'s admission acquire — a shed
-	// statement never touches the cache, let alone the planner.
-	core.PlanCache = s.planCache
+	// Every session counts into the server-wide plan counters. The memo
+	// lookup runs inside Core.Eval, i.e. after handle()'s admission
+	// acquire — a shed statement never touches the memo, let alone the
+	// planner.
+	core.PlanCache = &s.planCache
 	dec := json.NewDecoder(conn)
 	enc := json.NewEncoder(conn)
 	for {

@@ -49,8 +49,8 @@ type Result struct {
 	// puts Plan on the wire as structured fields.
 	Plan *plan.Tree
 	// PlanCache reports how an EXECUTE (or EXPLAIN EXECUTE) got its plan:
-	// "hit" (the shared plan cache skipped stats profiling and the
-	// cost-model pick) or "miss" (planned fresh, entry published). Empty
+	// "hit" (the prepared statement's memo skipped stats profiling and
+	// the cost-model pick) or "miss" (planned fresh, memo replaced). Empty
 	// for every other statement. The server forwards it on the wire;
 	// tpcli -v prints it.
 	PlanCache string
@@ -70,15 +70,13 @@ type Core struct {
 	// server intercepts \metrics itself and renders its shared collector
 	// through the same obs Render path.
 	Metrics *obs.Metrics
-	// PlanCache, when non-nil, memoizes EXECUTE planning (stats profiling
-	// and the cost-model strategy pick) across statements — and, on the
-	// server, across sessions: tpserverd attaches its server-wide cache to
-	// every session Core, the REPL a process-local one. Nil disables
-	// caching; EXECUTE then plans fresh each time.
+	// PlanCache, when non-nil, counts EXECUTE plan hits and misses:
+	// tpserverd attaches one server-wide Cache to every session Core, the
+	// REPL a process-local one. Nil counts nothing.
 	PlanCache *plan.Cache
 	// prepared is the session's PREPARE'd statements by name. Names are
-	// session-local (like PostgreSQL's); the planning work behind them is
-	// shared through PlanCache.
+	// session-local (like PostgreSQL's), and so is the planning memo each
+	// statement keeps for its next EXECUTE.
 	prepared map[string]*plan.Prepared
 }
 

@@ -40,10 +40,9 @@ func New(out io.Writer) *Shell {
 	PreloadFig1a(cat)
 	core := NewCore(cat)
 	core.Metrics = obs.NewMetrics()
-	// A process-local plan cache: the REPL gets the same PREPARE/EXECUTE
-	// fast path (and the same tpserverd_plan_cache_* families in \metrics)
-	// as a server session.
-	core.PlanCache = plan.NewCache(plan.DefaultCacheSize)
+	// Process-local plan counters: the REPL reports the same
+	// tpserverd_plan_cache_* families in \metrics as the server.
+	core.PlanCache = new(plan.Cache)
 	core.Metrics.SetPlanCache(core.PlanCache.Stats)
 	return &Shell{Core: core, Out: out}
 }
@@ -104,15 +103,16 @@ const helpText = `statements:
                                 execution; ? or $1 placeholders may stand
                                 for WHERE literals, bound per EXECUTE
   EXECUTE name [(v, ...)]       run a prepared statement with the values
-                                bound; planning (stats, strategy pick) is
-                                served from the shared plan cache until a
-                                referenced relation changes
+                                bound; the statement memoizes its planning
+                                (stats, strategy pick) for this session
+                                until a referenced relation or a SET
+                                setting changes
   DEALLOCATE name               discard a prepared statement
   EXPLAIN SELECT ...            show the operator tree and join strategy
   EXPLAIN [ANALYZE] EXECUTE name [(v, ...)]
                                 like EXPLAIN SELECT, plus a first line
                                 "plan: cached|fresh" reporting whether the
-                                plan cache supplied the plan
+                                statement's memo supplied the plan
   EXPLAIN ANALYZE SELECT ...    execute and show per-operator rows, wall
                                 time and strategy stage counters; a query
                                 aborted by its timeout reports the abort
