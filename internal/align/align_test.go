@@ -6,6 +6,7 @@ import (
 
 	"tpjoin/internal/core"
 	"tpjoin/internal/interval"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
 )
 
@@ -69,8 +70,8 @@ func TestAlignFragmentsPaperExample(t *testing.T) {
 func TestFragmentsPartitionTupleInterval(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
-		r := randRelation(rng, "r")
-		s := randRelation(rng, "s")
+		r := oracle.Small.Relation(rng, "r", rng.Intn(7))
+		s := oracle.Small.Relation(rng, "s", rng.Intn(7))
 		for _, cfg := range []Config{{}, {NestedLoop: true}} {
 			frags := Align(r, s, tp.Equi(0, 0), cfg)
 			byRID := make(map[int][]Fragment)
@@ -101,12 +102,7 @@ func TestLeftOuterMatchesReferencePaper(t *testing.T) {
 	a, b := paperA(), paperB()
 	for _, cfg := range []Config{{}, {NestedLoop: true}} {
 		q := LeftOuterJoin(a, b, theta, cfg)
-		pm, err := tp.Expand(q)
-		if err != nil {
-			t.Fatalf("cfg %+v: invalid result: %v\n%v", cfg, err, q)
-		}
-		ref := tp.RefJoin(tp.OpLeft, a, b, theta)
-		if err := pm.EqualProb(ref, 1e-9); err != nil {
+		if err := oracle.PointWise(tp.RefJoin(tp.OpLeft, a, b, theta), q); err != nil {
 			t.Errorf("cfg %+v: %v", cfg, err)
 		}
 	}
@@ -133,28 +129,16 @@ func TestAllOperatorsMatchCoreRandom(t *testing.T) {
 	eq := tp.Equi(0, 0)
 	ops := []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull}
 	for trial := 0; trial < 100; trial++ {
-		r := randRelation(rng, "r")
-		s := randRelation(rng, "s")
+		r := oracle.Small.Relation(rng, "r", rng.Intn(7))
+		s := oracle.Small.Relation(rng, "s", rng.Intn(7))
 		op := ops[trial%len(ops)]
 		cfg := Config{NestedLoop: trial%2 == 1}
 
 		ta := Join(op, r, s, eq, cfg)
-		taPM, err := tp.Expand(ta)
-		if err != nil {
-			t.Fatalf("trial %d %v: TA produced invalid result: %v\nr=%v\ns=%v\nta=%v",
-				trial, op, err, r, s, ta)
+		if err := oracle.Cross(core.Join(op, r, s, eq), ta); err != nil {
+			t.Fatalf("trial %d %v: TA and NJ disagree: %v\nr=%v\ns=%v", trial, op, err, r, s)
 		}
-		nj := core.Join(op, r, s, eq)
-		njPM, err := tp.Expand(nj)
-		if err != nil {
-			t.Fatalf("trial %d %v: NJ produced invalid result: %v", trial, op, err)
-		}
-		if err := taPM.EqualProb(njPM, 1e-9); err != nil {
-			t.Fatalf("trial %d %v: TA and NJ disagree: %v\nr=%v\ns=%v\nta=%v\nnj=%v",
-				trial, op, err, r, s, ta, nj)
-		}
-		ref := tp.RefJoin(op, r, s, eq)
-		if err := taPM.EqualProb(ref, 1e-9); err != nil {
+		if err := oracle.PointWise(tp.RefJoin(op, r, s, eq), ta); err != nil {
 			t.Fatalf("trial %d %v: TA differs from reference: %v", trial, op, err)
 		}
 	}
@@ -190,30 +174,4 @@ func TestReplicationIsMeasurable(t *testing.T) {
 	if len(frags) <= a.Len() {
 		t.Errorf("expected replication: %d fragments for %d tuples", len(frags), a.Len())
 	}
-}
-
-func randRelation(rng *rand.Rand, name string) *tp.Relation {
-	keys := []string{"k1", "k2", "k3"}
-	rel := tp.NewRelation(name, "K")
-	type span struct{ s, e interval.Time }
-	used := make(map[string][]span)
-	n := rng.Intn(7)
-	for i := 0; i < n; i++ {
-		k := keys[rng.Intn(len(keys))]
-		st := interval.Time(rng.Intn(18))
-		e := st + 1 + interval.Time(rng.Intn(8))
-		ok := true
-		for _, u := range used[k] {
-			if st < u.e && u.s < e {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		used[k] = append(used[k], span{st, e})
-		rel.Append(tp.Strings(k), interval.New(st, e), 0.1+0.8*rng.Float64())
-	}
-	return rel
 }

@@ -14,24 +14,9 @@ import (
 	"testing"
 
 	"tpjoin/internal/dataset"
-	"tpjoin/internal/interval"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
 )
-
-// denseRandRelation generates relations whose same-key tuples overlap
-// (distinct group column keeps the sequenced constraint), exercising
-// multi-tuple covers and shared split points.
-func denseRandRelation(rng *rand.Rand, name string, n int) *tp.Relation {
-	keys := []string{"k1", "k2", "k3", "k4"}
-	rel := tp.NewRelation(name, "K", "G")
-	for i := 0; i < n; i++ {
-		k := keys[rng.Intn(len(keys))]
-		st := interval.Time(rng.Intn(40))
-		e := st + 1 + interval.Time(rng.Intn(15))
-		rel.Append(tp.Strings(k, fmt.Sprintf("g%d", i)), interval.New(st, e), 0.1+0.8*rng.Float64())
-	}
-	return rel
-}
 
 func fragmentsEqual(t *testing.T, label string, want, got []Fragment) {
 	t.Helper()
@@ -63,10 +48,10 @@ func TestIndexedMatchesScalarAlign(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		var r, s *tp.Relation
 		if trial%2 == 0 {
-			r, s = randRelation(rng, "r"), randRelation(rng, "s")
+			r, s = oracle.Small.Relation(rng, "r", rng.Intn(7)), oracle.Small.Relation(rng, "s", rng.Intn(7))
 		} else {
-			r = denseRandRelation(rng, "r", rng.Intn(30))
-			s = denseRandRelation(rng, "s", rng.Intn(30))
+			r = oracle.Dense.Relation(rng, "r", rng.Intn(30))
+			s = oracle.Dense.Relation(rng, "s", rng.Intn(30))
 		}
 		want := ScalarAlign(r, s, theta, Config{})
 		got := Align(r, s, theta, Config{})
@@ -118,15 +103,14 @@ func TestCoverArenaGuardFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	theta := tp.Equi(0, 0)
 	for trial := 0; trial < 20; trial++ {
-		r := denseRandRelation(rng, "r", 10+rng.Intn(20))
-		s := denseRandRelation(rng, "s", 10+rng.Intn(20))
+		r := oracle.Dense.Relation(rng, "r", 10+rng.Intn(20))
+		s := oracle.Dense.Relation(rng, "s", 10+rng.Intn(20))
 		want := ScalarAlign(r, s, theta, Config{})
 		got := Align(r, s, theta, Config{})
 		fragmentsEqual(t, fmt.Sprintf("guard trial %d", trial), want, got)
 		// The join paths route through the same guard.
-		wantLeft := renderRows(referenceJoin(tp.OpLeft, r, s, theta, Config{}))
-		if fmt.Sprint(wantLeft) != fmt.Sprint(renderRows(Join(tp.OpLeft, r, s, theta, Config{}))) {
-			t.Fatalf("guard trial %d: join rows diverge under fallback", trial)
+		if err := oracle.Same(referenceJoin(tp.OpLeft, r, s, theta, Config{}), Join(tp.OpLeft, r, s, theta, Config{})); err != nil {
+			t.Fatalf("guard trial %d: join rows diverge under fallback: %v", trial, err)
 		}
 		fwd := &countingAligner{aligner: mustAligner(s, theta, Config{})}
 		mir := &countingAligner{aligner: mustAligner(r, tp.Swap(theta), Config{})}
@@ -137,23 +121,14 @@ func TestCoverArenaGuardFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRows := renderRows(referenceJoin(tp.OpFull, r, s, theta, Config{}))
-		if fmt.Sprint(wantRows) != fmt.Sprint(renderRows(out)) {
-			t.Fatalf("guard trial %d: full join rows diverge under fallback", trial)
+		if err := oracle.Same(referenceJoin(tp.OpFull, r, s, theta, Config{}), out); err != nil {
+			t.Fatalf("guard trial %d: full join rows diverge under fallback: %v", trial, err)
 		}
 		if fwd.drains != 1 || mir.drains != 1 {
 			t.Fatalf("guard trial %d: %d forward and %d mirror drains, want one alignment pass each and no counting pass",
 				trial, fwd.drains, mir.drains)
 		}
 	}
-}
-
-func renderRows(rel *tp.Relation) []string {
-	out := make([]string, 0, rel.Len())
-	for _, tu := range rel.Tuples {
-		out = append(out, fmt.Sprintf("%v | %s | %s | %.17g", tu.Fact, tu.Lineage, tu.T, tu.Prob))
-	}
-	return out
 }
 
 // TestJoinByteIdenticalToScalar pins the whole operator: the production
@@ -165,18 +140,11 @@ func TestJoinByteIdenticalToScalar(t *testing.T) {
 	ops := []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull}
 	theta := tp.Equi(0, 0)
 	for trial := 0; trial < 60; trial++ {
-		r := denseRandRelation(rng, "r", rng.Intn(25))
-		s := denseRandRelation(rng, "s", rng.Intn(25))
+		r := oracle.Dense.Relation(rng, "r", rng.Intn(25))
+		s := oracle.Dense.Relation(rng, "s", rng.Intn(25))
 		op := ops[trial%len(ops)]
-		want := renderRows(referenceJoin(op, r, s, theta, Config{}))
-		got := renderRows(Join(op, r, s, theta, Config{}))
-		if len(want) != len(got) {
-			t.Fatalf("trial %d %v: %d vs %d rows", trial, op, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("trial %d %v: row %d differs:\n  want %s\n  got  %s", trial, op, i, want[i], got[i])
-			}
+		if err := oracle.Same(referenceJoin(op, r, s, theta, Config{}), Join(op, r, s, theta, Config{})); err != nil {
+			t.Fatalf("trial %d %v: %v", trial, op, err)
 		}
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
 	"tpjoin/internal/dataset"
 	"tpjoin/internal/interval"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
 )
 
@@ -22,22 +22,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	ops := []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull}
 	theta := tp.Equi(0, 0)
 	for trial := 0; trial < 50; trial++ {
-		r := denseRandRelation(rng, "r", rng.Intn(30))
-		s := denseRandRelation(rng, "s", rng.Intn(30))
+		r := oracle.Dense.Relation(rng, "r", rng.Intn(30))
+		s := oracle.Dense.Relation(rng, "s", rng.Intn(30))
 		op := ops[trial%len(ops)]
 		workers := 1 + trial%4
-		want := renderRows(Join(op, r, s, theta, Config{}))
-		got := renderRows(ParallelJoin(op, r, s, theta, Config{}, workers))
-		sort.Strings(want)
-		sort.Strings(got)
-		if len(want) != len(got) {
-			t.Fatalf("trial %d %v w=%d: %d vs %d rows", trial, op, workers, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("trial %d %v w=%d: row %d differs:\n  want %s\n  got  %s",
-					trial, op, workers, i, want[i], got[i])
-			}
+		if err := oracle.Bag(Join(op, r, s, theta, Config{}), ParallelJoin(op, r, s, theta, Config{}, workers)); err != nil {
+			t.Fatalf("trial %d %v w=%d: %v", trial, op, workers, err)
 		}
 	}
 }
@@ -49,24 +39,16 @@ func TestParallelOnWorkloads(t *testing.T) {
 	r, s := dataset.Meteo(600, 7)
 	theta := dataset.MeteoTheta()
 	var seq, par Stats
-	want := renderRows(func() *tp.Relation {
-		out, err := JoinContext(context.Background(), tp.OpLeft, r, s, theta, Config{}, &seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}())
-	got := renderRows(func() *tp.Relation {
-		out, err := ParallelJoinContext(context.Background(), tp.OpLeft, r, s, theta, Config{}, 3, &par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}())
-	sort.Strings(want)
-	sort.Strings(got)
-	if fmt.Sprint(want) != fmt.Sprint(got) {
-		t.Fatalf("parallel meteo left join diverges from sequential")
+	want, err := JoinContext(context.Background(), tp.OpLeft, r, s, theta, Config{}, &seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParallelJoinContext(context.Background(), tp.OpLeft, r, s, theta, Config{}, 3, &par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.Bag(want, got); err != nil {
+		t.Fatalf("parallel meteo left join diverges from sequential: %v", err)
 	}
 	if par.Workers != 3 || par.Partitions != 12 {
 		t.Errorf("parallel stats workers=%d partitions=%d, want 3/12", par.Workers, par.Partitions)

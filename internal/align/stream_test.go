@@ -14,6 +14,7 @@ import (
 
 	"tpjoin/internal/dataset"
 	"tpjoin/internal/mem"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
 )
 
@@ -150,16 +151,8 @@ func TestStreamMatchesUnionDistinctOnWorkloads(t *testing.T) {
 		r, s := gen.mk()
 		for _, pl := range plans {
 			for _, op := range ops {
-				want := renderRows(referenceJoin(op, r, s, pl.theta, pl.cfg))
-				got := renderRows(Join(op, r, s, pl.theta, pl.cfg))
-				if len(want) != len(got) {
-					t.Fatalf("%s %s %v: %d vs %d rows", gen.name, pl.name, op, len(want), len(got))
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s %s %v: row %d differs:\n  want %s\n  got  %s",
-							gen.name, pl.name, op, i, want[i], got[i])
-					}
+				if err := oracle.Same(referenceJoin(op, r, s, pl.theta, pl.cfg), Join(op, r, s, pl.theta, pl.cfg)); err != nil {
+					t.Fatalf("%s %s %v: %v", gen.name, pl.name, op, err)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"tpjoin/internal/align"
 	"tpjoin/internal/dataset"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
 	"tpjoin/internal/window"
 )
@@ -18,32 +19,8 @@ import (
 // windows must *be* is checked independently against window/spec.go
 // (core_test.go, theta_test.go) and tp.RefJoin.
 
-func equivInputs(t *testing.T) []struct {
-	name  string
-	r, s  *tp.Relation
-	theta tp.EquiTheta
-} {
-	t.Helper()
-	wr, ws := dataset.Webkit(3000, 7)
-	mr, ms := dataset.Meteo(1200, 7)
-	return []struct {
-		name  string
-		r, s  *tp.Relation
-		theta tp.EquiTheta
-	}{
-		{"webkit", wr, ws, dataset.WebkitTheta()},
-		{"meteo", mr, ms, dataset.MeteoTheta()},
-	}
-}
-
-// renderTuples gives the byte-exact comparison key of a result.
-func renderTuples(rel *tp.Relation) []string {
-	out := make([]string, rel.Len())
-	for i, tu := range rel.Tuples {
-		out[i] = tu.String()
-	}
-	return out
-}
+// equivInputs are the seeded workloads both pins sweep.
+func equivInputs() []oracle.Workload { return append(oracle.Webkit(3000, 7), oracle.Meteo(1200, 7)...) }
 
 var equivOps = []tp.Op{tp.OpInner, tp.OpLeft, tp.OpFull, tp.OpAnti}
 
@@ -51,17 +28,11 @@ var equivOps = []tp.Op{tp.OpInner, tp.OpLeft, tp.OpFull, tp.OpAnti}
 // code path; pin its run-to-run determinism so the three strategies stay
 // comparable byte-for-byte across the equivalence suite.
 func TestBatchScalarEquivalenceTA(t *testing.T) {
-	for _, in := range equivInputs(t) {
+	for _, in := range equivInputs() {
 		for _, op := range equivOps {
-			a := renderTuples(align.Join(op, in.r, in.s, in.theta, align.Config{}))
-			b := renderTuples(align.Join(op, in.r, in.s, in.theta, align.Config{}))
-			if len(a) != len(b) {
-				t.Fatalf("%s %v: TA nondeterministic sizes", in.name, op)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("%s %v: TA tuple %d differs between runs", in.name, op, i)
-				}
+			a := align.Join(op, in.R, in.S, in.Theta, align.Config{})
+			if err := oracle.Same(a, align.Join(op, in.R, in.S, in.Theta, align.Config{})); err != nil {
+				t.Fatalf("%s %v: TA differs between runs: %v", in.Name, op, err)
 			}
 		}
 	}
@@ -129,13 +100,13 @@ func requireSameWindows(t *testing.T, label string, got, want []window.Window) {
 // size).
 func TestWindowBatchEquivalence(t *testing.T) {
 	plain := func(it Iterator) Iterator { return it }
-	for _, in := range equivInputs(t) {
+	for _, in := range equivInputs() {
 		for sweeps, name := range []string{"overlap", "wuo", "wuon"} {
-			want := Drain(stagePipeline(in.r, in.s, in.theta, sweeps, plain))
+			want := Drain(stagePipeline(in.R, in.S, in.Theta, sweeps, plain))
 			for _, size := range bufferSizes {
 				hop := func(it Iterator) Iterator { return rebuffered{in: it, size: size} }
-				got := drainThrough(stagePipeline(in.r, in.s, in.theta, sweeps, hop), size)
-				requireSameWindows(t, fmt.Sprintf("%s/%s/size %d", in.name, name, size), got, want)
+				got := drainThrough(stagePipeline(in.R, in.S, in.Theta, sweeps, hop), size)
+				requireSameWindows(t, fmt.Sprintf("%s/%s/size %d", in.Name, name, size), got, want)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"tpjoin/internal/interval"
 	"tpjoin/internal/lineage"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
 	"tpjoin/internal/window"
 )
@@ -145,12 +146,7 @@ func TestAntiJoinPaperExample(t *testing.T) {
 			t.Errorf("anti join schema must be r's, got fact %v", tu.Fact)
 		}
 	}
-	pm, err := tp.Expand(q)
-	if err != nil {
-		t.Fatalf("invalid anti join result: %v", err)
-	}
-	ref := tp.RefJoin(tp.OpAnti, a, b, theta)
-	if err := pm.EqualProb(ref, 1e-9); err != nil {
+	if err := oracle.PointWise(tp.RefJoin(tp.OpAnti, a, b, theta), q); err != nil {
 		t.Errorf("anti join differs from reference: %v", err)
 	}
 }
@@ -158,15 +154,11 @@ func TestAntiJoinPaperExample(t *testing.T) {
 func TestAllOperatorsAgainstReference(t *testing.T) {
 	a, b := paperA(), paperB()
 	for _, op := range []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull} {
-		q := Join(op, a, b, theta)
-		pm, err := tp.Expand(q)
-		if err != nil {
-			t.Fatalf("%v: invalid result: %v", op, err)
-		}
-		ref := tp.RefJoin(op, a, b, theta)
-		if err := pm.EqualProb(ref, 1e-9); err != nil {
+		q, ref := Join(op, a, b, theta), tp.RefJoin(op, a, b, theta)
+		if err := oracle.PointWise(ref, q); err != nil {
 			t.Errorf("%v differs from reference: %v", op, err)
 		}
+		pm, _ := tp.Expand(q)
 		if err := pm.EqualLineage(ref); err != nil {
 			t.Errorf("%v lineages differ from reference: %v", op, err)
 		}
@@ -221,12 +213,7 @@ func TestContainedMatch(t *testing.T) {
 	s := tp.NewRelation("s", "K")
 	s.Append(tp.Strings("k"), interval.New(3, 6), 0.4)
 	q := AntiJoin(r, s, tp.Equi(0, 0))
-	pm, err := tp.Expand(q)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	ref := tp.RefJoin(tp.OpAnti, r, s, tp.Equi(0, 0))
-	if err := pm.EqualProb(ref, 1e-9); err != nil {
+	if err := oracle.PointWise(tp.RefJoin(tp.OpAnti, r, s, tp.Equi(0, 0)), q); err != nil {
 		t.Errorf("contained match: %v", err)
 	}
 	if q.Len() != 3 {
@@ -242,12 +229,7 @@ func TestMultipleRTuplesSameFact(t *testing.T) {
 	s := tp.NewRelation("s", "K")
 	s.Append(tp.Strings("k"), interval.New(2, 8), 0.4)
 	q := LeftOuterJoin(r, s, tp.Equi(0, 0))
-	pm, err := tp.Expand(q)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	ref := tp.RefJoin(tp.OpLeft, r, s, tp.Equi(0, 0))
-	if err := pm.EqualProb(ref, 1e-9); err != nil {
+	if err := oracle.PointWise(tp.RefJoin(tp.OpLeft, r, s, tp.Equi(0, 0)), q); err != nil {
 		t.Errorf("same-fact groups: %v", err)
 	}
 }
@@ -260,8 +242,8 @@ func TestSweepsMatchSpecRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	eq := tp.Equi(0, 0)
 	for trial := 0; trial < 150; trial++ {
-		r := randRelation(rng, "r")
-		s := randRelation(rng, "s")
+		r := oracle.Small.Relation(rng, "r", rng.Intn(7))
+		s := oracle.Small.Relation(rng, "s", rng.Intn(7))
 
 		th := tp.Theta(eq)
 		if trial%2 == 1 {
@@ -298,16 +280,11 @@ func TestOperatorsMatchReferenceRandom(t *testing.T) {
 	eq := tp.Equi(0, 0)
 	ops := []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull}
 	for trial := 0; trial < 80; trial++ {
-		r := randRelation(rng, "r")
-		s := randRelation(rng, "s")
+		r := oracle.Small.Relation(rng, "r", rng.Intn(7))
+		s := oracle.Small.Relation(rng, "s", rng.Intn(7))
 		op := ops[trial%len(ops)]
 		q := Join(op, r, s, eq)
-		pm, err := tp.Expand(q)
-		if err != nil {
-			t.Fatalf("trial %d %v: invalid result: %v\nr=%v\ns=%v\nq=%v", trial, op, err, r, s, q)
-		}
-		ref := tp.RefJoin(op, r, s, eq)
-		if err := pm.EqualProb(ref, 1e-9); err != nil {
+		if err := oracle.PointWise(tp.RefJoin(op, r, s, eq), q); err != nil {
 			t.Fatalf("trial %d %v: %v\nr=%v\ns=%v\nq=%v", trial, op, err, r, s, q)
 		}
 	}
@@ -335,31 +312,4 @@ func TestJoinPanicsOnUnknownOp(t *testing.T) {
 		}
 	}()
 	Join(tp.Op(99), paperA(), paperB(), theta)
-}
-
-// randRelation builds a small random sequenced-TP relation.
-func randRelation(rng *rand.Rand, name string) *tp.Relation {
-	keys := []string{"k1", "k2", "k3"}
-	rel := tp.NewRelation(name, "K")
-	type span struct{ s, e interval.Time }
-	used := make(map[string][]span)
-	n := rng.Intn(7)
-	for i := 0; i < n; i++ {
-		k := keys[rng.Intn(len(keys))]
-		s := interval.Time(rng.Intn(18))
-		e := s + 1 + interval.Time(rng.Intn(8))
-		ok := true
-		for _, u := range used[k] {
-			if s < u.e && u.s < e {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		used[k] = append(used[k], span{s, e})
-		rel.Append(tp.Strings(k), interval.New(s, e), 0.1+0.8*rng.Float64())
-	}
-	return rel
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tpjoin/internal/interval"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/prob"
 	"tpjoin/internal/tp"
 )
@@ -22,12 +23,7 @@ func TestJoinOverDerivedRelations(t *testing.T) {
 	if q2.Len() == 0 {
 		t.Fatalf("derived join is empty")
 	}
-	pm, err := tp.Expand(q2)
-	if err != nil {
-		t.Fatalf("derived join result invalid: %v", err)
-	}
-	ref := tp.RefJoin(tp.OpInner, q, b, tp.Equi(1, 1))
-	if err := pm.EqualProb(ref, 1e-9); err != nil {
+	if err := oracle.PointWise(tp.RefJoin(tp.OpInner, q, b, tp.Equi(1, 1)), q2); err != nil {
 		t.Fatalf("derived inner join differs from reference: %v", err)
 	}
 }
@@ -38,12 +34,7 @@ func TestDerivedAntiJoinSharedEvents(t *testing.T) {
 	a, b := paperA(), paperB()
 	r1 := AntiJoin(a, b, theta)
 	r2 := AntiJoin(r1, b, theta)
-	pm, err := tp.Expand(r2)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	ref := tp.RefJoin(tp.OpAnti, r1, b, theta)
-	if err := pm.EqualProb(ref, 1e-9); err != nil {
+	if err := oracle.PointWise(tp.RefJoin(tp.OpAnti, r1, b, theta), r2); err != nil {
 		t.Fatalf("derived anti join differs from reference: %v", err)
 	}
 	// The shared-event probability must differ from the independence
@@ -52,6 +43,7 @@ func TestDerivedAntiJoinSharedEvents(t *testing.T) {
 	// Output lineage: (a1∧¬b3) ∧ ¬b3 ≡ a1∧¬b3, prob 0.7·0.3 = 0.21 — NOT
 	// 0.21·0.3 as independence would give.
 	annKey := tp.Strings("Ann", "ZAK").Key()
+	pm, _ := tp.Expand(r2)
 	row, ok := pm[annKey][4]
 	if !ok {
 		t.Fatalf("missing Ann at t=4 in %v", r2)
@@ -93,16 +85,12 @@ func TestSelfJoin(t *testing.T) {
 	// a ⟕ a on Loc: every tuple matches itself; lineage a1 ∧ a1 = a1.
 	a := paperA()
 	q := LeftOuterJoin(a, a.Clone(), tp.Equi(1, 1))
-	pm, err := tp.Expand(q)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	ref := tp.RefJoin(tp.OpLeft, a, a.Clone(), tp.Equi(1, 1))
-	if err := pm.EqualProb(ref, 1e-9); err != nil {
+	if err := oracle.PointWise(tp.RefJoin(tp.OpLeft, a, a.Clone(), tp.Equi(1, 1)), q); err != nil {
 		t.Fatalf("self join differs from reference: %v", err)
 	}
 	// The pairing (Ann, Ann) over [2,8) must have probability 0.7, not 0.49.
 	pairKey := tp.Strings("Ann", "ZAK").Concat(tp.Strings("Ann", "ZAK")).Key()
+	pm, _ := tp.Expand(q)
 	row, ok := pm[pairKey][3]
 	if !ok {
 		t.Fatalf("missing self pairing")
@@ -119,12 +107,7 @@ func TestChainedJoinsLongPipeline(t *testing.T) {
 	step1 := LeftOuterJoin(a, b, theta)
 	step2 := AntiJoin(step1, b, tp.Equi(1, 1))
 	step3 := InnerJoin(step2, a, tp.Equi(1, 1))
-	pm, err := tp.Expand(step3)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	ref := tp.RefJoin(tp.OpInner, step2, a, tp.Equi(1, 1))
-	if err := pm.EqualProb(ref, 1e-9); err != nil {
+	if err := oracle.PointWise(tp.RefJoin(tp.OpInner, step2, a, tp.Equi(1, 1)), step3); err != nil {
 		t.Fatalf("three-way chain differs from reference: %v", err)
 	}
 }

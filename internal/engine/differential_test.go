@@ -1,142 +1,127 @@
 package engine
 
 // The cross-strategy differential harness: every physical join strategy
-// (NJ, TA, PNJ, PTA) must compute the same temporal-probabilistic result
-// for every join operator on seeded random workloads. The strategies differ
-// in output order and in how they fragment time (TA chunks at alignment
-// boundaries, NJ at window boundaries), so results are compared in
-// canonical form: coalesced (tp.Coalesce merges value-equivalent adjacent
-// intervals with structurally equal lineage), sorted, and rendered with
-// canonical lineage (lineage.CanonicalString normalizes And/Or operand
-// order). After canonicalization the comparison is byte-exact — including
-// the lineage formulas — which is what lets future perf PRs refactor any
-// one strategy's hot path without silently diverging the semantics the
-// paper defines.
+// must compute the same temporal-probabilistic result for every join
+// operator, on seeded dataset workloads and on adversarial input
+// profiles. Each strategy is a column held to a reference column by one
+// oracle comparer call, in the strictest mode the pair allows:
+//   - TA vs NJ (oracle.Cross): the families fragment time differently —
+//     TA at alignment boundaries, NJ at window boundaries — so both sides
+//     are coalesced, and ∨ operand order moves P by an ulp at most;
+//   - PNJ vs NJ and PTA vs TA (oracle.Bag): the same rows in
+//     partition-major order, bit for bit;
+//   - TA under the nested-loop plan vs TA (oracle.Same): the same tail
+//     over the scalar aligner, row for row.
+// This is what lets a perf change refactor any one strategy's hot path
+// without silently diverging from the semantics the paper defines.
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
 	"tpjoin/internal/align"
-	"tpjoin/internal/dataset"
 	"tpjoin/internal/interval"
-	"tpjoin/internal/lineage"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
 )
 
-// differentialWorkloads are the seeded workloads the harness sweeps: the
-// generators behind cmd/tpgen (internal/dataset), two seeds each so the
-// comparison is not an artifact of one PRNG stream. Sizes are chosen to
-// produce tens of thousands of windows while keeping the TA baseline
-// (the slowest strategy by one to two orders of magnitude) testable.
-func differentialWorkloads() []struct {
+// column is one strategy of the harness and the column it is checked
+// against (ref, an index into columns) with cmp; the reference NJ has
+// none.
+type column struct {
 	name  string
-	r, s  *tp.Relation
-	theta tp.EquiTheta
-} {
-	type w = struct {
-		name  string
-		r, s  *tp.Relation
-		theta tp.EquiTheta
-	}
-	var out []w
-	for _, seed := range []int64{3, 11} {
-		r, s := dataset.Webkit(3000, seed)
-		out = append(out, w{fmt.Sprintf("webkit/seed=%d", seed), r, s, dataset.WebkitTheta()})
-	}
-	for _, seed := range []int64{3, 11} {
-		r, s := dataset.Meteo(900, seed)
-		out = append(out, w{fmt.Sprintf("meteo/seed=%d", seed), r, s, dataset.MeteoTheta()})
-	}
-	return out
+	strat Strategy
+	nl    bool
+	ref   int
+	cmp   func(want, got *tp.Relation) error
 }
 
-var differentialOps = []tp.Op{tp.OpInner, tp.OpLeft, tp.OpFull, tp.OpAnti}
-
-// runStrategy executes one TP join through the executor under the given
-// strategy and returns the result relation.
-func runStrategy(t *testing.T, strat Strategy, op tp.Op, r, s *tp.Relation, theta tp.Theta) *tp.Relation {
-	return runStrategyCfg(t, strat, op, r, s, theta, align.Config{})
+var columns = []column{
+	{"NJ", StrategyNJ, false, -1, nil},
+	{"TA", StrategyTA, false, 0, oracle.Cross},
+	{"PNJ", StrategyPNJ, false, 0, oracle.Bag},
+	{"PTA", StrategyPTA, false, 1, oracle.Bag},
+	{"TA/nl", StrategyTA, true, 1, oracle.Same},
 }
 
-func runStrategyCfg(t *testing.T, strat Strategy, op tp.Op, r, s *tp.Relation, theta tp.Theta, cfg align.Config) *tp.Relation {
+var allOps = []tp.Op{tp.OpInner, tp.OpLeft, tp.OpRight, tp.OpFull, tp.OpAnti}
+
+// run executes one TP join through the executor under c's strategy.
+func (c column) run(t *testing.T, op tp.Op, r, s *tp.Relation, theta tp.Theta) *tp.Relation {
 	t.Helper()
-	j := NewTPJoin(op, NewScan(r), NewScan(s), theta, strat, cfg)
-	if strat == StrategyPNJ || strat == StrategyPTA {
+	j := NewTPJoin(op, NewScan(r), NewScan(s), theta, c.strat, align.Config{NestedLoop: c.nl})
+	if c.strat == StrategyPNJ || c.strat == StrategyPTA {
 		j.SetWorkers(3)
 	}
 	out, err := Run(j, "diff")
 	if err != nil {
-		t.Fatalf("%v/%v: %v", strat, op, err)
+		t.Fatalf("%s/%v: %v", c.name, op, err)
 	}
 	return out
 }
 
-// canonicalize renders a join result in strategy-independent form: one
-// line per coalesced tuple — fact, canonical lineage, interval and the
-// probability rounded to 6 decimals (the strategies sum the same terms in
-// different orders, so the last float ulps may differ) — sorted.
-func canonicalize(rel *tp.Relation) []string {
-	co := tp.Coalesce(rel)
-	lines := make([]string, 0, co.Len())
-	for _, tu := range co.Tuples {
-		parts := make([]string, len(tu.Fact))
-		for i, v := range tu.Fact {
-			parts[i] = v.String()
-		}
-		lines = append(lines, fmt.Sprintf("%s | %s | %s | %.6f",
-			strings.Join(parts, " | "), lineage.CanonicalString(tu.Lineage), tu.T, tu.Prob))
-	}
-	sort.Strings(lines)
-	return lines
-}
-
-func diffLines(t *testing.T, label string, want, got []string) {
+// checkColumns runs op under every column, checks each against its
+// reference and returns the NJ result.
+func checkColumns(t *testing.T, label string, op tp.Op, r, s *tp.Relation, theta tp.Theta) *tp.Relation {
 	t.Helper()
-	if len(want) != len(got) {
-		t.Errorf("%s: %d vs %d coalesced tuples", label, len(want), len(got))
+	out := make([]*tp.Relation, len(columns))
+	for i, c := range columns {
+		out[i] = c.run(t, op, r, s, theta)
+		if c.cmp == nil {
+			continue
+		}
+		if err := c.cmp(out[c.ref], out[i]); err != nil {
+			t.Errorf("%s %v %s-vs-%s: %v", label, op, c.name, columns[c.ref].name, err)
+		}
 	}
-	n := 0
-	for i := 0; i < len(want) && i < len(got); i++ {
-		if want[i] != got[i] {
-			t.Errorf("%s: line %d differs:\n  want %s\n  got  %s", label, i, want[i], got[i])
-			if n++; n >= 3 {
-				t.Fatalf("%s: too many differences, stopping", label)
+	return out[0]
+}
+
+// TestDifferentialStrategies sweeps the dataset generators behind
+// cmd/tpgen at two seeds each, sized to produce tens of thousands of
+// windows while keeping the TA baseline testable.
+func TestDifferentialStrategies(t *testing.T) {
+	for _, in := range append(oracle.Webkit(3000, 3, 11), oracle.Meteo(900, 3, 11)...) {
+		for _, op := range []tp.Op{tp.OpInner, tp.OpLeft, tp.OpFull, tp.OpAnti} {
+			if checkColumns(t, in.Name, op, in.R, in.S, in.Theta).Len() == 0 {
+				t.Fatalf("%s %v: empty reference result, workload too small", in.Name, op)
 			}
 		}
 	}
 }
 
-// TestDifferentialStrategies is the harness: NJ is the reference; TA,
-// PNJ and PTA must match it byte-for-byte after canonicalization for
-// every join operator on every seeded workload.
-func TestDifferentialStrategies(t *testing.T) {
-	for _, in := range differentialWorkloads() {
-		for _, op := range differentialOps {
-			ref := canonicalize(runStrategy(t, StrategyNJ, op, in.r, in.s, in.theta))
-			if len(ref) == 0 {
-				t.Fatalf("%s %v: empty reference result, workload too small", in.name, op)
+// TestDifferentialStrategiesAdversarial sweeps the oracle's adversarial
+// profiles at five seeds through all five operators; where every
+// endpoint is finite, NJ is also held point-wise to tp.RefJoin.
+func TestDifferentialStrategiesAdversarial(t *testing.T) {
+	theta := tp.Equi(0, 0)
+	for _, pr := range oracle.Profiles {
+		for seed := int64(1); seed <= 5; seed++ {
+			r, s := pr.Make(rand.New(rand.NewSource(seed)))
+			if pr.Derived {
+				r = columns[0].run(t, tp.OpLeft, r, s, theta)
 			}
-			for _, strat := range []Strategy{StrategyTA, StrategyPNJ, StrategyPTA} {
-				got := canonicalize(runStrategy(t, strat, op, in.r, in.s, in.theta))
-				diffLines(t, fmt.Sprintf("%s %v %v-vs-NJ", in.name, op, strat), ref, got)
+			label := fmt.Sprintf("%s/seed=%d", pr.Name, seed)
+			for _, op := range allOps {
+				nj := checkColumns(t, label, op, r, s, theta)
+				if pr.Infinite {
+					continue
+				}
+				if err := oracle.PointWise(tp.RefJoin(op, r, s, theta), nj); err != nil {
+					t.Errorf("%s %v NJ-vs-RefJoin: %v", label, op, err)
+				}
 			}
-			// TA under the nested-loop plan runs the same tail over the
-			// scalar aligner: the plan Fig. 7a measures is held to the NJ
-			// reference at the executor level too.
-			nl := canonicalize(runStrategyCfg(t, StrategyTA, op, in.r, in.s, in.theta,
-				align.Config{NestedLoop: true}))
-			diffLines(t, fmt.Sprintf("%s %v TA/nl-vs-NJ", in.name, op), ref, nl)
 		}
 	}
 }
 
 // TestStrategiesAgreeOnEmptyAndNullKeys: the empty string is a key like
-// any other and NULL is no key at all. Every strategy — NJ, TA, TA under
-// the nested-loop plan, PNJ and PTA — must agree point-wise with the
-// tp.RefJoin oracle on keys that are "" or NULL, for all five operators.
+// any other and NULL is no key at all. Every strategy must agree
+// point-wise with the tp.RefJoin oracle on keys that are "" or NULL, for
+// all five operators.
 func TestStrategiesAgreeOnEmptyAndNullKeys(t *testing.T) {
 	r := tp.NewRelation("r", "Name", "K")
 	r.Append(tp.Strings("r1", ""), interval.New(0, 6), 0.6)
@@ -148,29 +133,18 @@ func TestStrategiesAgreeOnEmptyAndNullKeys(t *testing.T) {
 	s.Append(tp.Strings("s3", "x"), interval.New(4, 5), 0.4)
 	theta := tp.Equi(1, 1)
 
-	ops := []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull}
-	for _, op := range ops {
+	for _, op := range allOps {
 		ref := tp.RefJoin(op, r, s, theta)
-		for _, strat := range []Strategy{StrategyNJ, StrategyTA, StrategyPNJ, StrategyPTA} {
-			for _, nl := range []bool{false, true} {
-				if nl && strat != StrategyTA {
-					continue
-				}
-				out := runStrategyCfg(t, strat, op, r, s, theta, align.Config{NestedLoop: nl})
-				pm, err := tp.Expand(out)
-				if err != nil {
-					t.Fatalf("%v %v nl=%t: %v", op, strat, nl, err)
-				}
-				if err := pm.EqualProb(ref, 1e-9); err != nil {
-					t.Errorf("%v %v nl=%t disagrees with RefJoin: %v", op, strat, nl, err)
-				}
+		for _, c := range columns {
+			if err := oracle.PointWise(ref, c.run(t, op, r, s, theta)); err != nil {
+				t.Errorf("%v %s disagrees with RefJoin: %v", op, c.name, err)
 			}
 		}
 	}
 
 	// The inner join pairs "" with "" and x with x, and NULL with nothing.
 	var pairs []string
-	for _, tu := range runStrategy(t, StrategyNJ, tp.OpInner, r, s, theta).Tuples {
+	for _, tu := range columns[0].run(t, tp.OpInner, r, s, theta).Tuples {
 		pairs = append(pairs, tu.Fact[0].String()+"-"+tu.Fact[2].String())
 	}
 	sort.Strings(pairs)

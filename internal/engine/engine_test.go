@@ -6,6 +6,7 @@ import (
 
 	"tpjoin/internal/align"
 	"tpjoin/internal/interval"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
 )
 
@@ -123,12 +124,7 @@ func TestTPJoinNJMatchesCore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
-		pm, err := tp.Expand(out)
-		if err != nil {
-			t.Fatalf("%v: %v", op, err)
-		}
-		ref := tp.RefJoin(op, paperA(), paperB(), theta)
-		if err := pm.EqualProb(ref, 1e-9); err != nil {
+		if err := oracle.PointWise(tp.RefJoin(op, paperA(), paperB(), theta), out); err != nil {
 			t.Errorf("%v: %v", op, err)
 		}
 	}
@@ -140,12 +136,7 @@ func TestTPJoinTAMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := tp.Expand(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := tp.RefJoin(tp.OpLeft, paperA(), paperB(), theta)
-	if err := pm.EqualProb(ref, 1e-9); err != nil {
+	if err := oracle.PointWise(tp.RefJoin(tp.OpLeft, paperA(), paperB(), theta), out); err != nil {
 		t.Errorf("TA join: %v", err)
 	}
 }
@@ -158,12 +149,7 @@ func TestTPJoinPNJMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
-		pm, err := tp.Expand(out)
-		if err != nil {
-			t.Fatalf("%v: %v", op, err)
-		}
-		ref := tp.RefJoin(op, paperA(), paperB(), theta)
-		if err := pm.EqualProb(ref, 1e-9); err != nil {
+		if err := oracle.PointWise(tp.RefJoin(op, paperA(), paperB(), theta), out); err != nil {
 			t.Errorf("%v: %v", op, err)
 		}
 	}

@@ -88,16 +88,19 @@ type memo struct {
 	est   *Estimate
 }
 
-// snapshot appends rel's snapshot.
+// snapshot appends rel's snapshot; a nil m records nothing.
 func (m *memo) snapshot(rel *tp.Relation) {
+	if m == nil {
+		return
+	}
 	m.rels = append(m.rels, relSnap{weak.Make(rel), rel.Stamp()})
 }
 
 // matches reports whether m, the memo of an earlier build, was planned
 // under the same settings against the same relations at the same Stamps
-// as cur. A nil m matches nothing.
+// as cur. A nil m or cur matches nothing.
 func (m *memo) matches(cur *memo) bool {
-	return m != nil && m.under == cur.under && slices.Equal(m.rels, cur.rels)
+	return m != nil && cur != nil && m.under == cur.under && slices.Equal(m.rels, cur.rels)
 }
 
 // Cache counts how EXECUTE statements got their plans, as the
@@ -131,7 +134,8 @@ func PlanPrepared(cache *Cache, cat *catalog.Catalog, sess *Session, p *Prepared
 	if err := p.bindCheck(params); err != nil {
 		return nil, false, err
 	}
-	op, m, err := build(p.Query, cat, sess, params, p.memo)
+	m := &memo{under: settings{sess.Strategy, sess.TANestedLoop, sess.Workers, sess.Calib}}
+	op, err = build(p.Query, cat, sess, params, p.memo, m)
 	if err != nil {
 		return nil, false, err
 	}

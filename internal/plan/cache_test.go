@@ -2,15 +2,14 @@ package plan
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"tpjoin/internal/catalog"
-	"tpjoin/internal/dataset"
 	"tpjoin/internal/engine"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/sql"
 	"tpjoin/internal/tp"
 )
@@ -58,9 +57,11 @@ func TestPlanCacheHitOnRepeatedExecute(t *testing.T) {
 	if !cached {
 		t.Fatal("second EXECUTE of an unchanged catalog must hit")
 	}
-	f, s := canonical(first), canonical(second)
-	if len(f) == 0 || fmt.Sprint(f) != fmt.Sprint(s) {
-		t.Errorf("memoized plan changed the result:\n  fresh  %v\n  cached %v", f, s)
+	if first.Len() == 0 {
+		t.Fatal("empty result")
+	}
+	if err := oracle.Same(first, second); err != nil {
+		t.Errorf("memoized plan changed the result: %v", err)
 	}
 	if st := cache.Stats(); st != (CacheStats{Hits: 1, Misses: 1}) {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss", st)
@@ -262,67 +263,38 @@ func TestPlanPreparedBindErrors(t *testing.T) {
 
 // TestDifferentialExecuteVsInlineSelect is the EXECUTE column of the
 // differential harness: across every forced strategy and both synthetic
-// workloads, a parameterized EXECUTE — cold and cache-hot — must stay
-// byte-identical to the equivalent inline SELECT with the literal spelled
-// out.
+// workloads, a parameterized EXECUTE — cold and memo-hot — must return
+// the rows of the equivalent inline SELECT with the literal spelled out,
+// in order and bit for bit.
 func TestDifferentialExecuteVsInlineSelect(t *testing.T) {
-	strategies := map[string]Strategy{
-		"nj": StrategyNJ, "ta": StrategyTA, "pnj": StrategyPNJ, "pta": StrategyPTA,
-	}
-	workloads := []struct {
-		name string
-		r, s *tp.Relation
-	}{}
-	r, s := dataset.Webkit(1500, 7)
-	workloads = append(workloads, struct {
-		name string
-		r, s *tp.Relation
-	}{"webkit", r, s})
-	r, s = dataset.Meteo(1500, 7)
-	workloads = append(workloads, struct {
-		name string
-		r, s *tp.Relation
-	}{"meteo", r, s})
-
+	strategies := []Strategy{StrategyNJ, StrategyTA, StrategyPNJ, StrategyPTA}
 	const inline = "SELECT * FROM r TP JOIN s ON r.Key = s.Key WHERE p >= 0.25"
 	p := mustPrepare(t, "PREPARE q AS SELECT * FROM r TP JOIN s ON r.Key = s.Key WHERE p >= ?")
 	param := sql.Literal{Num: 0.25}
 
-	for _, in := range workloads {
-		cat := catalog.New()
-		if err := cat.Register(in.r); err != nil {
-			t.Fatal(err)
-		}
-		if err := cat.Register(in.s); err != nil {
-			t.Fatal(err)
-		}
+	for _, in := range append(oracle.Webkit(1500, 7), oracle.Meteo(1500, 7)...) {
+		cat := registered(t, in)
 		cache := NewCache(0)
-		for name, strat := range strategies {
+		for _, strat := range strategies {
 			sess := &Session{Strategy: strat, Workers: 2}
-			ref := canonical(runSQLJoin(t, cat, sess, inline))
-			if len(ref) == 0 {
-				t.Fatalf("%s/%s: empty reference result", in.name, name)
+			ref := runSQLJoin(t, cat, sess, inline)
+			if ref.Len() == 0 {
+				t.Fatalf("%s/%v: empty reference result", in.Name, strat)
 			}
 			cold, cached := runPrepared(t, cache, cat, sess, p, param)
 			if cached {
-				t.Fatalf("%s/%s: first EXECUTE must be cold", in.name, name)
+				t.Fatalf("%s/%v: first EXECUTE must be cold", in.Name, strat)
 			}
 			hot, cached := runPrepared(t, cache, cat, sess, p, param)
 			if !cached {
-				t.Fatalf("%s/%s: second EXECUTE must hit", in.name, name)
+				t.Fatalf("%s/%v: second EXECUTE must hit", in.Name, strat)
 			}
-			for run, rel := range map[string]*tp.Relation{"cold": cold, "hot": hot} {
-				got := canonical(rel)
-				if len(got) != len(ref) {
-					t.Errorf("%s/%s %s EXECUTE: %d vs %d coalesced tuples",
-						in.name, name, run, len(got), len(ref))
-					continue
-				}
-				for i := range ref {
-					if ref[i] != got[i] {
-						t.Fatalf("%s/%s %s EXECUTE: line %d differs:\n  want %s\n  got  %s",
-							in.name, name, run, i, ref[i], got[i])
-					}
+			for _, run := range []struct {
+				name string
+				rel  *tp.Relation
+			}{{"cold", cold}, {"hot", hot}} {
+				if err := oracle.Same(ref, run.rel); err != nil {
+					t.Errorf("%s/%v %s EXECUTE: %v", in.Name, strat, run.name, err)
 				}
 			}
 		}

@@ -278,8 +278,7 @@ func (b *binding) resolve(c sql.ColRef) (int, error) {
 // SET strategy = auto, the default — the cost model's cheapest estimate
 // over the catalog statistics of the join inputs (see EstimateJoin).
 func Build(sel *sql.Select, cat *catalog.Catalog, sess *Session) (engine.Operator, error) {
-	op, _, err := build(sel, cat, sess, nil, nil)
-	return op, err
+	return build(sel, cat, sess, nil, nil, nil)
 }
 
 // build is Build plus the prepared-statement machinery: params binds
@@ -287,13 +286,13 @@ func Build(sel *sql.Select, cat *catalog.Catalog, sess *Session) (engine.Operato
 // last build, supplies the memoized estimate in place of the statistics
 // profiling and cost-model estimation — the expensive half of planning —
 // when the relations build looks up and the session settings match it.
-// The returned memo describes what this build planned against.
-func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Literal, prev *memo) (engine.Operator, *memo, error) {
+// A non-nil m records what this build planned against; a plain SELECT
+// passes nil and records nothing.
+func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Literal, prev, m *memo) (engine.Operator, error) {
 	sess.ResetPlanned()
-	m := &memo{under: settings{sess.Strategy, sess.TANestedLoop, sess.Workers, sess.Calib}}
 	left, err := cat.Lookup(sel.From.Name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m.snapshot(left)
 	b := &binding{parts: []boundTable{{name: sel.From.Binding(), attrs: left.Attrs}}}
@@ -302,11 +301,11 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 	if sel.SetOp != nil {
 		right, err := cat.Lookup(sel.SetOp.Right.Name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		m.snapshot(right)
 		if right.Arity() != left.Arity() {
-			return nil, nil, fmt.Errorf("plan: %s and %s are not union-compatible (%d vs %d attributes)",
+			return nil, fmt.Errorf("plan: %s and %s are not union-compatible (%d vs %d attributes)",
 				sel.From.Name, sel.SetOp.Right.Name, left.Arity(), right.Arity())
 		}
 		var kind engine.SetOpKind
@@ -324,14 +323,14 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 	if sel.Join != nil {
 		right, err := cat.Lookup(sel.Join.Right.Name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		m.snapshot(right)
 		lb := &binding{parts: []boundTable{{name: sel.From.Binding(), attrs: left.Attrs}}}
 		rb := &binding{parts: []boundTable{{name: sel.Join.Right.Binding(), attrs: right.Attrs}}}
 		theta, err := buildTheta(sel.Join.On, lb, rb)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cfg := align.Config{NestedLoop: sess.TANestedLoop}
 		// Score the strategies on the inputs' catalog statistics. When a
@@ -348,7 +347,10 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 			est = EstimateJoin(sel.From.Binding(), stats.Of(left),
 				sel.Join.Right.Binding(), stats.Of(right), theta, sess.Workers, sess.TANestedLoop, sess.Calib)
 		}
-		m.est = &est
+		if m != nil {
+			memoized := est
+			m.est = &memoized
+		}
 		if !forced {
 			strategy = est.Chosen
 		}
@@ -371,7 +373,7 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 	if len(sel.Where) > 0 {
 		pred, err := buildPredicate(sel.Where, b, params)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		op = engine.NewFilter(op, pred)
 	}
@@ -383,7 +385,7 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 		for i, c := range sel.Projs {
 			idx, err := b.resolve(c)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			cols[i] = idx
 			names[i] = c.Column
@@ -394,7 +396,7 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 			op, err = engine.NewProject(op, cols, names)
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	} else if sel.Distinct {
 		cols := make([]int, b.arity())
@@ -403,14 +405,14 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 		}
 		op, err = engine.NewLineageDistinct(op, cols, b.attrs())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
 	if len(sel.OrderBy) > 0 {
 		less, err := buildOrder(sel.OrderBy, op.Attrs(), b, cols)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		op = engine.NewSort(op, less)
 	}
@@ -418,7 +420,7 @@ func build(sel *sql.Select, cat *catalog.Catalog, sess *Session, params []sql.Li
 	if sel.Limit >= 0 {
 		op = engine.NewLimit(op, sel.Limit)
 	}
-	return op, m, nil
+	return op, nil
 }
 
 // buildOrder compiles ORDER BY keys over the sorted stage's output. An

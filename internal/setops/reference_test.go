@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 
 	"tpjoin/internal/core"
@@ -12,6 +11,7 @@ import (
 	"tpjoin/internal/interval"
 	"tpjoin/internal/lineage"
 	"tpjoin/internal/mem"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/prob"
 	"tpjoin/internal/tp"
 	"tpjoin/internal/window"
@@ -68,22 +68,15 @@ func referenceIntersect(r, s *tp.Relation) *tp.Relation {
 	return out
 }
 
-// requireByteIdentical compares name, schema, tuple order, facts,
-// intervals, lineage strings and the probabilities bit for bit.
+// requireByteIdentical compares the names, then schema, tuple order,
+// facts, intervals, lineage trees and probability bits (oracle.Same).
 func requireByteIdentical(t *testing.T, label string, got, want *tp.Relation) {
 	t.Helper()
-	if got.Name != want.Name || fmt.Sprint(got.Attrs) != fmt.Sprint(want.Attrs) {
-		t.Fatalf("%s: result is %s%v, want %s%v", label, got.Name, got.Attrs, want.Name, want.Attrs)
+	if got.Name != want.Name {
+		t.Fatalf("%s: result is %s, want %s", label, got.Name, want.Name)
 	}
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: %d tuples, want %d", label, got.Len(), want.Len())
-	}
-	for i, g := range got.Tuples {
-		w := want.Tuples[i]
-		if g.String() != w.String() || math.Float64bits(g.Prob) != math.Float64bits(w.Prob) {
-			t.Fatalf("%s: tuple %d differs:\n got:  %v (p bits %x)\n want: %v (p bits %x)",
-				label, i, g, math.Float64bits(g.Prob), w, math.Float64bits(w.Prob))
-		}
+	if err := oracle.Same(want, got); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 

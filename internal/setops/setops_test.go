@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"tpjoin/internal/interval"
-	"tpjoin/internal/prob"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
 )
 
@@ -17,113 +17,46 @@ var ctx = context.Background()
 // time point: for each fact and t, the probabilities pr (valid in r) and
 // ps (valid in s) combine as union 1-(1-pr)(1-ps), intersection pr·ps, or
 // difference pr·(1-ps); a side that is not valid contributes "absent".
-func pointwiseRef(op string, r, s *tp.Relation) map[string]map[interval.Time]float64 {
-	type sideVal struct {
-		p     float64
-		valid bool
-	}
-	collect := func(rel *tp.Relation) map[string]map[interval.Time]sideVal {
-		ev := prob.NewBatchEvaluator(rel.Probs)
-		out := make(map[string]map[interval.Time]sideVal)
-		for _, t := range rel.Tuples {
-			k := t.Fact.Key()
-			if out[k] == nil {
-				out[k] = make(map[interval.Time]sideVal)
-			}
-			p := ev.Prob(t.Lineage)
-			for tt := t.T.Start; tt < t.T.End; tt++ {
-				out[k][tt] = sideVal{p: p, valid: true}
-			}
-		}
-		return out
-	}
-	rv, sv := collect(r), collect(s)
-	out := make(map[string]map[interval.Time]float64)
-	add := func(k string, t interval.Time, p float64) {
+func pointwiseRef(op string, r, s *tp.Relation) tp.PointMap {
+	rv, _ := tp.Expand(r)
+	sv, _ := tp.Expand(s)
+	out := make(tp.PointMap)
+	add := func(k string, t interval.Time, f tp.Fact, p float64) {
 		if out[k] == nil {
-			out[k] = make(map[interval.Time]float64)
+			out[k] = make(map[interval.Time]tp.PointRow)
 		}
-		out[k][t] = p
+		out[k][t] = tp.PointRow{Fact: f, Prob: p}
 	}
-	keys := make(map[string]bool)
-	for k := range rv {
-		keys[k] = true
-	}
-	for k := range sv {
-		keys[k] = true
-	}
-	for k := range keys {
-		times := make(map[interval.Time]bool)
-		for t := range rv[k] {
-			times[t] = true
+	for k, times := range rv {
+		for t, a := range times {
+			b, both := sv[k][t]
+			switch {
+			case !both && op != "intersect":
+				add(k, t, a.Fact, a.Prob)
+			case both && op == "union":
+				add(k, t, a.Fact, 1-(1-a.Prob)*(1-b.Prob))
+			case both && op == "intersect":
+				add(k, t, a.Fact, a.Prob*b.Prob)
+			case both && op == "difference":
+				add(k, t, a.Fact, a.Prob*(1-b.Prob))
+			}
 		}
-		for t := range sv[k] {
-			times[t] = true
-		}
-		for t := range times {
-			a, b := rv[k][t], sv[k][t]
-			switch op {
-			case "union":
-				switch {
-				case a.valid && b.valid:
-					add(k, t, 1-(1-a.p)*(1-b.p))
-				case a.valid:
-					add(k, t, a.p)
-				default:
-					add(k, t, b.p)
-				}
-			case "intersect":
-				if a.valid && b.valid {
-					add(k, t, a.p*b.p)
-				}
-			case "difference":
-				switch {
-				case a.valid && b.valid:
-					add(k, t, a.p*(1-b.p))
-				case a.valid:
-					add(k, t, a.p)
-				}
+	}
+	for k, times := range sv {
+		for t, b := range times {
+			if _, ok := rv[k][t]; !ok && op == "union" {
+				add(k, t, b.Fact, b.Prob)
 			}
 		}
 	}
 	return out
 }
 
-func expandProbs(t *testing.T, rel *tp.Relation) map[string]map[interval.Time]float64 {
+// requireRef holds got point-wise to pointwiseRef.
+func requireRef(t *testing.T, op string, r, s, got *tp.Relation) {
 	t.Helper()
-	pm, err := tp.Expand(rel)
-	if err != nil {
-		t.Fatalf("result not sequenced-valid: %v\n%v", err, rel)
-	}
-	out := make(map[string]map[interval.Time]float64)
-	for k, times := range pm {
-		out[k] = make(map[interval.Time]float64)
-		for tt, row := range times {
-			out[k][tt] = row.Prob
-		}
-	}
-	return out
-}
-
-func equalMaps(t *testing.T, got, want map[string]map[interval.Time]float64, label string) {
-	t.Helper()
-	for k, times := range want {
-		for tt, p := range times {
-			g, ok := got[k][tt]
-			if !ok {
-				t.Fatalf("%s: missing (%q, %d)", label, k, tt)
-			}
-			if math.Abs(g-p) > 1e-9 {
-				t.Fatalf("%s: (%q, %d): got %g want %g", label, k, tt, g, p)
-			}
-		}
-	}
-	for k, times := range got {
-		for tt := range times {
-			if _, ok := want[k][tt]; !ok {
-				t.Fatalf("%s: extra (%q, %d)", label, k, tt)
-			}
-		}
+	if err := oracle.PointWise(pointwiseRef(op, r, s), got); err != nil {
+		t.Fatalf("%s: %v", op, err)
 	}
 }
 
@@ -143,7 +76,7 @@ func TestUnionDemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalMaps(t, expandProbs(t, u), pointwiseRef("union", r, s), "union")
+	requireRef(t, "union", r, s, u)
 	// x over [3,6) must have lineage r1 ∨ s1 with prob 1-0.2*0.6 = 0.88.
 	found := false
 	for _, tu := range u.Tuples {
@@ -168,7 +101,7 @@ func TestIntersectDemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalMaps(t, expandProbs(t, x), pointwiseRef("intersect", r, s), "intersect")
+	requireRef(t, "intersect", r, s, x)
 	if x.Len() != 1 {
 		t.Fatalf("intersection must have exactly the x overlap, got %v", x)
 	}
@@ -183,7 +116,7 @@ func TestDifferenceDemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalMaps(t, expandProbs(t, d), pointwiseRef("difference", r, s), "difference")
+	requireRef(t, "difference", r, s, d)
 	// x on [3,6): 0.8 * 0.6 = 0.48; x on [0,3): 0.8; y untouched 0.5.
 	want := map[string]float64{"[0,3)": 0.8, "[3,6)": 0.48, "[2,5)": 0.5}
 	for _, tu := range d.Tuples {
@@ -212,23 +145,23 @@ func TestUnionCompatibility(t *testing.T) {
 func TestSetOpsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 120; trial++ {
-		r := randRelation(rng, "r")
-		s := randRelation(rng, "s")
+		r := oracle.SmallXYZ.Relation(rng, "r", rng.Intn(7))
+		s := oracle.SmallXYZ.Relation(rng, "s", rng.Intn(7))
 		u, err := Union(ctx, r, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		equalMaps(t, expandProbs(t, u), pointwiseRef("union", r, s), "union")
+		requireRef(t, "union", r, s, u)
 		x, err := Intersect(ctx, r, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		equalMaps(t, expandProbs(t, x), pointwiseRef("intersect", r, s), "intersect")
+		requireRef(t, "intersect", r, s, x)
 		d, err := Difference(ctx, r, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		equalMaps(t, expandProbs(t, d), pointwiseRef("difference", r, s), "difference")
+		requireRef(t, "difference", r, s, d)
 	}
 }
 
@@ -258,30 +191,4 @@ func TestSetOpsIdentities(t *testing.T) {
 			t.Errorf("self-union lineage not simplified: %v", tu.Lineage)
 		}
 	}
-}
-
-func randRelation(rng *rand.Rand, name string) *tp.Relation {
-	keys := []string{"x", "y", "z"}
-	rel := tp.NewRelation(name, "K")
-	type span struct{ s, e interval.Time }
-	used := make(map[string][]span)
-	n := rng.Intn(7)
-	for i := 0; i < n; i++ {
-		k := keys[rng.Intn(len(keys))]
-		st := interval.Time(rng.Intn(15))
-		e := st + 1 + interval.Time(rng.Intn(6))
-		ok := true
-		for _, u := range used[k] {
-			if st < u.e && u.s < e {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		used[k] = append(used[k], span{st, e})
-		rel.Append(tp.Strings(k), interval.New(st, e), 0.1+0.8*rng.Float64())
-	}
-	return rel
 }

@@ -6,6 +6,7 @@ import (
 
 	"tpjoin/internal/interval"
 	"tpjoin/internal/lineage"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
 )
 
@@ -112,7 +113,7 @@ func TestCheckersAcceptSpec(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 60; trial++ {
-		r, s := randRelations(rng)
+		r, s := oracle.Wide.Relation(rng, "r", 1+rng.Intn(5)), oracle.Wide.Relation(rng, "s", 1+rng.Intn(5))
 		verify(t, r, s, tp.Equi(0, 0))
 	}
 }
@@ -230,33 +231,4 @@ func TestSortAndSetEqual(t *testing.T) {
 	if SetEqual(ws, other) {
 		t.Errorf("different RID must not be SetEqual")
 	}
-}
-
-// randRelations builds small random base relations for property tests.
-func randRelations(rng *rand.Rand) (*tp.Relation, *tp.Relation) {
-	keys := []string{"k1", "k2", "k3"}
-	build := func(name string, n int) *tp.Relation {
-		rel := tp.NewRelation(name, "K")
-		type span struct{ s, e interval.Time }
-		used := make(map[string][]span)
-		for i := 0; i < n; i++ {
-			k := keys[rng.Intn(len(keys))]
-			s := interval.Time(rng.Intn(20))
-			e := s + 1 + interval.Time(rng.Intn(8))
-			ok := true
-			for _, u := range used[k] {
-				if s < u.e && u.s < e {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			used[k] = append(used[k], span{s, e})
-			rel.Append(tp.Strings(k), interval.New(s, e), 0.1+0.8*rng.Float64())
-		}
-		return rel
-	}
-	return build("r", 1+rng.Intn(5)), build("s", 1+rng.Intn(5))
 }
