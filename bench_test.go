@@ -20,6 +20,7 @@ import (
 	"tpjoin/internal/bench"
 	"tpjoin/internal/core"
 	"tpjoin/internal/dataset"
+	"tpjoin/internal/tp"
 )
 
 const benchSeed = 1
@@ -60,7 +61,7 @@ func BenchmarkAblation_LeftOuter_Webkit_TA_Hash(b *testing.B) {
 	r, s := dataset.Webkit(10000, benchSeed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		align.LeftOuterJoin(r, s, dataset.WebkitTheta(), align.Config{})
+		align.Join(tp.OpLeft, r, s, dataset.WebkitTheta(), align.Config{})
 	}
 }
 

@@ -21,6 +21,13 @@
 //	                        # the auto picker prices with; sessions load
 //	                        # others via SET calibration = '<file>').
 //	                        # -quick shrinks the workloads for smoke runs.
+//	tpbench -compare BENCH_6.json
+//	                        # developer mode: summarize the repo
+//	                        # benchmark's parent/change pairs in the
+//	                        # file's e2e list (scripts/e2e-pairs.sh) per
+//	                        # workload × end-to-end metric, against the
+//	                        # bounds of ./BENCHMARK.json, as a Markdown
+//	                        # table.
 //
 // Output format mirrors the paper's plots: one row per input size (in K),
 // one column per series, runtimes in milliseconds. Speedup summaries
@@ -29,6 +36,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -54,8 +62,17 @@ func main() {
 		label      = flag.String("label", "tpbench", "label recorded in the -json run or -calibrate file")
 		calibrate  = flag.String("calibrate", "", "measure the cost model's per-primitive constants and write a plan.Calibration JSON to this file")
 		quick      = flag.Bool("quick", false, "with -calibrate: shrink the measurement workloads (CI smoke mode)")
+		compare    = flag.String("compare", "", "summarize this BENCH_<n>.json's e2e parent/change pairs against ./BENCHMARK.json's bounds")
 	)
 	flag.Parse()
+
+	if *compare != "" {
+		if err := runCompare(*compare, "BENCHMARK.json"); err != nil {
+			fmt.Fprintf(os.Stderr, "tpbench: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *calibrate != "" {
 		// The -repeats default (1) suits the text figures; calibration
@@ -183,4 +200,29 @@ func printSpeedups(f bench.Figure) {
 		}
 		fmt.Printf("  speedup %s/%s: %s\n", s.Name, base, strings.Join(parts, " "))
 	}
+}
+
+// runCompare prints the comparison table of the e2e pairs in benchPath
+// under the bounds in boundsPath.
+func runCompare(benchPath, boundsPath string) error {
+	var f bench.File
+	var b bench.Bounds
+	for _, in := range []struct {
+		path string
+		v    any
+	}{{benchPath, &f}, {boundsPath, &b}} {
+		data, err := os.ReadFile(in.path)
+		if err == nil {
+			err = json.Unmarshal(data, in.v)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", in.path, err)
+		}
+	}
+	rows, err := bench.Compare(f, b)
+	if err != nil {
+		return err
+	}
+	fmt.Print(bench.FormatComparison(rows))
+	return nil
 }

@@ -39,7 +39,7 @@ func main() {
 	}
 
 	// Fig. 1b: Q = a ⟕Tp b.
-	q := core.LeftOuterJoin(a, b, theta)
+	q := core.Join(tp.OpLeft, a, b, theta)
 	fmt.Printf("\nQ = a ⟕Tp b (θ: a.Loc = b.Loc):\n")
 	fmt.Printf("%-24s %-20s %-8s %s\n", "Name, Loc, Hotel, Loc", "λ", "T", "p")
 	for _, t := range q.Tuples {

@@ -16,6 +16,7 @@ import (
 	"tpjoin/internal/engine"
 	"tpjoin/internal/plan"
 	"tpjoin/internal/sql"
+	"tpjoin/internal/tp"
 )
 
 func main() {
@@ -27,7 +28,7 @@ func main() {
 	// With which probability does a stability prediction in r hold while
 	// *no* station in s predicts the same metric stable? (TP anti join.)
 	t0 := time.Now()
-	anti := core.AntiJoin(r, s, theta)
+	anti := core.Join(tp.OpAnti, r, s, theta)
 	fmt.Printf("TP anti join: %d tuples in %.1f ms\n",
 		anti.Len(), float64(time.Since(t0))/1e6)
 

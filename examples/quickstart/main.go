@@ -1,7 +1,7 @@
 // Quickstart: build two small temporal-probabilistic relations, run a TP
-// left outer join and print the result. This is the 30-second tour of the
-// public API: tp.Relation for data, tp.Equi for θ, core.LeftOuterJoin for
-// the paper's NJ algorithm.
+// anti join and a full outer join and print the results. This is the
+// 30-second tour of the public API: tp.Relation for data, tp.Equi for θ,
+// core.Join with a tp.Op for the paper's NJ algorithm.
 package main
 
 import (
@@ -25,7 +25,7 @@ func main() {
 	// With which probability is a machine running *and not* under
 	// maintenance, at each time point? A TP anti join answers that.
 	theta := tp.Equi(0, 1) // state.Machine = service.Machine
-	q := core.AntiJoin(state, service, theta)
+	q := core.Join(tp.OpAnti, state, service, theta)
 
 	fmt.Println("state ▷ service (running with no service claim):")
 	for _, t := range q.Tuples {
@@ -35,7 +35,7 @@ func main() {
 
 	// The full outer join additionally pairs matching claims and keeps
 	// service claims with no state prediction.
-	full := core.FullOuterJoin(state, service, theta)
+	full := core.Join(tp.OpFull, state, service, theta)
 	fmt.Printf("\nstate ⟗ service has %d result tuples; e.g.:\n", full.Len())
 	fmt.Printf("  %v\n", full.Tuples[0])
 }

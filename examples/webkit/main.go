@@ -21,9 +21,9 @@ func main() {
 
 	// 1. Correctness: NJ ≡ TA point-wise on a small instance.
 	r0, s0 := dataset.Webkit(600, 7)
-	njPM, err := tp.Expand(core.LeftOuterJoin(r0, s0, theta))
+	njPM, err := tp.Expand(core.Join(tp.OpLeft, r0, s0, theta))
 	check(err)
-	taPM, err := tp.Expand(align.LeftOuterJoin(r0, s0, theta, align.Config{}))
+	taPM, err := tp.Expand(align.Join(tp.OpLeft, r0, s0, theta, align.Config{}))
 	check(err)
 	check(njPM.EqualProb(taPM, 1e-9))
 	fmt.Println("NJ and TA agree point-wise on a 600-tuple instance ✓")
@@ -34,13 +34,13 @@ func main() {
 	fmt.Printf("\nwebkit workload: %d + %d tuples, join on file\n", r.Len(), s.Len())
 
 	t0 := time.Now()
-	nj := core.LeftOuterJoin(r, s, theta)
+	nj := core.Join(tp.OpLeft, r, s, theta)
 	njDur := time.Since(t0)
 	fmt.Printf("NJ  (lineage-aware windows): %8.1f ms, %d result tuples\n",
 		float64(njDur)/1e6, nj.Len())
 
 	t0 = time.Now()
-	ta := align.LeftOuterJoin(r, s, theta, align.Config{})
+	ta := align.Join(tp.OpLeft, r, s, theta, align.Config{})
 	taDur := time.Since(t0)
 	fmt.Printf("TA  (temporal alignment):    %8.1f ms, %d result tuples\n",
 		float64(taDur)/1e6, ta.Len())

@@ -22,7 +22,7 @@
 // cover computation of step 2, and the duplicate-eliminating union of
 // step 3. Config's NestedLoop flag mirrors the plan PostgreSQL's optimizer
 // chose for TA in the paper's experiments (a nested loop for
-// r ⟕_{θo∧θ} s); the default hash-partitions equi conditions.
+// r ⟕_{θo∧θ} s); the default hash-partitions the inner relation.
 //
 // The hash plan runs on the same allocation-lean machinery as
 // internal/core's NJ pipeline: the inner relation is hash-partitioned once
@@ -32,10 +32,10 @@
 // elementary segment between consecutive endpoints, the covering tuples
 // in one flat arena. Both conventional joins of an alignment pass stream
 // off that index (split points by binary search, covers as borrowed arena
-// slices). The nested-loop plan, non-equi θ and inner relations that trip
-// the arena guard run the scalar aligner instead (scalar.go), whose full
-// rescans are the measured cost of Fig. 7a; the two aligners are
-// property-tested byte-identical.
+// slices). The nested-loop plan and inner relations that trip the arena
+// guard run the scalar aligner instead (scalar.go), whose full rescans
+// are the measured cost of Fig. 7a; the two aligners are property-tested
+// byte-identical.
 //
 // Whatever the aligner, every join runs one tail (stream.go): a fused
 // drain per alignment direction emits both sub-queries' rows off one
@@ -69,7 +69,7 @@ import (
 type Config struct {
 	// NestedLoop forces nested-loop evaluation of the conventional joins,
 	// matching the plan the PostgreSQL optimizer selected for TA in the
-	// paper's evaluation. When false, equi conditions are hash-partitioned.
+	// paper's evaluation. When false, the inner relation is hash-partitioned.
 	NestedLoop bool
 }
 
@@ -149,16 +149,15 @@ type aligner interface {
 }
 
 // newAligner builds the probe-side access path for one join direction:
-// the indexed event-list pipeline for hash-partitionable conditions, the
-// scalar aligner for the nested-loop plan, non-equi θ, and inner
-// relations whose index would trip the arena guard (maxCoverArena). The
-// index build observes ctx and charges the query's memory budget.
-func newAligner(ctx context.Context, s *tp.Relation, theta tp.Theta, cfg Config) (aligner, error) {
-	eq, ok := theta.(tp.EquiTheta)
-	if !ok || cfg.NestedLoop {
+// the indexed event-list pipeline, or the scalar aligner for the
+// nested-loop plan and for inner relations whose index would trip the
+// arena guard (maxCoverArena). The index build observes ctx and charges
+// the query's memory budget.
+func newAligner(ctx context.Context, s *tp.Relation, theta tp.EquiTheta, cfg Config) (aligner, error) {
+	if cfg.NestedLoop {
 		return newScalarAligner(s, theta, cfg), nil
 	}
-	ix := newIndexedAligner(s, eq)
+	ix := newIndexedAligner(s, theta)
 	fits, err := ix.build(ctx)
 	if err == nil && fits {
 		return ix, nil
@@ -166,12 +165,12 @@ func newAligner(ctx context.Context, s *tp.Relation, theta tp.Theta, cfg Config)
 	if err != nil {
 		return nil, err
 	}
-	return newScalarAligner(s, eq, Config{}), nil
+	return newScalarAligner(s, theta, Config{}), nil
 }
 
 // mustAligner is newAligner outside a query: context.Background carries
 // neither a deadline nor a memory budget, the only ways the build fails.
-func mustAligner(s *tp.Relation, theta tp.Theta, cfg Config) aligner {
+func mustAligner(s *tp.Relation, theta tp.EquiTheta, cfg Config) aligner {
 	al, err := newAligner(context.Background(), s, theta, cfg)
 	if err != nil {
 		panic(err)
@@ -188,9 +187,9 @@ type groupMeta struct {
 }
 
 // indexedAligner is the batched-substrate alignment pipeline for one join
-// direction (inner relation s under an equi θ). Building it costs one
-// pass to hash-group s by its interned key plus, per group, an endpoint
-// sort and a counting-sort of the segment covers into flat arenas;
+// direction (inner relation s under θ). Building it costs one pass to
+// hash-group s by its interned key plus, per group, an endpoint sort and
+// a counting-sort of the segment covers into flat arenas;
 // draining an outer relation against it is then output-linear — split
 // points by binary search into the group's bounds, covers as borrowed
 // arena slices — with no per-tuple or per-fragment allocations. One
@@ -437,37 +436,8 @@ func materializeFragments(al aligner, r *tp.Relation) []Fragment {
 // matching inner tuples (join 2). The fragments of each outer tuple
 // partition its validity interval. Align materializes the fragments for
 // inspection; the join paths stream them instead.
-func Align(r, s *tp.Relation, theta tp.Theta, cfg Config) []Fragment {
+func Align(r, s *tp.Relation, theta tp.EquiTheta, cfg Config) []Fragment {
 	return materializeFragments(mustAligner(s, theta, cfg), r)
-}
-
-// InnerJoin computes r ⋈Tp s with the alignment strategy: only the
-// pairing rows of the aligned outer join.
-func InnerJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	return Join(tp.OpInner, r, s, theta, cfg)
-}
-
-// AntiJoin computes r ▷Tp s with the alignment strategy: only sub-query B,
-// over r's schema.
-func AntiJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	return Join(tp.OpAnti, r, s, theta, cfg)
-}
-
-// LeftOuterJoin computes r ⟕Tp s with the alignment strategy: sub-queries
-// A and B over one alignment, combined by the duplicate-eliminating union.
-func LeftOuterJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	return Join(tp.OpLeft, r, s, theta, cfg)
-}
-
-// RightOuterJoin computes r ⟖Tp s: the mirrored left outer join.
-func RightOuterJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	return Join(tp.OpRight, r, s, theta, cfg)
-}
-
-// FullOuterJoin computes r ⟗Tp s: pairings from the forward direction,
-// negated/unmatched fragments from both, unioned with dedup.
-func FullOuterJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	return Join(tp.OpFull, r, s, theta, cfg)
 }
 
 // CountWUO runs sub-query A (the aligned outer join) and returns the
@@ -475,7 +445,7 @@ func FullOuterJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
 // It is the TA counterpart of draining core.LAWAU, used by the Fig. 5
 // benchmark: TA pays both conventional joins of the alignment step where
 // NJ pays one.
-func CountWUO(r, s *tp.Relation, theta tp.Theta, cfg Config) int {
+func CountWUO(r, s *tp.Relation, theta tp.EquiTheta, cfg Config) int {
 	n := 0
 	_ = mustAligner(s, theta, cfg).drain(context.Background(), r, func(ri int, t interval.Interval, cover []int32) error {
 		if len(cover) == 0 {
@@ -492,7 +462,7 @@ func CountWUO(r, s *tp.Relation, theta tp.Theta, cfg Config) int {
 // of produced rows without forming output tuples. It is the TA counterpart
 // of the LAWAN sweep, used by the Fig. 6 benchmark: TA re-enumerates the
 // aligned fragments to derive the negated part.
-func CountNegating(r, s *tp.Relation, theta tp.Theta, cfg Config) int {
+func CountNegating(r, s *tp.Relation, theta tp.EquiTheta, cfg Config) int {
 	n := 0
 	_ = mustAligner(s, theta, cfg).drain(context.Background(), r, func(ri int, t interval.Interval, cover []int32) error {
 		n++
@@ -501,8 +471,19 @@ func CountNegating(r, s *tp.Relation, theta tp.Theta, cfg Config) int {
 	return n
 }
 
-// Join dispatches on the operator.
-func Join(op tp.Op, r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
+// Join computes the TP join r op s under θ with the alignment strategy:
+//
+//   - tp.OpInner, r ⋈Tp s: only the pairing rows of the aligned outer
+//     join;
+//   - tp.OpAnti, r ▷Tp s: only sub-query B, over r's schema;
+//   - tp.OpLeft, r ⟕Tp s: sub-queries A and B over one alignment,
+//     combined by the duplicate-eliminating union;
+//   - tp.OpRight, r ⟖Tp s: the mirrored left outer join;
+//   - tp.OpFull, r ⟗Tp s: pairings from the forward direction,
+//     negated/unmatched fragments from both, unioned with dedup.
+//
+// Every other op panics.
+func Join(op tp.Op, r, s *tp.Relation, theta tp.EquiTheta, cfg Config) *tp.Relation {
 	out, _ := JoinContext(context.Background(), op, r, s, theta, cfg, nil)
 	return out
 }
@@ -518,10 +499,10 @@ func Join(op tp.Op, r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation 
 // accounts fragments, alignment passes and pre-union rows for EXPLAIN
 // ANALYZE.
 //
-// Every operator and every plan — indexed, nested-loop, non-equi θ, arena
-// guard fallback — runs the one streaming tail (stream.go); the plans
+// Every operator and every plan — indexed, nested-loop, arena guard
+// fallback — runs the one streaming tail (stream.go); the plans
 // differ only in the aligner newAligner hands out per pass.
-func JoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
+func JoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, theta tp.EquiTheta, cfg Config, stats *Stats) (*tp.Relation, error) {
 	red, ok := reductions[op]
 	if !ok {
 		panic(fmt.Sprintf("align: unknown operator %v", op))

@@ -101,7 +101,7 @@ func TestFragmentsPartitionTupleInterval(t *testing.T) {
 func TestLeftOuterMatchesReferencePaper(t *testing.T) {
 	a, b := paperA(), paperB()
 	for _, cfg := range []Config{{}, {NestedLoop: true}} {
-		q := LeftOuterJoin(a, b, theta, cfg)
+		q := Join(tp.OpLeft, a, b, theta, cfg)
 		if err := oracle.PointWise(tp.RefJoin(tp.OpLeft, a, b, theta), q); err != nil {
 			t.Errorf("cfg %+v: %v", cfg, err)
 		}
@@ -113,7 +113,7 @@ func TestDuplicateEliminationHappens(t *testing.T) {
 	// row count before union must exceed the deduplicated result.
 	a, b := paperA(), paperB()
 	raw := CountWUO(a, b, theta, Config{}) + CountNegating(a, b, theta, Config{})
-	q := LeftOuterJoin(a, b, theta, Config{})
+	q := Join(tp.OpLeft, a, b, theta, Config{})
 	if raw <= q.Len() {
 		t.Errorf("expected duplicates before union: raw=%d result=%d", raw, q.Len())
 	}
@@ -146,7 +146,7 @@ func TestAllOperatorsMatchCoreRandom(t *testing.T) {
 
 func TestAntiJoinSchema(t *testing.T) {
 	a, b := paperA(), paperB()
-	q := AntiJoin(a, b, theta, Config{})
+	q := Join(tp.OpAnti, a, b, theta, Config{})
 	if len(q.Attrs) != 2 {
 		t.Errorf("anti join schema must be r's, got %v", q.Attrs)
 	}

@@ -172,9 +172,9 @@ func joinAttrs(r, s *tp.Relation) []string {
 
 // referenceJoin computes a TA join the reference way, forcing the scalar
 // aligner for every pass, independent of Config.
-func referenceJoin(op tp.Op, r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
+func referenceJoin(op tp.Op, r, s *tp.Relation, theta tp.EquiTheta, cfg Config) *tp.Relation {
 	ctx := context.Background()
-	build := func(inner *tp.Relation, th tp.Theta) aligner { return newScalarAligner(inner, th, cfg) }
+	build := func(inner *tp.Relation, th tp.EquiTheta) aligner { return newScalarAligner(inner, th, cfg) }
 	switch op {
 	case tp.OpInner:
 		al := build(s, theta)

@@ -3,13 +3,12 @@ package align
 // The scalar aligner: per outer tuple, collect the split points of the
 // matching overlapping inner tuples (conventional join 1), sort them, and
 // re-probe the inner relation once per fragment for its covering tuples
-// (conventional join 2). It executes three real configurations:
+// (conventional join 2). It executes two real configurations:
 // Config.NestedLoop — the plan PostgreSQL's optimizer chose for TA in the
 // paper's evaluation, whose full per-tuple re-scan of the inner relation
-// is exactly the measured cost — non-equi θ conditions, which cannot be
-// hash-partitioned, and inner relations whose event-list index would trip
-// the arena guard. It is also the reference the indexed pipeline in
-// align.go is property-tested byte-identical against
+// is exactly the measured cost — and inner relations whose event-list
+// index would trip the arena guard. It is also the reference the indexed
+// pipeline in align.go is property-tested byte-identical against
 // (TestIndexedMatchesScalarAlign).
 
 import (
@@ -21,21 +20,17 @@ import (
 )
 
 // scalarInner is the probe-side access path of the scalar aligner:
-// either hashed equi-key groups (tp.KeyGroups over the interned keys) or
-// a plain slice (nested loop).
+// either hashed equi-key groups (tp.KeyGroups over the interned keys) or,
+// under the nested loop, a plain slice.
 type scalarInner struct {
-	s       *tp.Relation
 	eq      tp.EquiTheta
-	hasEq   bool
-	buckets *tp.KeyGroups[int32]
-	all     []int32 // identity permutation for the nested-loop path
+	buckets *tp.KeyGroups[int32] // nil under the nested loop
+	all     []int32              // identity permutation for the nested loop
 }
 
-func buildScalarInner(s *tp.Relation, theta tp.Theta, cfg Config) *scalarInner {
-	ix := &scalarInner{s: s}
-	if eq, ok := theta.(tp.EquiTheta); ok && !cfg.NestedLoop {
-		ix.eq = eq
-		ix.hasEq = true
+func buildScalarInner(s *tp.Relation, eq tp.EquiTheta, cfg Config) *scalarInner {
+	ix := &scalarInner{eq: eq}
+	if !cfg.NestedLoop {
 		ix.buckets = tp.NewKeyGroups[int32]()
 		for i := range s.Tuples {
 			h, ok := eq.SKeyHash(s.Tuples[i].Fact)
@@ -57,22 +52,22 @@ func buildScalarInner(s *tp.Relation, theta tp.Theta, cfg Config) *scalarInner {
 // candidates returns the inner tuple indexes that can possibly match the
 // fact (all of them under nested loop).
 func (ix *scalarInner) candidates(f tp.Fact) []int32 {
-	if ix.hasEq {
-		h, ok := ix.eq.RKeyHash(f)
-		if !ok {
-			return nil
-		}
-		// Group facts are s facts; compare s key columns against the
-		// probe's r key columns.
-		gi := ix.buckets.Find(h, f, func(group, probe tp.Fact) bool {
-			return ix.eq.Match(probe, group)
-		})
-		if gi < 0 {
-			return nil
-		}
-		return ix.buckets.Groups()[gi].Vals
+	if ix.buckets == nil {
+		return ix.all
 	}
-	return ix.all
+	h, ok := ix.eq.RKeyHash(f)
+	if !ok {
+		return nil
+	}
+	// Group facts are s facts; compare s key columns against the probe's
+	// r key columns.
+	gi := ix.buckets.Find(h, f, func(group, probe tp.Fact) bool {
+		return ix.eq.Match(probe, group)
+	})
+	if gi < 0 {
+		return nil
+	}
+	return ix.buckets.Groups()[gi].Vals
 }
 
 // scalarAligner adapts the reference algorithm to the streaming aligner
@@ -83,14 +78,13 @@ func (ix *scalarInner) candidates(f tp.Fact) []int32 {
 // measures.
 type scalarAligner struct {
 	s      *tp.Relation
-	theta  tp.Theta
 	ix     *scalarInner
 	points []interval.Time
 	cover  []int32
 }
 
-func newScalarAligner(s *tp.Relation, theta tp.Theta, cfg Config) *scalarAligner {
-	return &scalarAligner{s: s, theta: theta, ix: buildScalarInner(s, theta, cfg)}
+func newScalarAligner(s *tp.Relation, theta tp.EquiTheta, cfg Config) *scalarAligner {
+	return &scalarAligner{s: s, ix: buildScalarInner(s, theta, cfg)}
 }
 
 func (a *scalarAligner) cheapCount() bool { return false }
@@ -111,7 +105,7 @@ func (a *scalarAligner) drain(ctx context.Context, r *tp.Relation, emit emitFunc
 		a.points = append(a.points[:0], rt.T.Start, rt.T.End)
 		for _, si := range cand {
 			st := &a.s.Tuples[si]
-			if !st.T.Overlaps(rt.T) || !a.theta.Match(rt.Fact, st.Fact) {
+			if !st.T.Overlaps(rt.T) || !a.ix.eq.Match(rt.Fact, st.Fact) {
 				continue
 			}
 			if st.T.Start > rt.T.Start {
@@ -132,7 +126,7 @@ func (a *scalarAligner) drain(ctx context.Context, r *tp.Relation, emit emitFunc
 			a.cover = a.cover[:0]
 			for _, si := range cand {
 				st := &a.s.Tuples[si]
-				if st.T.ContainsInterval(frag) && a.theta.Match(rt.Fact, st.Fact) {
+				if st.T.ContainsInterval(frag) && a.ix.eq.Match(rt.Fact, st.Fact) {
 					a.cover = append(a.cover, si)
 				}
 			}
@@ -169,7 +163,7 @@ func dedupTimes(ts []interval.Time) []interval.Time {
 // exactly as the baseline ran before the batched refactor. Align must
 // produce byte-identical fragments (property-tested); ScalarAlign exists
 // so that equivalence stays checkable.
-func ScalarAlign(r, s *tp.Relation, theta tp.Theta, cfg Config) []Fragment {
+func ScalarAlign(r, s *tp.Relation, theta tp.EquiTheta, cfg Config) []Fragment {
 	a := newScalarAligner(s, theta, cfg)
 	return materializeFragments(a, r)
 }

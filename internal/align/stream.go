@@ -563,7 +563,7 @@ func (p pass) sides(r, s *tp.Relation) (outer, inner *tp.Relation) {
 
 // aligner builds the pass's probe-side access path: over s under θ, or —
 // mirrored — over r under the swapped θ.
-func (p pass) aligner(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config) (aligner, error) {
+func (p pass) aligner(ctx context.Context, r, s *tp.Relation, theta tp.EquiTheta, cfg Config) (aligner, error) {
 	if p.mirror {
 		return newAligner(ctx, r, tp.Swap(theta), cfg)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"tpjoin/internal/dataset"
+	"tpjoin/internal/interval"
 	"tpjoin/internal/mem"
 	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
@@ -61,10 +62,10 @@ func TestCountDrainSkipsExpensiveAligners(t *testing.T) {
 
 // streamPresize recomputes the row-buffer presize exactly as the streamed
 // join paths do: counting drains per direction, combined by drain mode.
-func streamPresize(t *testing.T, op tp.Op, r, s *tp.Relation, theta tp.Theta) int {
+func streamPresize(t *testing.T, op tp.Op, r, s *tp.Relation, theta tp.EquiTheta) int {
 	t.Helper()
 	ctx := context.Background()
-	count := func(inner, outer *tp.Relation, th tp.Theta) drainCounts {
+	count := func(inner, outer *tp.Relation, th tp.EquiTheta) drainCounts {
 		c, ok, err := countDrain(ctx, mustAligner(inner, th, Config{}), outer)
 		if err != nil || !ok {
 			t.Fatalf("countDrain(%v): ok=%v err=%v", op, ok, err)
@@ -126,20 +127,18 @@ func TestStreamPresizeCoversRows(t *testing.T) {
 // the reference (materialize both sub-queries, then unionDistinct)
 // byte-for-byte on the seeded benchmark workloads — the workload-scale
 // counterpart of TestJoinByteIdenticalToScalar's random relations, where
-// per-key chains and group structure are realistic. It runs every plan
+// per-key chains and group structure are realistic. It runs both plans
 // JoinContext routes: the indexed aligner, and the scalar aligner under
-// the nested-loop config and under a θ the planner cannot hash.
+// the nested-loop config.
 func TestStreamMatchesUnionDistinctOnWorkloads(t *testing.T) {
 	ops := []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull}
 	eq := dataset.WebkitTheta()
 	plans := []struct {
-		name  string
-		theta tp.Theta
-		cfg   Config
+		name string
+		cfg  Config
 	}{
-		{"indexed", eq, Config{}},
-		{"nested-loop", eq, Config{NestedLoop: true}},
-		{"non-equi", tp.FuncTheta(eq.Match), Config{}},
+		{"indexed", Config{}},
+		{"nested-loop", Config{NestedLoop: true}},
 	}
 	for _, gen := range []struct {
 		name string
@@ -151,7 +150,7 @@ func TestStreamMatchesUnionDistinctOnWorkloads(t *testing.T) {
 		r, s := gen.mk()
 		for _, pl := range plans {
 			for _, op := range ops {
-				if err := oracle.Same(referenceJoin(op, r, s, pl.theta, pl.cfg), Join(op, r, s, pl.theta, pl.cfg)); err != nil {
+				if err := oracle.Same(referenceJoin(op, r, s, eq, pl.cfg), Join(op, r, s, eq, pl.cfg)); err != nil {
 					t.Fatalf("%s %s %v: %v", gen.name, pl.name, op, err)
 				}
 			}
@@ -211,23 +210,39 @@ func TestNestedLoopPlanObservesBudgetAndContext(t *testing.T) {
 		t.Fatalf("1 KiB budget: out=%v err=%v, want nil + budget error", out, err)
 	}
 
-	// Count the θ evaluations of one run, then cancel on the last one: the
-	// drains have no work left to notice it, the tail must.
-	calls := 0
-	counting := tp.FuncTheta(func(a, b tp.Fact) bool { calls++; return eq.Match(a, b) })
-	if _, err := JoinContext(context.Background(), tp.OpLeft, r, s, counting, cfg, nil); err != nil {
+	// Count the context checks of one run, then cancel on the last one:
+	// the drains have no work left to notice it, the tail must. The
+	// alignment drain alone checks fewer times, so the last check lies
+	// past it.
+	counting := &checkCountCtx{Context: context.Background()}
+	if _, err := JoinContext(counting, tp.OpLeft, r, s, eq, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	last, calls := calls, 0
-	cctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cancelling := tp.FuncTheta(func(a, b tp.Fact) bool {
-		if calls++; calls == last {
-			cancel()
-		}
-		return eq.Match(a, b)
-	})
-	if out, err := JoinContext(cctx, tp.OpLeft, r, s, cancelling, cfg, nil); out != nil || !errors.Is(err, context.Canceled) {
+	drainOnly := &checkCountCtx{Context: context.Background()}
+	noop := func(int, interval.Interval, []int32) error { return nil }
+	if err := newScalarAligner(s, eq, cfg).drain(drainOnly, r, noop); err != nil {
+		t.Fatal(err)
+	}
+	if drainOnly.calls >= counting.calls {
+		t.Fatalf("the join checks its context %d times, its alignment drain alone %d: no check after the drain", counting.calls, drainOnly.calls)
+	}
+	cancelling := &checkCountCtx{Context: context.Background(), cancelAt: counting.calls}
+	if out, err := JoinContext(cancelling, tp.OpLeft, r, s, eq, cfg, nil); out != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled before the tail: out=%v err=%v, want nil + context.Canceled", out, err)
 	}
+}
+
+// checkCountCtx counts its Err calls and reports context.Canceled from
+// the cancelAt-th on (never when cancelAt is 0): a deterministic stand-in
+// for a cancellation that lands at one exact checkpoint.
+type checkCountCtx struct {
+	context.Context
+	calls, cancelAt int
+}
+
+func (c *checkCountCtx) Err() error {
+	if c.calls++; c.cancelAt > 0 && c.calls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
 }

@@ -48,10 +48,10 @@ func AblationSelectivity(n int, keyCounts []int, opt Options) Figure {
 	for _, keys := range keyCounts {
 		r, s, theta := synthetic(n, keys, 4, "g", opt.seed())
 		nj.Points = append(nj.Points, point(keys*1000, opt, func() {
-			core.LeftOuterJoin(r, s, theta)
+			core.Join(tp.OpLeft, r, s, theta)
 		}))
 		ta.Points = append(ta.Points, point(keys*1000, opt, func() {
-			align.LeftOuterJoin(r, s, theta, align.Config{})
+			align.Join(tp.OpLeft, r, s, theta, align.Config{})
 		}))
 	}
 	fig.Series = []Series{nj, ta}

@@ -196,7 +196,7 @@ func Calibrate(opt CalibrateOptions) plan.Calibration {
 		}
 		rm, sm := dataset.Meteo(midN, 103)
 		mid := newWorkload(rm, sm, dataset.MeteoTheta())
-		seq := ns(func() { core.LeftOuterJoin(mid.r, mid.s, mid.theta) })
+		seq := ns(func() { core.Join(tp.OpLeft, mid.r, mid.s, mid.theta) })
 		par1 := ns(func() { core.ParallelJoin(tp.OpLeft, mid.r, mid.s, mid.theta, 1) })
 		parTuple = (par1 - seq - parSetup) / mid.n
 		if parTuple < fitFloor {

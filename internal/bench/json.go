@@ -43,11 +43,13 @@ type Run struct {
 }
 
 // File is the on-disk shape of a BENCH_<n>.json: one or more runs (e.g.
-// the pre-PR baseline and the post-PR measurement) plus free-form notes
-// interpreting them (methodology, deltas, caveats).
+// the pre-PR baseline and the post-PR measurement), the end-to-end
+// results of the repo benchmark's parent/change pairs (compare.go), plus
+// free-form notes interpreting them (methodology, deltas, caveats).
 type File struct {
 	Schema int    `json:"schema"`
 	Runs   []Run  `json:"runs"`
+	E2E    []E2E  `json:"e2e,omitempty"`
 	Notes  string `json:"notes,omitempty"`
 }
 

@@ -79,7 +79,7 @@ func TestBinaryRoundTripDerived(t *testing.T) {
 	// The whole point of the binary format: a join result with composite
 	// lineages and NULLs survives the round trip. CSV cannot do this.
 	a, b := paperRelations()
-	q := core.LeftOuterJoin(a, b, tp.Equi(1, 1))
+	q := core.Join(tp.OpLeft, a, b, tp.Equi(1, 1))
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, q); err != nil {
 		t.Fatalf("WriteBinary: %v", err)
@@ -90,7 +90,7 @@ func TestBinaryRoundTripDerived(t *testing.T) {
 	}
 	assertRelationsEqual(t, got, q)
 	// The reloaded relation is fully functional: joins again correctly.
-	q2 := core.AntiJoin(got, b, tp.Equi(1, 1))
+	q2 := core.Join(tp.OpAnti, got, b, tp.Equi(1, 1))
 	if err := oracle.PointWise(tp.RefJoin(tp.OpAnti, q, b, tp.Equi(1, 1)), q2); err != nil {
 		t.Fatalf("reloaded relation joins differently: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestBinaryRoundTripTypedValues(t *testing.T) {
 }
 
 // goldenFullJoinTPR is what SaveBinary wrote for the Fig. 1a FULL JOIN
-// (core.FullOuterJoin(a, b, a.Loc = b.Loc)) under the four-kind value
+// (core.Join(tp.OpFull, a, b, a.Loc = b.Loc)) under the four-kind value
 // model: NULL-padded facts and derived lineage, values tagged 0 and 3.
 const goldenFullJoinTPR = "545052310a615f666f757465725f6204044e616d65034c6f6305486f74656c03" +
 	"4c6f6305016101666666666666e63f0161029a9999999999e93f016201cdcccc" +
@@ -147,7 +147,7 @@ func TestReadBinaryGoldenFullJoin(t *testing.T) {
 		t.Fatalf("ReadBinary: %v", err)
 	}
 	a, b := paperRelations()
-	assertRelationsEqual(t, got, core.FullOuterJoin(a, b, tp.Equi(1, 1)))
+	assertRelationsEqual(t, got, core.Join(tp.OpFull, a, b, tp.Equi(1, 1)))
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, got); err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestReadBinaryRejectsNumericTags(t *testing.T) {
 
 func TestBinaryFileRoundTrip(t *testing.T) {
 	a, b := paperRelations()
-	q := core.FullOuterJoin(a, b, tp.Equi(1, 1))
+	q := core.Join(tp.OpFull, a, b, tp.Equi(1, 1))
 	path := filepath.Join(t.TempDir(), "q.tpr")
 	if err := SaveBinary(path, q); err != nil {
 		t.Fatalf("SaveBinary: %v", err)
@@ -360,7 +360,7 @@ func TestReadBinaryRejectsBadProbabilities(t *testing.T) {
 // or is an error — never a panic or an allocation the input cannot back.
 func FuzzReadBinary(f *testing.F) {
 	a, b := paperRelations()
-	for _, rel := range []*tp.Relation{a, core.LeftOuterJoin(a, b, tp.Equi(1, 1))} {
+	for _, rel := range []*tp.Relation{a, core.Join(tp.OpLeft, a, b, tp.Equi(1, 1))} {
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, rel); err != nil {
 			f.Fatal(err)

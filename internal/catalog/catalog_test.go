@@ -72,7 +72,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	// join on a padded column matches nothing (a text "-" would match
 	// every other "-").
 	pa, pb := paperRelations()
-	f := core.FullOuterJoin(pa, pb, tp.Equi(1, 1))
+	f := core.Join(tp.OpFull, pa, pb, tp.Equi(1, 1))
 	buf.Reset()
 	if err := WriteCSV(&buf, f); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
@@ -164,7 +164,7 @@ func TestReadCSVErrors(t *testing.T) {
 func FuzzReadCSV(f *testing.F) {
 	pa, pb := paperRelations()
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, core.FullOuterJoin(pa, pb, tp.Equi(1, 1))); err != nil {
+	if err := WriteCSV(&buf, core.Join(tp.OpFull, pa, pb, tp.Equi(1, 1))); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())

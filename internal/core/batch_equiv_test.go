@@ -69,7 +69,7 @@ func drainThrough(it Iterator, size int) []window.Window {
 // stagePipeline builds the window pipeline up to its first (overlap
 // join), second (LAWAU) or third (LAWAN) stage, with hop interposed after
 // every stage.
-func stagePipeline(r, s *tp.Relation, theta tp.Theta, sweeps int, hop func(Iterator) Iterator) Iterator {
+func stagePipeline(r, s *tp.Relation, theta tp.EquiTheta, sweeps int, hop func(Iterator) Iterator) Iterator {
 	it := hop(OverlapJoin(r, s, theta))
 	if sweeps > 0 {
 		it = hop(LAWAU(it))

@@ -24,15 +24,6 @@ func BenchmarkOverlapJoinHash(b *testing.B) {
 	}
 }
 
-func BenchmarkOverlapJoinNestedLoop(b *testing.B) {
-	r, s, theta := benchInput(b, 2000)
-	loop := tp.FuncTheta(func(x, y tp.Fact) bool { return theta.Match(x, y) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Count(OverlapJoin(r, s, loop))
-	}
-}
-
 func BenchmarkLAWAUSweep(b *testing.B) {
 	r, s, theta := benchInput(b, 20000)
 	wo := Drain(OverlapJoin(r, s, theta))
@@ -55,7 +46,7 @@ func BenchmarkLeftOuterJoinComplete(b *testing.B) {
 	r, s, theta := benchInput(b, 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LeftOuterJoin(r, s, theta)
+		Join(tp.OpLeft, r, s, theta)
 	}
 }
 

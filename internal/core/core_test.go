@@ -28,24 +28,17 @@ func paperB() *tp.Relation {
 
 var theta = tp.Equi(1, 1)
 
-// loopTheta forces the nested-loop overlap join for the same predicate.
-func loopTheta(eq tp.EquiTheta) tp.Theta {
-	return tp.FuncTheta(func(r, s tp.Fact) bool { return eq.Match(r, s) })
-}
-
 func TestOverlapJoinMatchesSpec(t *testing.T) {
 	a, b := paperA(), paperB()
-	for name, th := range map[string]tp.Theta{"hash": theta, "loop": loopTheta(theta)} {
-		got := Drain(OverlapJoin(a, b, th))
-		// Expected: spec overlapping windows + base unmatched for Jim.
-		want := window.SpecOverlapping(a, b, theta)
-		want = append(want, window.Window{
-			Fr: tp.Strings("Jim", "WEN"), T: interval.New(7, 10),
-			Lr: lineage.NewVar("a", 2), RID: 1, RT: interval.New(7, 10),
-		})
-		if !window.SetEqual(got, want) {
-			t.Errorf("%s: OverlapJoin:\n got %v\nwant %v", name, got, want)
-		}
+	got := Drain(OverlapJoin(a, b, theta))
+	// Expected: spec overlapping windows + base unmatched for Jim.
+	want := window.SpecOverlapping(a, b, theta)
+	want = append(want, window.Window{
+		Fr: tp.Strings("Jim", "WEN"), T: interval.New(7, 10),
+		Lr: lineage.NewVar("a", 2), RID: 1, RT: interval.New(7, 10),
+	})
+	if !window.SetEqual(got, want) {
+		t.Errorf("OverlapJoin:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -95,7 +88,7 @@ func TestLAWANPaperExample(t *testing.T) {
 // running example must produce exactly the seven tuples of Fig. 1b.
 func TestPaperExampleFig1b(t *testing.T) {
 	a, b := paperA(), paperB()
-	q := LeftOuterJoin(a, b, theta)
+	q := Join(tp.OpLeft, a, b, theta)
 
 	type row struct {
 		fact string
@@ -136,7 +129,7 @@ func TestPaperExampleFig1b(t *testing.T) {
 
 func TestAntiJoinPaperExample(t *testing.T) {
 	a, b := paperA(), paperB()
-	q := AntiJoin(a, b, theta)
+	q := Join(tp.OpAnti, a, b, theta)
 	// Expected: Ann [2,4) 0.7; [4,5) 0.21; [5,6) 0.084; [6,8) 0.28; Jim [7,10) 0.8.
 	if q.Len() != 5 {
 		t.Fatalf("anti join has %d tuples, want 5:\n%v", q.Len(), q)
@@ -169,11 +162,11 @@ func TestEmptyInputs(t *testing.T) {
 	a, b := paperA(), paperB()
 	empty := tp.NewRelation("e", "X", "Loc")
 
-	q := LeftOuterJoin(empty, b, theta)
+	q := Join(tp.OpLeft, empty, b, theta)
 	if q.Len() != 0 {
 		t.Errorf("empty ⟕ b must be empty, got %v", q)
 	}
-	q = LeftOuterJoin(a, tp.NewRelation("e", "Hotel", "Loc"), theta)
+	q = Join(tp.OpLeft, a, tp.NewRelation("e", "Hotel", "Loc"), theta)
 	if q.Len() != a.Len() {
 		t.Errorf("a ⟕ empty must preserve a's tuples, got %d", q.Len())
 	}
@@ -182,11 +175,11 @@ func TestEmptyInputs(t *testing.T) {
 			t.Errorf("unmatched lineage must be the base event, got %v", tu.Lineage)
 		}
 	}
-	q = AntiJoin(a, tp.NewRelation("e", "Hotel", "Loc"), theta)
+	q = Join(tp.OpAnti, a, tp.NewRelation("e", "Hotel", "Loc"), theta)
 	if q.Len() != a.Len() {
 		t.Errorf("a ▷ empty must equal a")
 	}
-	q = FullOuterJoin(empty, b, theta)
+	q = Join(tp.OpFull, empty, b, theta)
 	if q.Len() != b.Len() {
 		t.Errorf("empty ⟗ b must preserve b, got %d", q.Len())
 	}
@@ -197,7 +190,7 @@ func TestAdjacentIntervalsProduceNoOverlap(t *testing.T) {
 	r.Append(tp.Strings("k"), interval.New(0, 5), 0.5)
 	s := tp.NewRelation("s", "K")
 	s.Append(tp.Strings("k"), interval.New(5, 9), 0.5)
-	q := LeftOuterJoin(r, s, tp.Equi(0, 0))
+	q := Join(tp.OpLeft, r, s, tp.Equi(0, 0))
 	if q.Len() != 1 {
 		t.Fatalf("meets-only tuples must not join: %v", q)
 	}
@@ -212,7 +205,7 @@ func TestContainedMatch(t *testing.T) {
 	r.Append(tp.Strings("k"), interval.New(0, 10), 0.5)
 	s := tp.NewRelation("s", "K")
 	s.Append(tp.Strings("k"), interval.New(3, 6), 0.4)
-	q := AntiJoin(r, s, tp.Equi(0, 0))
+	q := Join(tp.OpAnti, r, s, tp.Equi(0, 0))
 	if err := oracle.PointWise(tp.RefJoin(tp.OpAnti, r, s, tp.Equi(0, 0)), q); err != nil {
 		t.Errorf("contained match: %v", err)
 	}
@@ -228,7 +221,7 @@ func TestMultipleRTuplesSameFact(t *testing.T) {
 	r.Append(tp.Strings("k"), interval.New(6, 9), 0.6)
 	s := tp.NewRelation("s", "K")
 	s.Append(tp.Strings("k"), interval.New(2, 8), 0.4)
-	q := LeftOuterJoin(r, s, tp.Equi(0, 0))
+	q := Join(tp.OpLeft, r, s, tp.Equi(0, 0))
 	if err := oracle.PointWise(tp.RefJoin(tp.OpLeft, r, s, tp.Equi(0, 0)), q); err != nil {
 		t.Errorf("same-fact groups: %v", err)
 	}
@@ -245,12 +238,7 @@ func TestSweepsMatchSpecRandom(t *testing.T) {
 		r := oracle.Small.Relation(rng, "r", rng.Intn(7))
 		s := oracle.Small.Relation(rng, "s", rng.Intn(7))
 
-		th := tp.Theta(eq)
-		if trial%2 == 1 {
-			th = loopTheta(eq) // exercise the nested-loop join too
-		}
-
-		gotWUO := Drain(LAWAU(OverlapJoin(r, s, th)))
+		gotWUO := Drain(LAWAU(OverlapJoin(r, s, eq)))
 		wantWUO := append(window.SpecOverlapping(r, s, eq), window.SpecUnmatched(r, s, eq)...)
 		if !window.SetEqual(gotWUO, wantWUO) {
 			t.Fatalf("trial %d: WUO mismatch\n got %v\nwant %v\nr=%v\ns=%v",

@@ -16,10 +16,10 @@ import (
 
 func TestJoinOverDerivedRelations(t *testing.T) {
 	a, b := paperA(), paperB()
-	q := LeftOuterJoin(a, b, theta) // derived: lineages over {a*, b*}
+	q := Join(tp.OpLeft, a, b, theta) // derived: lineages over {a*, b*}
 
 	// Join the result with b again on Loc (columns: q.Loc is index 1).
-	q2 := InnerJoin(q, b, tp.Equi(1, 1))
+	q2 := Join(tp.OpInner, q, b, tp.Equi(1, 1))
 	if q2.Len() == 0 {
 		t.Fatalf("derived join is empty")
 	}
@@ -32,8 +32,8 @@ func TestDerivedAntiJoinSharedEvents(t *testing.T) {
 	// r' = a ▷ b (lineages mention b negatively), then r' ▷ b again:
 	// lineages like (a1 ∧ ¬b3) ∧ ¬(b3 ∨ b2) share b3 — not read-once.
 	a, b := paperA(), paperB()
-	r1 := AntiJoin(a, b, theta)
-	r2 := AntiJoin(r1, b, theta)
+	r1 := Join(tp.OpAnti, a, b, theta)
+	r2 := Join(tp.OpAnti, r1, b, theta)
 	if err := oracle.PointWise(tp.RefJoin(tp.OpAnti, r1, b, theta), r2); err != nil {
 		t.Fatalf("derived anti join differs from reference: %v", err)
 	}
@@ -61,19 +61,19 @@ func TestDerivedJoinTriggersShannon(t *testing.T) {
 	// (Plain anti-over-anti chains simplify back to read-once form via
 	// operand deduplication, so they do NOT need Shannon — also asserted.)
 	a, b := paperA(), paperB()
-	q := LeftOuterJoin(a, b, theta)
+	q := Join(tp.OpLeft, a, b, theta)
 	probs := tp.MergeProbs(q, b)
 	ev := prob.NewBatchEvaluator(probs)
-	for _, tu := range AntiJoin(q, b, tp.Equi(1, 1)).Tuples {
+	for _, tu := range Join(tp.OpAnti, q, b, tp.Equi(1, 1)).Tuples {
 		ev.Prob(tu.Lineage)
 	}
 	if ev.ShannonSteps() == 0 {
 		t.Errorf("expected Shannon expansion on shared-event lineages")
 	}
 
-	r1 := AntiJoin(a, b, theta)
+	r1 := Join(tp.OpAnti, a, b, theta)
 	ev2 := prob.NewBatchEvaluator(tp.MergeProbs(r1, b))
-	for _, tu := range AntiJoin(r1, b, theta).Tuples {
+	for _, tu := range Join(tp.OpAnti, r1, b, theta).Tuples {
 		ev2.Prob(tu.Lineage)
 	}
 	if ev2.ShannonSteps() != 0 {
@@ -84,7 +84,7 @@ func TestDerivedJoinTriggersShannon(t *testing.T) {
 func TestSelfJoin(t *testing.T) {
 	// a ⟕ a on Loc: every tuple matches itself; lineage a1 ∧ a1 = a1.
 	a := paperA()
-	q := LeftOuterJoin(a, a.Clone(), tp.Equi(1, 1))
+	q := Join(tp.OpLeft, a, a.Clone(), tp.Equi(1, 1))
 	if err := oracle.PointWise(tp.RefJoin(tp.OpLeft, a, a.Clone(), tp.Equi(1, 1)), q); err != nil {
 		t.Fatalf("self join differs from reference: %v", err)
 	}
@@ -104,9 +104,9 @@ func TestChainedJoinsLongPipeline(t *testing.T) {
 	// Three-way chain through the streaming API: ((a ⟕ b) ▷ b) ∩-style
 	// inner with a — mixing operators across derived inputs.
 	a, b := paperA(), paperB()
-	step1 := LeftOuterJoin(a, b, theta)
-	step2 := AntiJoin(step1, b, tp.Equi(1, 1))
-	step3 := InnerJoin(step2, a, tp.Equi(1, 1))
+	step1 := Join(tp.OpLeft, a, b, theta)
+	step2 := Join(tp.OpAnti, step1, b, tp.Equi(1, 1))
+	step3 := Join(tp.OpInner, step2, a, tp.Equi(1, 1))
 	if err := oracle.PointWise(tp.RefJoin(tp.OpInner, step2, a, tp.Equi(1, 1)), step3); err != nil {
 		t.Fatalf("three-way chain differs from reference: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestChainedJoinsLongPipeline(t *testing.T) {
 func TestIntervalClipsThroughChain(t *testing.T) {
 	// Output intervals of chained joins stay within the original tuples'.
 	a, b := paperA(), paperB()
-	q := FullOuterJoin(LeftOuterJoin(a, b, theta), b, tp.Equi(1, 1))
+	q := Join(tp.OpFull, Join(tp.OpLeft, a, b, theta), b, tp.Equi(1, 1))
 	horizon := interval.New(1, 10)
 	for _, tu := range q.Tuples {
 		if !horizon.ContainsInterval(tu.T) {

@@ -10,7 +10,7 @@ import (
 
 // The paper's running example: who finds accommodation at their preferred
 // location, and with which probability — at each time point.
-func ExampleLeftOuterJoin() {
+func ExampleJoin_leftOuter() {
 	a := tp.NewRelation("a", "Name", "Loc")
 	a.Append(tp.Strings("Ann", "ZAK"), interval.New(2, 8), 0.7)
 	a.Append(tp.Strings("Jim", "WEN"), interval.New(7, 10), 0.8)
@@ -20,7 +20,7 @@ func ExampleLeftOuterJoin() {
 	b.Append(tp.Strings("hotel2", "ZAK"), interval.New(5, 8), 0.6)
 	b.Append(tp.Strings("hotel1", "ZAK"), interval.New(4, 6), 0.7)
 
-	q := core.LeftOuterJoin(a, b, tp.Equi(1, 1)) // θ: a.Loc = b.Loc
+	q := core.Join(tp.OpLeft, a, b, tp.Equi(1, 1)) // θ: a.Loc = b.Loc
 	for _, t := range q.Tuples {
 		fmt.Println(t)
 	}
@@ -36,14 +36,14 @@ func ExampleLeftOuterJoin() {
 
 // The anti join keeps, per time point, the probability that a positive
 // tuple matches nothing on the negative side.
-func ExampleAntiJoin() {
+func ExampleJoin_anti() {
 	r := tp.NewRelation("state", "Machine")
 	r.Append(tp.Strings("m1"), interval.New(0, 10), 0.9)
 
 	s := tp.NewRelation("service", "Machine")
 	s.Append(tp.Strings("m1"), interval.New(4, 7), 0.5)
 
-	for _, t := range core.AntiJoin(r, s, tp.Equi(0, 0)).Tuples {
+	for _, t := range core.Join(tp.OpAnti, r, s, tp.Equi(0, 0)).Tuples {
 		fmt.Println(t)
 	}
 	// Output:

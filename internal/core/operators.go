@@ -120,7 +120,7 @@ func PipelineBytes(op tp.Op) int64 { return lookup(op).pipelineBytes() }
 // sequenced-TP constraint (see Relation.ValidateSequenced); output tuple
 // probabilities are exact. Windows move through the pipeline in batches
 // of at most BatchSize (see hopSize).
-func JoinStream(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []string) {
+func JoinStream(op tp.Op, r, s *tp.Relation, theta tp.EquiTheta) (TupleIterator, []string) {
 	o := lookup(op)
 	return o.stream(r, s, theta, tp.MergeProbs(r, s), nil), o.attrs(r, s)
 }
@@ -130,7 +130,7 @@ func JoinStream(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []s
 // JoinInstr exposes windows/batches per stage (EXPLAIN ANALYZE reads it
 // after draining the stream). The counting wrappers only exist on this
 // path; plain JoinStream stays allocation- and indirection-free.
-func JoinStreamInstrumented(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []string, *JoinInstr) {
+func JoinStreamInstrumented(op tp.Op, r, s *tp.Relation, theta tp.EquiTheta) (TupleIterator, []string, *JoinInstr) {
 	o, instr := lookup(op), &JoinInstr{}
 	return o.stream(r, s, theta, tp.MergeProbs(r, s), instr), o.attrs(r, s), instr
 }
@@ -147,7 +147,7 @@ func (o operator) attrs(r, s *tp.Relation) []string {
 // callers that evaluate many partitioned joins over the same database
 // (ParallelJoin) amortize the merge. A non-nil instr interposes counting
 // wrappers between the pipeline stages (EXPLAIN ANALYZE).
-func (o operator) stream(r, s *tp.Relation, theta tp.Theta, probs prob.Probs, instr *JoinInstr) *joinStream {
+func (o operator) stream(r, s *tp.Relation, theta tp.EquiTheta, probs prob.Probs, instr *JoinInstr) *joinStream {
 	js := &joinStream{
 		op: o, pipes: make([]pipeline, len(o.phases)), hop: hopSize(r, s),
 		bev: prob.NewBatchEvaluator(probs), instr: instr,
@@ -174,28 +174,40 @@ func (o operator) stream(r, s *tp.Relation, theta tp.Theta, probs prob.Probs, in
 	return js
 }
 
-// Join computes the TP join of the given operator, materializing the
-// stream of JoinStream into a new relation.
-func Join(op tp.Op, r, s *tp.Relation, theta tp.Theta) *tp.Relation {
+// Join computes the TP join r op s under θ, materializing the stream of
+// JoinStream into a new relation:
+//
+//   - tp.OpInner, r ⋈Tp s: output tuples for the overlapping windows only;
+//   - tp.OpAnti, r ▷Tp s: at each time point the probability that the r
+//     tuple matches none of the valid s tuples. The output schema is r's;
+//   - tp.OpLeft, r ⟕Tp s: pairings plus, at each time point, the
+//     probability that the r tuple matches no valid s tuple;
+//   - tp.OpRight, r ⟖Tp s: the window pipeline runs with the inputs
+//     swapped and the output facts are mirrored back into (r, s) order;
+//   - tp.OpFull, r ⟗Tp s: the overlapping windows once, plus the
+//     unmatched and negating windows of both directions.
+//
+// Every other op panics.
+func Join(op tp.Op, r, s *tp.Relation, theta tp.EquiTheta) *tp.Relation {
 	out, _ := JoinContext(context.Background(), op, r, s, theta)
 	return out
 }
 
 // JoinContext is Join under a query context; see operator.drain.
-func JoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, theta tp.Theta) (*tp.Relation, error) {
+func JoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, theta tp.EquiTheta) (*tp.Relation, error) {
 	return lookup(op).drain(ctx, r, s, theta, tp.MergeProbs(r, s), nil)
 }
 
 // Union computes r ∪Tp s under the full-fact equality theta of two
 // union-compatible relations: forward phase first, then s's unmatched
 // windows.
-func Union(ctx context.Context, r, s *tp.Relation, theta tp.Theta) (*tp.Relation, error) {
+func Union(ctx context.Context, r, s *tp.Relation, theta tp.EquiTheta) (*tp.Relation, error) {
 	return unionOp.drain(ctx, r, s, theta, tp.MergeProbs(r, s), nil)
 }
 
 // Intersect computes r ∩Tp s under the full-fact equality theta of two
 // union-compatible relations.
-func Intersect(ctx context.Context, r, s *tp.Relation, theta tp.Theta) (*tp.Relation, error) {
+func Intersect(ctx context.Context, r, s *tp.Relation, theta tp.EquiTheta) (*tp.Relation, error) {
 	return intersectOp.drain(ctx, r, s, theta, tp.MergeProbs(r, s), nil)
 }
 
@@ -208,7 +220,7 @@ func Intersect(ctx context.Context, r, s *tp.Relation, theta tp.Theta) (*tp.Rela
 // pipeline buffers up front and for the materialized tuples at
 // every checkpoint — the PNJ partition workers all charge the one
 // per-query gauge, so the whole parallel join shares one budget.
-func (o operator) drain(ctx context.Context, r, s *tp.Relation, theta tp.Theta, probs prob.Probs, st *ParallelStats) (*tp.Relation, error) {
+func (o operator) drain(ctx context.Context, r, s *tp.Relation, theta tp.EquiTheta, probs prob.Probs, st *ParallelStats) (*tp.Relation, error) {
 	gauge := mem.FromContext(ctx)
 	if err := gauge.Charge(o.pipelineBytes()); err != nil {
 		return nil, err
@@ -241,35 +253,6 @@ func (o operator) drain(ctx context.Context, r, s *tp.Relation, theta tp.Theta, 
 		st.Tuples.Add(int64(out.Len()))
 	}
 	return out, nil
-}
-
-// InnerJoin computes r ⋈Tp s: output tuples for the overlapping windows only.
-func InnerJoin(r, s *tp.Relation, theta tp.Theta) *tp.Relation {
-	return Join(tp.OpInner, r, s, theta)
-}
-
-// AntiJoin computes r ▷Tp s: at each time point the probability that the
-// r tuple matches none of the valid s tuples. The output schema is r's.
-func AntiJoin(r, s *tp.Relation, theta tp.Theta) *tp.Relation {
-	return Join(tp.OpAnti, r, s, theta)
-}
-
-// LeftOuterJoin computes r ⟕Tp s: pairings plus, at each time point, the
-// probability that the r tuple matches no valid s tuple.
-func LeftOuterJoin(r, s *tp.Relation, theta tp.Theta) *tp.Relation {
-	return Join(tp.OpLeft, r, s, theta)
-}
-
-// RightOuterJoin computes r ⟖Tp s, running the window pipeline with the
-// inputs swapped and mirroring the output facts back into (r, s) order.
-func RightOuterJoin(r, s *tp.Relation, theta tp.Theta) *tp.Relation {
-	return Join(tp.OpRight, r, s, theta)
-}
-
-// FullOuterJoin computes r ⟗Tp s: the overlapping windows once, plus the
-// unmatched and negating windows of both directions.
-func FullOuterJoin(r, s *tp.Relation, theta tp.Theta) *tp.Relation {
-	return Join(tp.OpFull, r, s, theta)
 }
 
 // pipeline is a phase assembled over its inputs.
@@ -416,12 +399,12 @@ func (j *joinStream) tuple(ph *pipeline, w *window.Window, class window.Class) t
 
 // WUO materializes the overlapping and unmatched windows of r with respect
 // to s (the quantity measured in the paper's Fig. 5).
-func WUO(r, s *tp.Relation, theta tp.Theta) []window.Window {
+func WUO(r, s *tp.Relation, theta tp.EquiTheta) []window.Window {
 	return Drain(LAWAU(OverlapJoin(r, s, theta)))
 }
 
 // WUON materializes all three window sets (the quantity measured in the
 // paper's Fig. 6 as NJ-WUON).
-func WUON(r, s *tp.Relation, theta tp.Theta) []window.Window {
+func WUON(r, s *tp.Relation, theta tp.EquiTheta) []window.Window {
 	return Drain(LAWAN(LAWAU(OverlapJoin(r, s, theta))))
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 
 	"tpjoin/internal/tp"
@@ -17,16 +16,11 @@ import (
 // tuple (Window.RT) and the tuple's identity (Window.RID), which is the
 // grouping the downstream sweeps rely on.
 //
-// For equi conditions the join hash-partitions s once (build side) and
-// probes per r tuple; for general θ it falls back to a nested loop over s
-// presorted by starting point. Either way the output streams one r-tuple
-// group at a time: memory is bounded by the largest per-tuple match set,
-// not by the result size.
-func OverlapJoin(r, s *tp.Relation, theta tp.Theta) Iterator {
-	if eq, ok := theta.(tp.EquiTheta); ok {
-		return newHashOverlapJoin(r, s, eq)
-	}
-	return newLoopOverlapJoin(r, s, theta)
+// The join hash-partitions s once by its equi key (build side) and probes
+// per r tuple. The output streams one r-tuple group at a time: memory is
+// bounded by the largest per-tuple match set, not by the result size.
+func OverlapJoin(r, s *tp.Relation, theta tp.EquiTheta) Iterator {
+	return &hashOverlapJoin{r: r, s: s, eq: theta, table: cachedKeyTable(s, theta)}
 }
 
 // keySlot is one distinct (interned) equi key of the build side in the
@@ -171,10 +165,6 @@ type hashOverlapJoin struct {
 	lastBucket []int32
 }
 
-func newHashOverlapJoin(r, s *tp.Relation, eq tp.EquiTheta) *hashOverlapJoin {
-	return &hashOverlapJoin{r: r, s: s, eq: eq, table: cachedKeyTable(s, eq)}
-}
-
 // bucketFor returns the build-side bucket matching the probe fact's equi
 // key (nil when the key is NULL or absent).
 func (j *hashOverlapJoin) bucketFor(f tp.Fact) []int32 {
@@ -234,28 +224,6 @@ func (j *hashOverlapJoin) NextBatch(buf []window.Window) int {
 	return n
 }
 
-// startSorted returns s's tuple indexes in start order, derived once per
-// relation (tp.Relation.Derived) so that instantiating many joins against
-// one relation — the REPL, the server, benchmark iterations — sorts its
-// build side once instead of per instantiation.
-func startSorted(s *tp.Relation) []int {
-	return s.Derived("start", func() any { return sortByStart(s) }).([]int)
-}
-
-func sortByStart(s *tp.Relation) []int {
-	order := make([]int, len(s.Tuples))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if c := s.Tuples[order[a]].T.Compare(s.Tuples[order[b]].T); c != 0 {
-			return c < 0
-		}
-		return order[a] < order[b]
-	})
-	return order
-}
-
 // cachedKeyTable returns the relation's key dictionary for the given equi
 // columns, building it at most once per relation (the "dictionary-encode
 // once per relation" fast path: repeated joins against a catalog relation
@@ -266,63 +234,4 @@ func cachedKeyTable(s *tp.Relation, eq tp.EquiTheta) *keyTable {
 		sub += strconv.Itoa(c) + ","
 	}
 	return s.Derived(sub, func() any { return buildKeyTable(s, eq) }).(*keyTable)
-}
-
-type loopOverlapJoin struct {
-	r     *tp.Relation
-	s     *tp.Relation
-	theta tp.Theta
-	order []int // s tuple indexes sorted by T.Start
-	ri    int
-	out   queue
-}
-
-func newLoopOverlapJoin(r, s *tp.Relation, theta tp.Theta) *loopOverlapJoin {
-	return &loopOverlapJoin{r: r, s: s, theta: theta, order: startSorted(s)}
-}
-
-// step processes the next r tuple, pushing its windows onto the output
-// queue. It reports false when r is exhausted.
-func (j *loopOverlapJoin) step() bool {
-	if j.ri >= len(j.r.Tuples) {
-		return false
-	}
-	rt := &j.r.Tuples[j.ri]
-	matched := false
-	for _, si := range j.order {
-		st := &j.s.Tuples[si]
-		if st.T.Start >= rt.T.End {
-			break
-		}
-		if !st.T.Overlaps(rt.T) || !j.theta.Match(rt.Fact, st.Fact) {
-			continue
-		}
-		matched = true
-		j.out.push(window.Window{
-			Fr: rt.Fact, Fs: st.Fact,
-			T:  rt.T.Intersect(st.T),
-			Lr: rt.Lineage, Ls: st.Lineage,
-			RID: j.ri, RT: rt.T,
-		})
-	}
-	if !matched {
-		j.out.push(window.Window{
-			Fr: rt.Fact, T: rt.T, Lr: rt.Lineage,
-			RID: j.ri, RT: rt.T,
-		})
-	}
-	j.ri++
-	return true
-}
-
-// NextBatch implements Iterator.
-func (j *loopOverlapJoin) NextBatch(buf []window.Window) int {
-	n := j.out.popInto(buf)
-	for n < len(buf) {
-		if !j.step() {
-			return n
-		}
-		n += j.out.popInto(buf[n:])
-	}
-	return n
 }

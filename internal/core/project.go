@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"tpjoin/internal/interval"
 	"tpjoin/internal/lineage"
@@ -104,7 +103,8 @@ func ProjectLineage(ctx context.Context, rel *tp.Relation, cols []int, names []s
 		}
 		elem := interval.Elementary(ivs)
 		// Build one tuple per elementary interval, then coalesce runs with
-		// equal lineage.
+		// equal lineage. The elementary intervals are disjoint and come in
+		// increasing start order, so the chunks are already in time order.
 		type chunk struct {
 			t   interval.Interval
 			lam *lineage.Expr
@@ -125,7 +125,6 @@ func ProjectLineage(ctx context.Context, rel *tp.Relation, cols []int, names []s
 			}
 			chunks = append(chunks, chunk{t: el, lam: lineage.Or(parts...)})
 		}
-		sort.SliceStable(chunks, func(i, j int) bool { return chunks[i].t.Less(chunks[j].t) })
 		for i := 0; i < len(chunks); {
 			j := i + 1
 			cur := chunks[i]

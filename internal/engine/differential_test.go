@@ -18,6 +18,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ var columns = []column{
 var allOps = []tp.Op{tp.OpInner, tp.OpLeft, tp.OpRight, tp.OpFull, tp.OpAnti}
 
 // run executes one TP join through the executor under c's strategy.
-func (c column) run(t *testing.T, op tp.Op, r, s *tp.Relation, theta tp.Theta) *tp.Relation {
+func (c column) run(t *testing.T, op tp.Op, r, s *tp.Relation, theta tp.EquiTheta) *tp.Relation {
 	t.Helper()
 	j := NewTPJoin(op, NewScan(r), NewScan(s), theta, c.strat, align.Config{NestedLoop: c.nl})
 	if c.strat == StrategyPNJ || c.strat == StrategyPTA {
@@ -65,7 +66,7 @@ func (c column) run(t *testing.T, op tp.Op, r, s *tp.Relation, theta tp.Theta) *
 
 // checkColumns runs op under every column, checks each against its
 // reference and returns the NJ result.
-func checkColumns(t *testing.T, label string, op tp.Op, r, s *tp.Relation, theta tp.Theta) *tp.Relation {
+func checkColumns(t *testing.T, label string, op tp.Op, r, s *tp.Relation, theta tp.EquiTheta) *tp.Relation {
 	t.Helper()
 	out := make([]*tp.Relation, len(columns))
 	for i, c := range columns {
@@ -82,9 +83,11 @@ func checkColumns(t *testing.T, label string, op tp.Op, r, s *tp.Relation, theta
 
 // TestDifferentialStrategies sweeps the dataset generators behind
 // cmd/tpgen at two seeds each, sized to produce tens of thousands of
-// windows while keeping the TA baseline testable.
+// windows while keeping the TA baseline testable, plus one smaller size
+// per dataset at seed 3.
 func TestDifferentialStrategies(t *testing.T) {
-	for _, in := range append(oracle.Webkit(3000, 3, 11), oracle.Meteo(900, 3, 11)...) {
+	for _, in := range slices.Concat(oracle.Webkit(3000, 3, 11), oracle.Meteo(900, 3, 11),
+		oracle.Webkit(1200, 3), oracle.Meteo(600, 3)) {
 		for _, op := range []tp.Op{tp.OpInner, tp.OpLeft, tp.OpFull, tp.OpAnti} {
 			if checkColumns(t, in.Name, op, in.R, in.S, in.Theta).Len() == 0 {
 				t.Fatalf("%s %v: empty reference result, workload too small", in.Name, op)

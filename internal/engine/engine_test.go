@@ -179,14 +179,6 @@ func TestTPJoinPNJDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestTPJoinPNJRequiresEquiTheta(t *testing.T) {
-	anyMatch := tp.FuncTheta(func(r, s tp.Fact) bool { return true })
-	j := NewTPJoin(tp.OpLeft, NewScan(paperA()), NewScan(paperB()), anyMatch, StrategyPNJ, align.Config{})
-	if _, err := Run(j, "q"); err == nil {
-		t.Fatalf("PNJ over a non-equi θ must error at Open")
-	}
-}
-
 func TestTPJoinOverDerivedChild(t *testing.T) {
 	// Join whose left child is a filter (not a bare scan): the child is
 	// drained into a temporary relation carrying its probs.

@@ -26,13 +26,12 @@ const (
 	// hash-partitioned on the equi key and the NJ pipeline runs on every
 	// partition concurrently (core.ParallelJoin). Output order is
 	// deterministic (partition-major) but differs from StrategyNJ's. It
-	// requires an equi-join condition and materializes at Open.
+	// materializes at Open.
 	StrategyPNJ
 	// StrategyPTA is the partitioned-parallel TA executor: the PNJ
 	// parallelism model applied to the alignment baseline
-	// (align.ParallelJoin). Like PNJ it requires an equi-join condition,
-	// materializes at Open and produces deterministic partition-major
-	// output order.
+	// (align.ParallelJoin). Like PNJ it materializes at Open and
+	// produces deterministic partition-major output order.
 	StrategyPTA
 
 	// NumStrategies is the number of defined strategies; per-strategy
@@ -82,7 +81,7 @@ type TPJoin struct {
 	op       tp.Op
 	left     Operator
 	right    Operator
-	theta    tp.Theta
+	theta    tp.EquiTheta
 	strategy Strategy
 	taCfg    align.Config
 	workers  int // PNJ worker count; 0 means GOMAXPROCS
@@ -117,7 +116,7 @@ type StageStat struct {
 }
 
 // NewTPJoin builds a TP join node over two children.
-func NewTPJoin(op tp.Op, left, right Operator, theta tp.Theta, strategy Strategy, taCfg align.Config) *TPJoin {
+func NewTPJoin(op tp.Op, left, right Operator, theta tp.EquiTheta, strategy Strategy, taCfg align.Config) *TPJoin {
 	j := &TPJoin{
 		op: op, left: left, right: right, theta: theta,
 		strategy: strategy, taCfg: taCfg,
@@ -195,22 +194,16 @@ func (j *TPJoin) Open() error {
 			j.taStats = &align.Stats{}
 		}
 		out, err = align.JoinContext(ctx, j.op, r, s, j.theta, j.taCfg, j.taStats)
-	case StrategyPNJ, StrategyPTA:
-		eq, ok := j.theta.(tp.EquiTheta)
-		if !ok {
-			return fmt.Errorf("engine: %v strategy requires an equi-join condition (got %T)", j.strategy, j.theta)
+	case StrategyPNJ:
+		if j.instr {
+			j.pnjStats = &core.ParallelStats{}
 		}
-		if j.strategy == StrategyPNJ {
-			if j.instr {
-				j.pnjStats = &core.ParallelStats{}
-			}
-			out, err = core.ParallelJoinContext(ctx, j.op, r, s, eq, j.workers, j.pnjStats)
-		} else {
-			if j.instr {
-				j.taStats = &align.Stats{}
-			}
-			out, err = align.ParallelJoinContext(ctx, j.op, r, s, eq, j.taCfg, j.workers, j.taStats)
+		out, err = core.ParallelJoinContext(ctx, j.op, r, s, j.theta, j.workers, j.pnjStats)
+	case StrategyPTA:
+		if j.instr {
+			j.taStats = &align.Stats{}
 		}
+		out, err = align.ParallelJoinContext(ctx, j.op, r, s, j.theta, j.taCfg, j.workers, j.taStats)
 	default:
 		return fmt.Errorf("engine: unknown join strategy %v", j.strategy)
 	}

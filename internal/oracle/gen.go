@@ -166,7 +166,7 @@ func workloads(name string, gen func(int, int64) (r, s *tp.Relation), theta tp.E
 	out := make([]Workload, len(seeds))
 	for i, seed := range seeds {
 		r, s := gen(n, seed)
-		out[i] = Workload{fmt.Sprintf("%s/seed=%d", name, seed), r, s, theta}
+		out[i] = Workload{fmt.Sprintf("%s/n=%d/seed=%d", name, n, seed), r, s, theta}
 	}
 	return out
 }

@@ -59,36 +59,25 @@ type Estimate struct {
 // temporal concurrency), and active, NJ's mean active-set size per window
 // (never below one tuple). The calibrator fits its constants through this
 // same function, so fitted constants and estimates share one unit system.
-func JoinShape(ls, rs *stats.Stats, theta tp.Theta) (pairs, active float64) {
-	lk, rk := keyInfos(ls, rs, theta)
+func JoinShape(ls, rs *stats.Stats, theta tp.EquiTheta) (pairs, active float64) {
+	lk, rk := ls.Key(theta.RCols), rs.Key(theta.SCols)
 	nl, nr := float64(ls.Tuples), float64(rs.Tuples)
 	pairs = nl*rk.Concurrency + nr*lk.Concurrency
 	active = math.Max(1, (lk.Concurrency+rk.Concurrency)/2)
 	return pairs, active
 }
 
-func keyInfos(ls, rs *stats.Stats, theta tp.Theta) (lk, rk stats.KeyInfo) {
-	if eq, ok := theta.(tp.EquiTheta); ok {
-		return ls.Key(eq.RCols), rs.Key(eq.SCols)
-	}
-	// Non-equi conditions (unreachable from the SQL dialect, which only
-	// builds ON equalities) are treated as a single all-matching key.
-	return ls.Key(nil), rs.Key(nil)
-}
-
 // EstimateJoin scores the physical strategies for a join of the two
 // relations summarized by ls and rs under theta, priced by cal (nil means
 // the checked-in default calibration). workers is the session's
 // join_workers setting (0 = one per CPU); taNestedLoop prices the TA
-// baseline's nested-loop plan instead of its hash plan. Non-equi
-// conditions exclude the partitioned strategies (PNJ, PTA).
-func EstimateJoin(lname string, ls *stats.Stats, rname string, rs *stats.Stats, theta tp.Theta, workers int, taNestedLoop bool, cal *Calibration) Estimate {
+// baseline's nested-loop plan instead of its hash plan.
+func EstimateJoin(lname string, ls *stats.Stats, rname string, rs *stats.Stats, theta tp.EquiTheta, workers int, taNestedLoop bool, cal *Calibration) Estimate {
 	if cal == nil {
 		cal = DefaultCalibration()
 	}
 	nl, nr := float64(ls.Tuples), float64(rs.Tuples)
-	lk, rk := keyInfos(ls, rs, theta)
-	_, equi := theta.(tp.EquiTheta)
+	lk, rk := ls.Key(theta.RCols), rs.Key(theta.SCols)
 	pairs, active := JoinShape(ls, rs, theta)
 
 	var e Estimate
@@ -103,18 +92,13 @@ func EstimateJoin(lname string, ls *stats.Stats, rname string, rs *stats.Stats, 
 	}
 	e.Costs[engine.StrategyTA] = cal.TATuple*(nl+nr) + taPairTerm
 
-	if equi {
-		// A key's group is indivisible across partitions, so parallelism
-		// is bounded by the matched-key cardinality.
-		w := max(1, min(par.Workers(workers), lk.Distinct, rk.Distinct))
-		speedup := math.Min(cal.ParMaxSpeedup, 1+float64(w-1)*cal.ParEfficiency)
-		overhead := cal.ParTuple*(nl+nr) + cal.ParSetup*float64(w)
-		e.Costs[engine.StrategyPNJ] = cal.NJTuple*(nl+nr) + cal.NJWindow*pairs*active/speedup + overhead
-		e.Costs[engine.StrategyPTA] = cal.TATuple*(nl+nr) + taPairTerm/speedup + overhead
-	} else {
-		e.Costs[engine.StrategyPNJ] = math.Inf(1)
-		e.Costs[engine.StrategyPTA] = math.Inf(1)
-	}
+	// A key's group is indivisible across partitions, so parallelism is
+	// bounded by the matched-key cardinality.
+	w := max(1, min(par.Workers(workers), lk.Distinct, rk.Distinct))
+	speedup := math.Min(cal.ParMaxSpeedup, 1+float64(w-1)*cal.ParEfficiency)
+	overhead := cal.ParTuple*(nl+nr) + cal.ParSetup*float64(w)
+	e.Costs[engine.StrategyPNJ] = cal.NJTuple*(nl+nr) + cal.NJWindow*pairs*active/speedup + overhead
+	e.Costs[engine.StrategyPTA] = cal.TATuple*(nl+nr) + taPairTerm/speedup + overhead
 
 	e.Chosen = engine.StrategyNJ
 	for s := engine.Strategy(0); s < engine.NumStrategies; s++ {

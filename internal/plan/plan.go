@@ -502,7 +502,7 @@ func cmpFloat(a, b float64) int {
 
 // buildTheta converts ON equalities into an EquiTheta, resolving each side
 // against the proper table (either order is accepted per conjunct).
-func buildTheta(on []sql.OnEq, lb, rb *binding) (tp.Theta, error) {
+func buildTheta(on []sql.OnEq, lb, rb *binding) (tp.EquiTheta, error) {
 	eq := tp.EquiTheta{}
 	for _, c := range on {
 		li, lerr := lb.resolve(c.L)
@@ -521,12 +521,12 @@ func buildTheta(on []sql.OnEq, lb, rb *binding) (tp.Theta, error) {
 			continue
 		}
 		if lerr != nil {
-			return nil, lerr
+			return tp.EquiTheta{}, lerr
 		}
-		return nil, rerr
+		return tp.EquiTheta{}, rerr
 	}
 	if len(eq.RCols) == 0 {
-		return nil, fmt.Errorf("plan: join needs at least one ON equality")
+		return tp.EquiTheta{}, fmt.Errorf("plan: join needs at least one ON equality")
 	}
 	return eq, nil
 }

@@ -118,7 +118,7 @@ func TestSetOpsByteIdenticalToReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		theta, _ := allTheta(in.r, in.s)
-		anti := core.AntiJoin(in.r, in.s, theta)
+		anti := core.Join(tp.OpAnti, in.r, in.s, theta)
 		anti.Name = d.Name
 		requireByteIdentical(t, in.name+" −", d, anti)
 	}

@@ -63,45 +63,3 @@ func lineageEqual(a, b Tuple) bool {
 	}
 	return a.Lineage.Equal(b.Lineage)
 }
-
-// Timeslice returns the tuples of rel valid at time point t, with their
-// intervals clipped to [t, t+1) — the classic timeslice operator τ_t.
-func Timeslice(rel *Relation, t int64) *Relation {
-	out := &Relation{
-		Name:  rel.Name,
-		Attrs: append([]string(nil), rel.Attrs...),
-		Probs: rel.Probs,
-	}
-	for _, tu := range rel.Tuples {
-		if tu.T.Contains(t) {
-			clipped := tu
-			clipped.T.Start = t
-			clipped.T.End = t + 1
-			out.Tuples = append(out.Tuples, clipped)
-		}
-	}
-	return out
-}
-
-// Window returns the tuples of rel overlapping the interval [start, end),
-// clipped to it — the range-restriction operator.
-func Window(rel *Relation, start, end int64) *Relation {
-	out := &Relation{
-		Name:  rel.Name,
-		Attrs: append([]string(nil), rel.Attrs...),
-		Probs: rel.Probs,
-	}
-	for _, tu := range rel.Tuples {
-		if tu.T.Start < end && start < tu.T.End {
-			clipped := tu
-			if clipped.T.Start < start {
-				clipped.T.Start = start
-			}
-			if clipped.T.End > end {
-				clipped.T.End = end
-			}
-			out.Tuples = append(out.Tuples, clipped)
-		}
-	}
-	return out
-}

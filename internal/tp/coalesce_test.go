@@ -100,32 +100,3 @@ func TestCoalescePreservesPointwise(t *testing.T) {
 		}
 	}
 }
-
-func TestTimeslice(t *testing.T) {
-	r := NewRelation("r", "K")
-	r.Append(Strings("x"), interval.New(0, 5), 0.5)
-	r.Append(Strings("y"), interval.New(5, 9), 0.6)
-	s := Timeslice(r, 4)
-	if s.Len() != 1 || !s.Tuples[0].T.Equal(interval.New(4, 5)) {
-		t.Errorf("timeslice wrong: %v", s)
-	}
-	if Timeslice(r, 9).Len() != 0 {
-		t.Errorf("timeslice past end must be empty")
-	}
-}
-
-func TestWindowRestriction(t *testing.T) {
-	r := NewRelation("r", "K")
-	r.Append(Strings("x"), interval.New(0, 10), 0.5)
-	r.Append(Strings("y"), interval.New(12, 15), 0.6)
-	w := Window(r, 4, 13)
-	if w.Len() != 2 {
-		t.Fatalf("window wrong: %v", w)
-	}
-	if !w.Tuples[0].T.Equal(interval.New(4, 10)) || !w.Tuples[1].T.Equal(interval.New(12, 13)) {
-		t.Errorf("clipping wrong: %v", w)
-	}
-	if Window(r, 10, 12).Len() != 0 {
-		t.Errorf("gap window must be empty")
-	}
-}

@@ -190,16 +190,6 @@ func TestThetaMultiColumn(t *testing.T) {
 	}
 }
 
-func TestFuncAndTrueTheta(t *testing.T) {
-	neq := FuncTheta(func(r, s Fact) bool { return !r[0].Equal(s[0]) })
-	if neq.Match(Strings("a"), Strings("a")) || !neq.Match(Strings("a"), Strings("b")) {
-		t.Errorf("FuncTheta wrong")
-	}
-	if !(TrueTheta{}).Match(Strings("a"), Strings("b")) {
-		t.Errorf("TrueTheta must match")
-	}
-}
-
 func TestExpand(t *testing.T) {
 	a := paperA()
 	pm, err := Expand(a)

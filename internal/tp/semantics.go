@@ -149,7 +149,7 @@ func (m PointMap) EqualLineage(o PointMap) error {
 // negation, per the paper's semantics. Output facts are r.F ∘ s.F for
 // pairings, r.F ∘ NULLs (or plain r.F for the anti join) for negated and
 // unmatched outputs, and symmetrically for the right/full variants.
-func RefJoin(op Op, r, s *Relation, theta Theta) PointMap {
+func RefJoin(op Op, r, s *Relation, theta EquiTheta) PointMap {
 	probs := MergeProbs(r, s)
 	ev := prob.NewBatchEvaluator(probs)
 	out := make(PointMap)

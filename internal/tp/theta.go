@@ -1,15 +1,12 @@
 package tp
 
-// Theta is a join condition θ over the non-temporal attributes of two
-// relations: Match reports whether the pair (r, s) of facts satisfies θ.
-type Theta interface {
-	Match(r, s Fact) bool
-}
-
-// EquiTheta is a conjunction of column equalities r[RCols[i]] = s[SCols[i]].
-// It is the common case (the paper's experiments use a.Loc = b.Loc) and
-// supports hash partitioning: facts with different keys can never match.
-// SQL semantics apply: a NULL never matches anything.
+// EquiTheta is the join condition θ over the non-temporal attributes of
+// two relations: a conjunction of column equalities r[RCols[i]] =
+// s[SCols[i]]. It is the one condition kind the engine evaluates — the
+// SQL dialect builds only ON equalities, and the paper's experiments join
+// on a.Loc = b.Loc — and it supports hash partitioning: facts with
+// different keys can never match. SQL semantics apply: a NULL never
+// matches anything.
 type EquiTheta struct {
 	RCols []int
 	SCols []int
@@ -20,7 +17,7 @@ func Equi(rCol, sCol int) EquiTheta {
 	return EquiTheta{RCols: []int{rCol}, SCols: []int{sCol}}
 }
 
-// Match implements Theta.
+// Match reports whether the pair (r, s) of facts satisfies θ.
 func (e EquiTheta) Match(r, s Fact) bool {
 	for i := range e.RCols {
 		if rv := r[e.RCols[i]]; rv.IsNull() || !rv.Equal(s[e.SCols[i]]) {
@@ -70,33 +67,9 @@ func colsKeyEqual(a, b Fact, cols []int) bool {
 	return true
 }
 
-// FuncTheta adapts an arbitrary predicate to Theta (general θ conditions:
-// inequalities, band joins, ...). It cannot be hash-partitioned.
-type FuncTheta func(r, s Fact) bool
-
-// Match implements Theta.
-func (f FuncTheta) Match(r, s Fact) bool { return f(r, s) }
-
-// TrueTheta matches every pair (temporal cross product).
-type TrueTheta struct{}
-
-// Match implements Theta.
-func (TrueTheta) Match(r, s Fact) bool { return true }
-
-// Swap returns θ with the roles of the two sides exchanged, preserving the
-// hash-partitioning capability of equi conditions. Used by the right/full
-// outer join variants, which run the window pipeline with swapped inputs.
-func Swap(t Theta) Theta {
-	switch e := t.(type) {
-	case EquiTheta:
-		return EquiTheta{RCols: e.SCols, SCols: e.RCols}
-	case swappedTheta:
-		return e.inner
-	default:
-		return swappedTheta{inner: t}
-	}
+// Swap returns θ with the roles of the two sides exchanged. Used by the
+// right/full outer join variants, which run the window pipeline with
+// swapped inputs.
+func Swap(e EquiTheta) EquiTheta {
+	return EquiTheta{RCols: e.SCols, SCols: e.RCols}
 }
-
-type swappedTheta struct{ inner Theta }
-
-func (s swappedTheta) Match(r, t Fact) bool { return s.inner.Match(t, r) }

@@ -24,7 +24,7 @@ import (
 // lamS computes λ^{s,θ}_t for fact Fr: the disjunction of the lineages of
 // the tuples of s valid at time t that satisfy θ against Fr. It returns
 // nil (the paper's null) when there is no such tuple.
-func lamS(s *tp.Relation, theta tp.Theta, fr tp.Fact, t interval.Time) *lineage.Expr {
+func lamS(s *tp.Relation, theta tp.EquiTheta, fr tp.Fact, t interval.Time) *lineage.Expr {
 	var parts []*lineage.Expr
 	for _, st := range s.Tuples {
 		if st.T.Contains(t) && theta.Match(fr, st.Fact) {
@@ -51,7 +51,7 @@ func existsR(r *tp.Relation, fr tp.Fact, lr *lineage.Expr, t interval.Time) bool
 // CheckOverlapping reports whether w satisfies the overlapping-window
 // definition: some pair (r, s) of tuples with w's facts and lineages
 // satisfies θ and w.T = r.T ∩ s.T.
-func CheckOverlapping(w Window, r, s *tp.Relation, theta tp.Theta) bool {
+func CheckOverlapping(w Window, r, s *tp.Relation, theta tp.EquiTheta) bool {
 	if w.Fs == nil || w.Ls == nil {
 		return false
 	}
@@ -76,7 +76,7 @@ func CheckOverlapping(w Window, r, s *tp.Relation, theta tp.Theta) bool {
 // w's fact and lineage is valid while λ^{s,θ} is null; and w.T is maximal
 // (at both boundary points, either the r tuple is not valid or some
 // matching s tuple is).
-func CheckUnmatched(w Window, r, s *tp.Relation, theta tp.Theta) bool {
+func CheckUnmatched(w Window, r, s *tp.Relation, theta tp.EquiTheta) bool {
 	if w.Fs != nil || w.Ls != nil || w.T.Empty() {
 		return false
 	}
@@ -101,7 +101,7 @@ func CheckUnmatched(w Window, r, s *tp.Relation, theta tp.Theta) bool {
 // and lineage is valid, λ^{s,θ} is non-null and equivalent to w.λs; and
 // w.T is maximal at its endpoints (either the r tuple stops being valid or
 // λ^{s,θ} changes).
-func CheckNegating(w Window, r, s *tp.Relation, theta tp.Theta) bool {
+func CheckNegating(w Window, r, s *tp.Relation, theta tp.EquiTheta) bool {
 	if w.Fs != nil || w.Ls == nil || w.T.Empty() {
 		return false
 	}
@@ -127,7 +127,7 @@ func CheckNegating(w Window, r, s *tp.Relation, theta tp.Theta) bool {
 }
 
 // Check dispatches to the checker matching w's class.
-func Check(w Window, r, s *tp.Relation, theta tp.Theta) bool {
+func Check(w Window, r, s *tp.Relation, theta tp.EquiTheta) bool {
 	switch w.Class() {
 	case Overlapping:
 		return CheckOverlapping(w, r, s, theta)

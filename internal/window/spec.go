@@ -13,7 +13,7 @@ import (
 
 // SpecOverlapping returns WO(r;s,θ): one window per pair (r, s) of tuples
 // that overlap temporally and satisfy θ, spanning T = r.T ∩ s.T.
-func SpecOverlapping(r, s *tp.Relation, theta tp.Theta) []Window {
+func SpecOverlapping(r, s *tp.Relation, theta tp.EquiTheta) []Window {
 	var out []Window
 	for ri, rt := range r.Tuples {
 		for _, st := range s.Tuples {
@@ -34,7 +34,7 @@ func SpecOverlapping(r, s *tp.Relation, theta tp.Theta) []Window {
 // SpecUnmatched returns WU(r;s,θ): for every tuple of r, the maximal
 // subintervals of its validity during which no tuple of s is valid or
 // satisfies θ.
-func SpecUnmatched(r, s *tp.Relation, theta tp.Theta) []Window {
+func SpecUnmatched(r, s *tp.Relation, theta tp.EquiTheta) []Window {
 	var out []Window
 	for ri, rt := range r.Tuples {
 		var cover []interval.Interval
@@ -61,7 +61,7 @@ func SpecUnmatched(r, s *tp.Relation, theta tp.Theta) []Window {
 // whenever a matching s tuple starts or stops being valid (within r's
 // interval), so λs is constant over each window and the interval is
 // maximal for that λs.
-func SpecNegating(r, s *tp.Relation, theta tp.Theta) []Window {
+func SpecNegating(r, s *tp.Relation, theta tp.EquiTheta) []Window {
 	var out []Window
 	for ri, rt := range r.Tuples {
 		type match struct {

@@ -91,7 +91,7 @@ func TestSpecPaperFig2(t *testing.T) {
 // TestCheckersAcceptSpec verifies that every spec window passes its
 // class's Table I checker, on the paper example and on random inputs.
 func TestCheckersAcceptSpec(t *testing.T) {
-	verify := func(t *testing.T, r, s *tp.Relation, th tp.Theta) {
+	verify := func(t *testing.T, r, s *tp.Relation, th tp.EquiTheta) {
 		t.Helper()
 		for _, w := range SpecOverlapping(r, s, th) {
 			if w.Class() != Overlapping || !Check(w, r, s, th) {
