@@ -3,6 +3,7 @@ package dataset
 import (
 	"testing"
 
+	"tpjoin/internal/align"
 	"tpjoin/internal/core"
 	"tpjoin/internal/tp"
 )
@@ -143,3 +144,29 @@ func distinctKeys(r *tp.Relation) int {
 // TestWorkloadNJEqualsTA is the medium-scale end-to-end soak: on real
 // generated workloads (not just the tiny random relations of the unit
 // tests), NJ and TA must produce point-wise identical left outer joins.
+func TestWorkloadNJEqualsTA(t *testing.T) {
+	for _, ds := range []string{"webkit", "meteo"} {
+		var r, s *tp.Relation
+		var theta tp.EquiTheta
+		if ds == "webkit" {
+			r, s = Webkit(1200, 3)
+			theta = WebkitTheta()
+		} else {
+			r, s = Meteo(600, 3)
+			theta = MeteoTheta()
+		}
+		nj := core.Join(tp.OpLeft, r, s, theta)
+		njPM, err := tp.Expand(nj)
+		if err != nil {
+			t.Fatalf("%s: NJ result invalid: %v", ds, err)
+		}
+		ta := align.Join(tp.OpLeft, r, s, theta, align.Config{})
+		taPM, err := tp.Expand(ta)
+		if err != nil {
+			t.Fatalf("%s: TA result invalid: %v", ds, err)
+		}
+		if err := njPM.EqualProb(taPM, 1e-9); err != nil {
+			t.Fatalf("%s: NJ and TA disagree at scale: %v", ds, err)
+		}
+	}
+}
