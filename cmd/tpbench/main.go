@@ -27,7 +27,7 @@
 //	                        # file's e2e list (scripts/e2e-pairs.sh) per
 //	                        # workload × end-to-end metric, against the
 //	                        # bounds of ./BENCHMARK.json, as a Markdown
-//	                        # table.
+//	                        # table; exits 1 when a row regresses.
 //
 // Output format mirrors the paper's plots: one row per input size (in K),
 // one column per series, runtimes in milliseconds. Speedup summaries
@@ -224,5 +224,8 @@ func runCompare(benchPath, boundsPath string) error {
 		return err
 	}
 	fmt.Print(bench.FormatComparison(rows))
+	if n := bench.Regressions(rows); n > 0 {
+		return fmt.Errorf("%d row(s) regress", n)
+	}
 	return nil
 }

@@ -12,7 +12,10 @@
 //     relation — one conventional join;
 //  2. a second conventional join matches each fragment with the tuples
 //     covering it, producing pairings, negated fragments (λr ∧ ¬∨λs) and
-//     unmatched fragments;
+//     unmatched fragments. A pairing is formed once, over r.T ∩ s.T, at
+//     the fragment where the covering tuple starts to cover it — the
+//     alignment of Dignös et al.; only the negated part needs every
+//     split point;
 //  3. joins with negation additionally require a second sub-query for the
 //     negated part, and a union that eliminates the unmatched fragments
 //     computed by both sub-queries.
@@ -49,8 +52,8 @@
 // (engine strategy "pta"): the PNJ parallelism model applied to the
 // alignment baseline.
 //
-// The produced relations are point-wise equal to internal/core's results
-// (property-tested), differing only in how pairings are fragmented.
+// The produced relations are the same rows as internal/core's results
+// (property-tested).
 package align
 
 import (
@@ -89,7 +92,8 @@ type Stats struct {
 	// reference tail would run 2.
 	AlignPasses int64
 	// Rows is the output row count before the duplicate-eliminating
-	// union (the rows actually materialized).
+	// union (the rows actually materialized): one per pairing, negated
+	// fragment and unmatched fragment.
 	Rows int64
 	// DupAvoided counts unmatched fragments whose duplicate second
 	// materialization the streaming union killed at the merge frontier —
@@ -441,10 +445,13 @@ func Align(r, s *tp.Relation, theta tp.EquiTheta, cfg Config) []Fragment {
 }
 
 // CountWUO runs sub-query A (the aligned outer join) and returns the
-// number of produced rows without forming output tuples or probabilities.
-// It is the TA counterpart of draining core.LAWAU, used by the Fig. 5
-// benchmark: TA pays both conventional joins of the alignment step where
-// NJ pays one.
+// number of (fragment, covering tuple) pairs the alignment enumerates,
+// plus one per unmatched fragment, without forming output tuples or
+// probabilities. That is the alignment's work, not its output rows: the
+// join forms a pairing once, not once per fragment. It is the TA
+// counterpart of draining core.LAWAU, used by the Fig. 5 benchmark and
+// the cost model's calibration: TA pays both conventional joins of the
+// alignment step where NJ pays one.
 func CountWUO(r, s *tp.Relation, theta tp.EquiTheta, cfg Config) int {
 	n := 0
 	_ = mustAligner(s, theta, cfg).drain(context.Background(), r, func(ri int, t interval.Interval, cover []int32) error {

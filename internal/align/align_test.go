@@ -1,10 +1,12 @@
 package align
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"tpjoin/internal/core"
+	"tpjoin/internal/dataset"
 	"tpjoin/internal/interval"
 	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
@@ -112,15 +114,21 @@ func TestDuplicateEliminationHappens(t *testing.T) {
 	// Sub-queries A and B both produce the unmatched fragments; the raw
 	// row count before union must exceed the deduplicated result.
 	a, b := paperA(), paperB()
-	raw := CountWUO(a, b, theta, Config{}) + CountNegating(a, b, theta, Config{})
-	q := Join(tp.OpLeft, a, b, theta, Config{})
-	if raw <= q.Len() {
-		t.Errorf("expected duplicates before union: raw=%d result=%d", raw, q.Len())
+	ctx := context.Background()
+	al := mustAligner(b, theta, Config{})
+	raw, _ := outerRowsStream(ctx, al, a, b, Config{}, false, nil, nil)
+	raw, _ = negRowsStream(ctx, al, a, b, Config{}, false, false, nil, raw)
+	var st Stats
+	q, err := JoinContext(ctx, tp.OpLeft, a, b, theta, Config{}, &st)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Specifically the two unmatched fragments (Ann [2,4), Jim [7,10)) are
-	// duplicated: raw = result + 2.
-	if raw != q.Len()+2 {
-		t.Errorf("raw=%d result=%d, want difference of exactly 2", raw, q.Len())
+	// duplicated: raw = result + 2. The fused drain never forms them, so
+	// it materializes exactly the result.
+	if len(raw) != q.Len()+2 || st.DupAvoided != 2 || st.Rows != int64(q.Len()) {
+		t.Errorf("raw=%d result=%d dup-avoided=%d streamed=%d, want raw = result+2, 2 avoided, streamed = result",
+			len(raw), q.Len(), st.DupAvoided, st.Rows)
 	}
 }
 
@@ -173,5 +181,18 @@ func TestReplicationIsMeasurable(t *testing.T) {
 	frags := Align(a, b, theta, Config{})
 	if len(frags) <= a.Len() {
 		t.Errorf("expected replication: %d fragments for %d tuples", len(frags), a.Len())
+	}
+}
+
+// TestMeteoRowCountsMatchNJ pins TA's row counts on the seeded Meteo 4 500
+// workload to NJ's: each pairing once, so INNER/LEFT/FULL/ANTI store the
+// same rows under either strategy.
+func TestMeteoRowCountsMatchNJ(t *testing.T) {
+	r, s := dataset.Meteo(4500, 1)
+	theta := dataset.MeteoTheta()
+	for op, want := range map[tp.Op]int{tp.OpInner: 26234, tp.OpLeft: 51242, tp.OpFull: 76727, tp.OpAnti: 25008} {
+		if got := Join(op, r, s, theta, Config{}).Len(); got != want {
+			t.Errorf("%v: %d rows, want NJ's %d", op, got, want)
+		}
 	}
 }

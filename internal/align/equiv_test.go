@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tpjoin/internal/core"
 	"tpjoin/internal/dataset"
 	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
@@ -95,7 +96,7 @@ func (c *countingAligner) drain(ctx context.Context, r *tp.Relation, emit emitFu
 // group), newAligner must hand out the scalar aligner, the join must
 // still produce byte-identical fragments and rows — and must not pay a
 // counting pass on exactly the input the guard exists for: one drain per
-// alignment pass, none for counting.
+// alignment pass, none for counting — and still return NJ's rows.
 func TestCoverArenaGuardFallsBack(t *testing.T) {
 	old := maxCoverArena
 	maxCoverArena = 8 // every tuple spans at least one segment, and both inputs have ≥ 10
@@ -124,6 +125,9 @@ func TestCoverArenaGuardFallsBack(t *testing.T) {
 		if err := oracle.Same(referenceJoin(tp.OpFull, r, s, theta, Config{}), out); err != nil {
 			t.Fatalf("guard trial %d: full join rows diverge under fallback: %v", trial, err)
 		}
+		if err := oracle.Cross(core.Join(tp.OpFull, r, s, theta), out); err != nil {
+			t.Fatalf("guard trial %d: full join under fallback vs NJ: %v", trial, err)
+		}
 		if fwd.drains != 1 || mir.drains != 1 {
 			t.Fatalf("guard trial %d: %d forward and %d mirror drains, want one alignment pass each and no counting pass",
 				trial, fwd.drains, mir.drains)
@@ -134,7 +138,7 @@ func TestCoverArenaGuardFallsBack(t *testing.T) {
 // TestJoinByteIdenticalToScalar pins the whole operator: the production
 // join paths (indexed aligners under the hash config) must produce the
 // same relation — row order, lineage rendering, probabilities — as the
-// scalar-path join.
+// scalar-path join, and that reference returns NJ's rows.
 func TestJoinByteIdenticalToScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ops := []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull}
@@ -143,7 +147,11 @@ func TestJoinByteIdenticalToScalar(t *testing.T) {
 		r := oracle.Dense.Relation(rng, "r", rng.Intn(25))
 		s := oracle.Dense.Relation(rng, "s", rng.Intn(25))
 		op := ops[trial%len(ops)]
-		if err := oracle.Same(referenceJoin(op, r, s, theta, Config{}), Join(op, r, s, theta, Config{})); err != nil {
+		ref := referenceJoin(op, r, s, theta, Config{})
+		if err := oracle.Cross(core.Join(op, r, s, theta), ref); err != nil {
+			t.Fatalf("trial %d %v: reference vs NJ: %v", trial, op, err)
+		}
+		if err := oracle.Same(ref, Join(op, r, s, theta, Config{})); err != nil {
 			t.Fatalf("trial %d %v: %v", trial, op, err)
 		}
 	}

@@ -29,8 +29,8 @@ type row struct {
 }
 
 // outerRowsStream is sub-query A of the TA reduction: the aligned outer
-// join. It appends the pairing fragments and the unmatched fragments to
-// rows.
+// join. It appends the pairings — each once, over r.T ∩ s.T, at the
+// fragment pairsAt picks — and the unmatched fragments to rows.
 func outerRowsStream(ctx context.Context, al aligner, r, s *tp.Relation, cfg Config, mirror bool, stats *Stats, rows []row) ([]row, error) {
 	frags := int64(0)
 	err := al.drain(ctx, r, func(ri int, t interval.Interval, cover []int32) error {
@@ -46,11 +46,14 @@ func outerRowsStream(ctx context.Context, al aligner, r, s *tp.Relation, cfg Con
 		}
 		for _, si := range cover {
 			st := &s.Tuples[si]
+			if !pairsAt(t.Start, rt, st) {
+				continue
+			}
 			fact := rt.Fact.Concat(st.Fact)
 			if mirror {
 				fact = st.Fact.Concat(rt.Fact)
 			}
-			rows = append(rows, row{fact: fact, lam: lineage.And(rt.Lineage, st.Lineage), t: t, pair: true})
+			rows = append(rows, row{fact: fact, lam: lineage.And(rt.Lineage, st.Lineage), t: rt.T.Intersect(st.T), pair: true})
 		}
 		return nil
 	})

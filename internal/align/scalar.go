@@ -70,6 +70,13 @@ func (ix *scalarInner) candidates(f tp.Fact) []int32 {
 	return ix.buckets.Groups()[gi].Vals
 }
 
+// match is θ on one candidate. A hashed key group matched the probe as a
+// whole in candidates, so only the nested loop evaluates θ per candidate
+// — the cost Fig. 7a measures.
+func (ix *scalarInner) match(r, s tp.Fact) bool {
+	return ix.buckets != nil || ix.eq.Match(r, s)
+}
+
 // scalarAligner adapts the reference algorithm to the streaming aligner
 // contract. The points and cover buffers are reused across tuples, which
 // changes nothing observable (the emitted fragments are identical); the
@@ -105,7 +112,7 @@ func (a *scalarAligner) drain(ctx context.Context, r *tp.Relation, emit emitFunc
 		a.points = append(a.points[:0], rt.T.Start, rt.T.End)
 		for _, si := range cand {
 			st := &a.s.Tuples[si]
-			if !st.T.Overlaps(rt.T) || !a.ix.eq.Match(rt.Fact, st.Fact) {
+			if !st.T.Overlaps(rt.T) || !a.ix.match(rt.Fact, st.Fact) {
 				continue
 			}
 			if st.T.Start > rt.T.Start {
@@ -126,7 +133,7 @@ func (a *scalarAligner) drain(ctx context.Context, r *tp.Relation, emit emitFunc
 			a.cover = a.cover[:0]
 			for _, si := range cand {
 				st := &a.s.Tuples[si]
-				if st.T.ContainsInterval(frag) && a.ix.eq.Match(rt.Fact, st.Fact) {
+				if st.T.ContainsInterval(frag) && a.ix.match(rt.Fact, st.Fact) {
 					a.cover = append(a.cover, si)
 				}
 			}

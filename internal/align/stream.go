@@ -119,20 +119,12 @@ type fusedDrain struct {
 
 	nulls    tp.Fact // shared null pad, allocated once per drain
 	outerFid []int32 // per outer tuple: interned fid of its padded fact
-	pairs    map[uint64]pairEnt
 	orMemo   map[uint64][]orEnt
 
 	segPair, segNeg uint64 // ord tags for this drain's A / B rows
 	aSeq, bSeq      uint64
 	parts           []*lineage.Expr // scratch for ∨λs
 	dupAvoided      int64
-}
-
-// pairEnt interns one (outer, inner) pairing: its concatenated output
-// fact and its ∧ lineage, shared by every fragment of the pair.
-type pairEnt struct {
-	fid int32
-	lam *lineage.Expr
 }
 
 // orEnt interns one cover's ∨λs disjunction, keyed by the cover's
@@ -161,9 +153,6 @@ func newFusedDrain(su *streamUnion, outer, inner *tp.Relation, mode drainMode, m
 			d.nulls = tp.Nulls(inner.Arity())
 		}
 	}
-	if mode != drainNegOnly {
-		d.pairs = make(map[uint64]pairEnt)
-	}
 	return d
 }
 
@@ -190,26 +179,14 @@ func (d *fusedDrain) outerFidOf(ri int, rt *tp.Tuple) int32 {
 	return fid
 }
 
-// pairOf interns the pairing of (outer ri, inner si): its concatenated
-// fact and its ∧ lineage. A pair split into k fragments re-uses one fact
-// and one lineage node where the reference concatenated and rebuilt k
-// times — and the shared node turns the probability memo's Equal checks
-// into pointer comparisons.
-func (d *fusedDrain) pairOf(ri int, si int32, rt, st *tp.Tuple) pairEnt {
-	key := uint64(uint32(ri))<<32 | uint64(uint32(si))
-	if ent, ok := d.pairs[key]; ok {
-		return ent
-	}
-	var fact tp.Fact
-	if d.mirror {
-		fact = st.Fact.Concat(rt.Fact)
-	} else {
-		fact = rt.Fact.Concat(st.Fact)
-	}
-	ent := pairEnt{fid: int32(len(d.su.facts)), lam: lineage.And(rt.Lineage, st.Lineage)}
-	d.su.facts = append(d.su.facts, fact)
-	d.pairs[key] = ent
-	return ent
+// pairsAt reports whether the pairing of outer tuple rt and covering
+// inner tuple st is formed at the fragment starting at start: the one
+// starting at max(r.T.Start, s.T.Start), which every alignment produces
+// and st covers. Every other fragment st covers carries the same pairing
+// again, so it is formed once, over r.T ∩ s.T, as NJ's overlap join
+// forms it.
+func pairsAt(start interval.Time, rt, st *tp.Tuple) bool {
+	return start == max(rt.T.Start, st.T.Start)
 }
 
 // orOf interns the ∨λs disjunction of a cover by content: outer tuples
@@ -276,12 +253,22 @@ func (d *fusedDrain) emit(ri int, t interval.Interval, cover []int32) error {
 	}
 	if d.mode != drainNegOnly {
 		for _, si := range cover {
-			ent := d.pairOf(ri, si, rt, &d.inner.Tuples[si])
+			st := &d.inner.Tuples[si]
+			if !pairsAt(t.Start, rt, st) {
+				continue
+			}
+			var fact tp.Fact
+			if d.mirror {
+				fact = st.Fact.Concat(rt.Fact)
+			} else {
+				fact = rt.Fact.Concat(st.Fact)
+			}
 			su.rows = append(su.rows, srow{
-				lam: ent.lam, t: t,
+				lam: lineage.And(rt.Lineage, st.Lineage), t: rt.T.Intersect(st.T),
 				ord: d.segPair<<ordSegShift | d.aSeq,
-				fid: ent.fid,
+				fid: int32(len(su.facts)),
 			})
+			su.facts = append(su.facts, fact)
 			d.aSeq++
 		}
 	}
@@ -319,7 +306,7 @@ func (d *fusedDrain) run(ctx context.Context, al aligner, stats *Stats) error {
 
 // drainCounts sizes one drain's row production without forming rows.
 type drainCounts struct {
-	pairs     int // sub-query A pairing rows
+	pairs     int // sub-query A pairing rows, one per pairsAt fragment
 	unmatched int // fragments with an empty cover
 	covered   int // fragments with a non-empty cover (sub-query B negated rows)
 }
@@ -329,16 +316,21 @@ type drainCounts struct {
 // for near-free, while the scalar aligner would pay a full extra scan —
 // those plans must never pay the counting pass (ok=false; the caller
 // falls back to append growth).
-func countDrain(ctx context.Context, al aligner, outer *tp.Relation) (c drainCounts, ok bool, err error) {
+func countDrain(ctx context.Context, al aligner, outer, inner *tp.Relation) (c drainCounts, ok bool, err error) {
 	if !al.cheapCount() {
 		return drainCounts{}, false, nil
 	}
 	err = al.drain(ctx, outer, func(ri int, t interval.Interval, cover []int32) error {
 		if len(cover) == 0 {
 			c.unmatched++
-		} else {
-			c.pairs += len(cover)
-			c.covered++
+			return nil
+		}
+		c.covered++
+		rt := &outer.Tuples[ri]
+		for _, si := range cover {
+			if pairsAt(t.Start, rt, &inner.Tuples[si]) {
+				c.pairs++
+			}
 		}
 		return nil
 	})
@@ -501,39 +493,19 @@ func (su *streamUnion) finish(ctx context.Context, name string, attrs []string, 
 	bev := prob.NewBatchEvaluator(probs)
 	var lams [probBatchSize]*lineage.Expr
 	var ps [probBatchSize]float64
-	// The drains intern lineages, and the union orders fragments of one
-	// pairing adjacently — runs of pointer-identical lineages are common,
-	// and one evaluation serves the whole run.
-	var prevLam *lineage.Expr
-	var prevP float64
 	for lo := 0; lo < len(rows); lo += probBatchSize {
 		// Per-batch cancellation checkpoint: a timeout or disconnect
 		// aborts between probability batches, not after the whole tail.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		hi := min(lo+probBatchSize, len(rows))
-		m := 0
-		last := prevLam
-		for i := lo; i < hi; i++ {
-			if rows[i].lam != last {
-				last = rows[i].lam
-				lams[m] = last
-				m++
-			}
+		batch := rows[lo:min(lo+probBatchSize, len(rows))]
+		for i := range batch {
+			lams[i] = batch[i].lam
 		}
-		if m > 0 {
-			bev.EvalBatch(lams[:m], ps[:])
-		}
-		k := 0
-		for i := lo; i < hi; i++ {
-			rw := &rows[i]
-			if rw.lam != prevLam {
-				prevLam = rw.lam
-				prevP = ps[k]
-				k++
-			}
-			rel.Tuples[i] = tp.Tuple{Fact: su.facts[rw.fid], Lineage: rw.lam, T: rw.t, Prob: prevP}
+		bev.EvalBatch(lams[:len(batch)], ps[:])
+		for i, rw := range batch {
+			rel.Tuples[lo+i] = tp.Tuple{Fact: su.facts[rw.fid], Lineage: rw.lam, T: rw.t, Prob: ps[i]}
 		}
 	}
 	if stats != nil {
@@ -596,8 +568,8 @@ var reductions = map[tp.Op]reduction{
 func (red reduction) stream(ctx context.Context, r, s *tp.Relation, stats *Stats, als ...aligner) (*tp.Relation, error) {
 	presize := 0
 	for i, p := range red.passes {
-		outer, _ := p.sides(r, s)
-		c, counted, err := countDrain(ctx, als[i], outer)
+		outer, inner := p.sides(r, s)
+		c, counted, err := countDrain(ctx, als[i], outer, inner)
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"testing"
 
+	"tpjoin/internal/core"
 	"tpjoin/internal/dataset"
 	"tpjoin/internal/interval"
 	"tpjoin/internal/mem"
@@ -39,9 +40,9 @@ func (p *probeAligner) cheapCount() bool { return false }
 // counting pass — countDrain returns not-ok without draining, and the
 // union falls back to append growth.
 func TestCountDrainSkipsExpensiveAligners(t *testing.T) {
-	r, _ := dataset.Webkit(50, 1)
+	r, s := dataset.Webkit(50, 1)
 	probe := &probeAligner{t: t}
-	c, ok, err := countDrain(context.Background(), probe, r)
+	c, ok, err := countDrain(context.Background(), probe, r, s)
 	if err != nil {
 		t.Fatalf("countDrain: %v", err)
 	}
@@ -66,7 +67,7 @@ func streamPresize(t *testing.T, op tp.Op, r, s *tp.Relation, theta tp.EquiTheta
 	t.Helper()
 	ctx := context.Background()
 	count := func(inner, outer *tp.Relation, th tp.EquiTheta) drainCounts {
-		c, ok, err := countDrain(ctx, mustAligner(inner, th, Config{}), outer)
+		c, ok, err := countDrain(ctx, mustAligner(inner, th, Config{}), outer, inner)
 		if err != nil || !ok {
 			t.Fatalf("countDrain(%v): ok=%v err=%v", op, ok, err)
 		}
@@ -129,7 +130,7 @@ func TestStreamPresizeCoversRows(t *testing.T) {
 // counterpart of TestJoinByteIdenticalToScalar's random relations, where
 // per-key chains and group structure are realistic. It runs both plans
 // JoinContext routes: the indexed aligner, and the scalar aligner under
-// the nested-loop config.
+// the nested-loop config; the reference itself returns NJ's rows.
 func TestStreamMatchesUnionDistinctOnWorkloads(t *testing.T) {
 	ops := []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull}
 	eq := dataset.WebkitTheta()
@@ -150,7 +151,11 @@ func TestStreamMatchesUnionDistinctOnWorkloads(t *testing.T) {
 		r, s := gen.mk()
 		for _, pl := range plans {
 			for _, op := range ops {
-				if err := oracle.Same(referenceJoin(op, r, s, eq, pl.cfg), Join(op, r, s, eq, pl.cfg)); err != nil {
+				ref := referenceJoin(op, r, s, eq, pl.cfg)
+				if err := oracle.Cross(core.Join(op, r, s, eq), ref); err != nil {
+					t.Fatalf("%s %s %v: reference vs NJ: %v", gen.name, pl.name, op, err)
+				}
+				if err := oracle.Same(ref, Join(op, r, s, eq, pl.cfg)); err != nil {
 					t.Fatalf("%s %s %v: %v", gen.name, pl.name, op, err)
 				}
 			}

@@ -92,12 +92,15 @@ type Comparison struct {
 	// run; Pairs is the number of pairs with both runs.
 	Better, Pairs int
 	Bound         float64
-	// Verdict is "regress" when the change median is worse than the
-	// parent median by more than Bound or a larger share of the change
-	// side's operations failed, "gain" when the change is better in at
-	// least nine of ten pairs and its median beats the parent median by
-	// more than the parent's interquartile range, and "inside bound"
-	// otherwise.
+	// Verdict is "regress" when a larger share of the change side's
+	// operations failed; "unresolved" when the parent's interquartile
+	// range is wider than Bound (relative to its median), so the runs
+	// cannot tell a move of Bound from noise, unless every change run
+	// beats every parent run; "regress" when the change median is worse
+	// than the parent median by more than Bound; "gain" when the change is
+	// better in at least nine of ten pairs and its median beats the
+	// parent median by more than the parent's interquartile range; and
+	// "inside bound" otherwise.
 	Verdict              string
 	ParentOps, ChangeOps Ops
 }
@@ -175,8 +178,16 @@ func Compare(f File, b Bounds) ([]Comparison, error) {
 			if c.Parent.Median != 0 {
 				c.DeltaPct = 100 * diff / c.Parent.Median
 			}
+			bound := m.Bound * math.Abs(c.Parent.Median)
+			// Every change run beats every parent run: the worst change
+			// run is better than the best parent run.
+			allBeat := sign*(worst(vals[1], sign)-worst(vals[0], -sign)) < 0
 			switch {
-			case sign*diff > m.Bound*math.Abs(c.Parent.Median) || ops[1].share() > ops[0].share():
+			case ops[1].share() > ops[0].share():
+				c.Verdict = "regress"
+			case c.Parent.Q3-c.Parent.Q1 > bound && !allBeat:
+				c.Verdict = "unresolved"
+			case sign*diff > bound:
 				c.Verdict = "regress"
 			case c.Pairs > 0 && 10*c.Better >= 9*c.Pairs && -sign*diff > c.Parent.Q3-c.Parent.Q1:
 				c.Verdict = "gain"
@@ -187,6 +198,29 @@ func Compare(f File, b Bounds) ([]Comparison, error) {
 		}
 	}
 	return rows, nil
+}
+
+// worst returns the largest of v when sign is 1 and the smallest when it
+// is -1: the worst run of a lower-is-better metric, or the best one.
+func worst(v []float64, sign float64) float64 {
+	w := v[0]
+	for _, x := range v[1:] {
+		if sign*(x-w) > 0 {
+			w = x
+		}
+	}
+	return w
+}
+
+// Regressions counts the rows whose verdict is "regress".
+func Regressions(rows []Comparison) int {
+	n := 0
+	for _, c := range rows {
+		if c.Verdict == "regress" {
+			n++
+		}
+	}
+	return n
 }
 
 // FormatComparison renders rows as a Markdown table.

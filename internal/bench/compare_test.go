@@ -39,7 +39,7 @@ func e2eFile(t *testing.T, vals map[string]map[string][6]float64, failed map[str
 }
 
 const testBounds = `{
-  "workloads": [{"name": "w"}, {"name": "none"}, {"name": "v"}, {"name": "x"}],
+  "workloads": [{"name": "w"}, {"name": "none"}, {"name": "v"}, {"name": "x"}, {"name": "u"}, {"name": "z"}],
   "end_to_end": [
     {"name": "latency_ms", "better": "lower", "bound": 0.25},
     {"name": "ops_per_s", "better": "higher", "bound": 0.25},
@@ -48,7 +48,8 @@ const testBounds = `{
 }`
 
 // TestCompareArithmetic pins the median, quartile, Δ, pair count and
-// verdict arithmetic of Compare on a hand-made three-pair file.
+// verdict arithmetic of Compare on a hand-made three-pair file, and the
+// regress count that sets tpbench -compare's exit status.
 func TestCompareArithmetic(t *testing.T) {
 	var b Bounds
 	if err := json.Unmarshal([]byte(testBounds), &b); err != nil {
@@ -67,6 +68,11 @@ func TestCompareArithmetic(t *testing.T) {
 		"v": {"latency_ms": {10, 10, 10, 10.5, 9.5, 10}},
 		// Equal medians, but the change side failed an operation.
 		"x": {"latency_ms": {5, 5, 5, 5, 5, 5}},
+		// The parent IQR (10–14) is wider than the bound (25 % of 12):
+		// unresolved, even with the change median 33 % worse…
+		"u": {"latency_ms": {8, 16, 12, 15, 17, 16}},
+		// …unless every change run beats every parent run.
+		"z": {"latency_ms": {8, 16, 12, 5, 7, 6}},
 	}, map[string][3]int{"x": {0, 0, 1}})
 
 	rows, err := Compare(f, b)
@@ -83,6 +89,11 @@ func TestCompareArithmetic(t *testing.T) {
 		"w ops_per_s p={100 100 100} c={72 74 97} Δ=-26.000 1/3 regress {0 30} {0 30}",
 		"v latency_ms p={10 10 10} c={9.75 10 10.25} Δ=0.000 1/3 inside bound {0 30} {0 30}",
 		"x latency_ms p={5 5 5} c={5 5 5} Δ=0.000 0/3 regress {0 30} {1 30}",
+		"u latency_ms p={10 12 14} c={15.5 16 16.5} Δ=33.333 0/3 unresolved {0 30} {0 30}",
+		"z latency_ms p={10 12 14} c={5.5 6 6.5} Δ=-50.000 3/3 gain {0 30} {0 30}",
+	}
+	if n := Regressions(rows); n != 2 {
+		t.Errorf("Regressions = %d, want 2 (w ops_per_s, x latency_ms)", n)
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("rows:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -5,9 +5,8 @@ package engine
 // operator, on seeded dataset workloads and on adversarial input
 // profiles. Each strategy is a column held to a reference column by one
 // oracle comparer call, in the strictest mode the pair allows:
-//   - TA vs NJ (oracle.Cross): the families fragment time differently —
-//     TA at alignment boundaries, NJ at window boundaries — so both sides
-//     are coalesced, and ∨ operand order moves P by an ulp at most;
+//   - TA vs NJ (oracle.Cross): the same rows as a bag, uncoalesced —
+//     ∨ operand order moves P by an ulp at most;
 //   - PNJ vs NJ and PTA vs TA (oracle.Bag): the same rows in
 //     partition-major order, bit for bit;
 //   - TA under the nested-loop plan vs TA (oracle.Same): the same tail

@@ -20,9 +20,9 @@ func pair() *tp.Relation {
 	return rel
 }
 
-// TestComparerModes: every mode reports each defect; only Cross forgives
-// a last-ulp difference in P, only Same holds row and operand order, and
-// only Cross coalesces.
+// TestComparerModes: every mode reports each defect, a row split in two
+// included; only Cross forgives a last-ulp difference in P, and only Same
+// holds row and operand order.
 func TestComparerModes(t *testing.T) {
 	modes := map[string]func(want, got *tp.Relation) error{"same": Same, "bag": Bag, "cross": Cross}
 	changes := []struct {
@@ -45,7 +45,7 @@ func TestComparerModes(t *testing.T) {
 		{"split row", func(rel *tp.Relation) {
 			rel.Tuples = append(rel.Tuples, rel.Tuples[0])
 			rel.Tuples[0].T, rel.Tuples[2].T = interval.New(1, 2), interval.New(2, 4)
-		}, false, false, true},
+		}, false, false, false},
 	}
 	for _, c := range changes {
 		got := pair()

@@ -2,12 +2,15 @@ package shell
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"tpjoin/internal/catalog"
 	"tpjoin/internal/interval"
+	"tpjoin/internal/oracle"
 	"tpjoin/internal/tp"
 )
 
@@ -40,6 +43,46 @@ func TestSelectFig1b(t *testing.T) {
 	}
 	if !strings.Contains(out, "a1 ∧ ¬(b3 ∨ b2)") || !strings.Contains(out, "0.084") {
 		t.Errorf("missing the negated lineage row:\n%s", out)
+	}
+}
+
+// TestFig1bEveryStrategy: the Fig. 1a LEFT join returns NJ's seven rows
+// of Fig. 1b as a bag under every strategy — TA and PTA form each pairing
+// once, over the overlap of its two tuples, not once per fragment.
+func TestFig1bEveryStrategy(t *testing.T) {
+	const q = "SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc"
+	eval := func(settings ...string) *tp.Relation {
+		t.Helper()
+		core := NewCore(catalog.New())
+		PreloadFig1a(core.Catalog)
+		for _, line := range append(settings, q) {
+			res, err := core.Eval(context.Background(), line)
+			if err != nil {
+				t.Fatalf("%q after %v: %v", line, settings, err)
+			}
+			if res.Rel != nil {
+				return res.Rel
+			}
+		}
+		t.Fatalf("%q returned no rows", q)
+		return nil
+	}
+	nj := eval("SET strategy = nj")
+	if nj.Len() != 7 {
+		t.Fatalf("NJ returns %d rows, want Fig. 1b's 7", nj.Len())
+	}
+	for _, settings := range [][]string{
+		{"SET strategy = ta"},
+		{"SET strategy = ta", "SET ta_nested_loop = on"},
+		{"SET strategy = pta", "SET join_workers = 2"},
+	} {
+		got := eval(settings...)
+		if got.Len() != nj.Len() {
+			t.Errorf("%v: %d rows, want NJ's %d", settings, got.Len(), nj.Len())
+		}
+		if err := oracle.Cross(nj, got); err != nil {
+			t.Errorf("%v: %v", settings, err)
+		}
 	}
 }
 
@@ -88,8 +131,8 @@ func TestSetPTA(t *testing.T) {
 	if !strings.Contains(out, "strategy=PTA workers=2") {
 		t.Errorf("PTA must show in EXPLAIN:\n%s", out)
 	}
-	// PTA fragments time exactly like the sequential baseline (TA); only
-	// the row order may differ (partition-major vs global union order).
+	// PTA returns the sequential baseline's (TA's) rows; only the row
+	// order may differ (partition-major vs global union order).
 	got := strings.Split(run(t, sh, "SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc"), "\n")
 	ta := newShell()
 	run(t, ta, "SET strategy = ta")

@@ -135,42 +135,22 @@ type KeyInfo struct {
 	Concurrency float64
 }
 
-// Key derives the KeyInfo for the given column set. Out-of-range columns
-// are ignored (the caller resolved them against this schema already);
-// an empty or fully unknown column set is treated as a single key
-// spanning the whole relation.
+// Key derives the KeyInfo for the column set of one side of an equi-join:
+// non-empty, and resolved against this schema by the caller.
 func (s *Stats) Key(cols []int) KeyInfo {
-	k := KeyInfo{Distinct: 1, MaxGroup: s.Tuples}
-	first := true
+	k := KeyInfo{Distinct: 1, MaxGroup: s.Cols[cols[0]].MaxGroup}
 	for _, c := range cols {
-		if c < 0 || c >= len(s.Cols) {
-			continue
-		}
 		cs := &s.Cols[c]
-		d := cs.Distinct
-		if d < 1 {
-			d = 1
-		}
-		if first {
-			k.Distinct = d
-			k.MaxGroup = cs.MaxGroup
-			first = false
+		d := max(cs.Distinct, 1)
+		if k.Distinct > s.Tuples/d { // cap the product at Tuples
+			k.Distinct = s.Tuples
 		} else {
-			if k.Distinct > s.Tuples/d { // cap the product at Tuples
-				k.Distinct = s.Tuples
-			} else {
-				k.Distinct *= d
-			}
-			if cs.MaxGroup < k.MaxGroup {
-				k.MaxGroup = cs.MaxGroup
-			}
+			k.Distinct *= d
 		}
+		k.MaxGroup = min(k.MaxGroup, cs.MaxGroup)
 	}
 	if k.Distinct < 1 {
 		k.Distinct = 1
-	}
-	if k.Distinct > s.Tuples && s.Tuples > 0 {
-		k.Distinct = s.Tuples
 	}
 	if s.Tuples > 0 {
 		k.MeanGroup = float64(s.Tuples) / float64(k.Distinct)

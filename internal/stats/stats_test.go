@@ -141,11 +141,6 @@ func TestKeyInfo(t *testing.T) {
 	if !closeEnough(one.Concurrency, st.Density/3) {
 		t.Errorf("concurrency %g, want %g", one.Concurrency, st.Density/3)
 	}
-	// Degenerate column sets behave as one whole-relation key.
-	whole := st.Key(nil)
-	if whole.Distinct != 1 || whole.MaxGroup != 12 {
-		t.Errorf("empty key info wrong: %+v", whole)
-	}
 }
 
 // TestCacheInvalidation pins Of's memo contract: a current profile is

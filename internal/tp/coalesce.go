@@ -6,10 +6,9 @@ import "sort"
 // adjacent or overlapping intervals are merged: tuples merge when they
 // have the same fact and *structurally equal* lineage (and hence equal
 // probability). Join results chunk time at window boundaries; coalescing
-// restores maximal intervals where the chunks carry identical lineage —
-// e.g. the fragmented pairings produced by the Temporal Alignment
-// baseline coalesce back into the maximal overlap intervals NJ emits
-// directly.
+// restores maximal intervals where the chunks carry identical lineage.
+// No engine path calls it; the benchmark in e2ebench/ compares results
+// through it.
 //
 // Coalescing with *equivalent* (rather than structurally equal) lineages
 // would require exponential-time equivalence checks; structural equality
